@@ -22,10 +22,8 @@ from .estimators import (
     unbiased_coeffs,
 )
 from .experiments import (
-    DELTA_GRID_DEFAULT,
     NRMSE_METHODS,
     REPORTING_METHODS,
-    TAU_GRID_DEFAULT,
     SweepConfig,
     nrmse_experiment,
     run_sweep,
@@ -108,8 +106,7 @@ def _dist_histogram(args) -> FrequencyHistogram:
         return zipf_histogram(args.n_keys, args.alpha, args.w_max)
     if args.dist == "uniform":
         return uniform_histogram(args.n_keys, args.freq_min, args.freq_max)
-    with _open_in(args.input) as fp:
-        return FrequencyHistogram.from_keys(formats.read_keyed_tsv(fp))
+    return _read_histogram(args)
 
 
 def _add_dist_flags(parser):
@@ -177,19 +174,23 @@ def cmd_sanitize(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    params, scheme = _params(args), _scheme(args)
+def _table_and_coeffs(args, params, scheme):
+    """The public table, estimate coefficients and g chosen by --table/--estimator/--g-power."""
     if args.estimator == "unbiased" and args.table == "alg5":
         raise UsageError("--estimator unbiased needs the integer-token table (--table alg4)")
-    with _open_in(args.input) as fp:
-        sanitized = list(formats.read_keyed_tsv(fp).items())
-    table = _build_table(params, scheme, args.max_freq, args.table)
     g = g_power(args.g_power)
+    table = _build_table(params, scheme, args.max_freq, args.table)
     if args.estimator == "mle":
-        rv = compute_pi(params, scheme, args.max_freq)
-        coeffs = mle_coeffs(table, rv, g)
+        coeffs = mle_coeffs(table, compute_pi(params, scheme, args.max_freq), g)
     else:
         coeffs = unbiased_coeffs(table, g)
+    return table, coeffs, g
+
+
+def cmd_estimate(args) -> int:
+    _, coeffs, _ = _table_and_coeffs(args, _params(args), _scheme(args))
+    with _open_in(args.input) as fp:
+        sanitized = list(formats.read_keyed_tsv(fp).items())
     selection = None
     if args.select:
         with _open_in(args.select) as fp:
@@ -235,7 +236,7 @@ def cmd_analyze_sweep(args) -> int:
 
 def cmd_analyze_nrmse(args) -> int:
     hist = _dist_histogram(args)
-    grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else TAU_GRID_DEFAULT
+    grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else ()
     config = SweepConfig(
         histogram=hist,
         epsilon=args.epsilon,
@@ -282,16 +283,7 @@ def cmd_analyze_concordance(args) -> int:
 
 
 def cmd_analyze_moments(args) -> int:
-    params, scheme = _params(args), _scheme(args)
-    if args.estimator == "unbiased" and args.table == "alg5":
-        raise UsageError("--estimator unbiased needs the integer-token table (--table alg4)")
-    g = g_power(args.g_power)
-    table = _build_table(params, scheme, args.max_freq, args.table)
-    if args.estimator == "mle":
-        rv = compute_pi(params, scheme, args.max_freq)
-        coeffs = mle_coeffs(table, rv, g)
-    else:
-        coeffs = unbiased_coeffs(table, g)
+    table, coeffs, g = _table_and_coeffs(args, _params(args), _scheme(args))
     moment_table = moments_by_frequency(table, coeffs, g)
     with _open_out(args.out) as fp:
         formats.write_moments_csv(fp, moment_table)
@@ -320,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privsample",
         description="Private post-processing of weighted key-frequency samples.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (reserved; execution is single-threaded and outputs do not depend on it)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -452,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except UsageError as exc:

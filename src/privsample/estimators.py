@@ -50,6 +50,24 @@ def g_power(p: float) -> FrequencyFunc:
     return g
 
 
+def _g_values(g: FrequencyFunc, max_frequency: int) -> np.ndarray:
+    """(0, g(1), ..., g(max_frequency))."""
+    gv = np.zeros(max_frequency + 1)
+    gv[1:] = g(np.arange(1, max_frequency + 1))
+    return gv
+
+
+def _estimable(scheme: SamplingScheme, g: FrequencyFunc, max_frequency: int):
+    """q and g over 0..max_frequency, where every g(i) > 0 has q_i > 0."""
+    q = scheme.probs(max_frequency)
+    gv = _g_values(g, max_frequency)
+    bad = (q[1:] <= 0.0) & (gv[1:] > 0.0)
+    if np.any(bad):
+        i = int(np.nonzero(bad)[0][0]) + 1
+        raise ValueError(f"q_{i} = 0 with g({i}) > 0: statistic is inestimable")
+    return q, gv
+
+
 @dataclass(frozen=True, eq=False)
 class EstimatorCoeffs:
     """Per-token estimate values a_j (a_0 = 0 for "not reported").
@@ -87,13 +105,7 @@ def inverse_prob_coeffs(
 
     Unbiased by construction: q_i * a_i = g(i) for every estimable i.
     """
-    q = scheme.probs(max_frequency)
-    gv = np.zeros(max_frequency + 1)
-    gv[1:] = g(np.arange(1, max_frequency + 1))
-    bad = (q[1:] <= 0.0) & (gv[1:] > 0.0)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0]) + 1
-        raise ValueError(f"q_{i} = 0 with g({i}) > 0: statistic is inestimable")
+    q, gv = _estimable(scheme, g, max_frequency)
     values = np.zeros(max_frequency + 1)
     nz = q > 0.0
     values[nz] = gv[nz] / q[nz]
@@ -113,8 +125,7 @@ def unbiased_coeffs(table: SanitizerTable, g: FrequencyFunc) -> EstimatorCoeffs:
         raise ValueError("unbiased coefficients need the square integer-token table")
     m = table.max_frequency
     rows = table.rows
-    gv = np.zeros(m + 1)
-    gv[1:] = g(np.arange(1, m + 1))
+    gv = _g_values(g, m)
     a = np.zeros(m + 1)
     for i in range(1, m + 1):
         diag = rows[i, i]
@@ -189,9 +200,7 @@ def moments_by_frequency(
     """Exact per-key moments for every frequency in the table at once."""
     if len(coeffs.values) != table.n_tokens + 1:
         raise ValueError("coefficients do not match the table's token set")
-    m = table.max_frequency
-    gv = np.zeros(m + 1)
-    gv[1:] = g(np.arange(1, m + 1))
+    gv = _g_values(g, table.max_frequency)
     a = coeffs.values[1:]
     reported = table.rows[:, 1:]
     pi_m = reported.sum(axis=1)
@@ -212,13 +221,7 @@ def nonprivate_moment_table(
 
     Unbiased with per-key variance g(i)^2 (1/q_i - 1).
     """
-    q = scheme.probs(max_frequency)
-    gv = np.zeros(max_frequency + 1)
-    gv[1:] = g(np.arange(1, max_frequency + 1))
-    bad = (q[1:] <= 0.0) & (gv[1:] > 0.0)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0]) + 1
-        raise ValueError(f"q_{i} = 0 with g({i}) > 0: statistic is inestimable")
+    q, gv = _estimable(scheme, g, max_frequency)
     variance = np.zeros(max_frequency + 1)
     nz = q > 0.0
     variance[nz] = gv[nz] ** 2 * (1.0 / q[nz] - 1.0)

@@ -173,9 +173,8 @@ def _pws_mle_nrmse(params: PrivacyParams, scheme: SamplingScheme,
     # the public table must extend past the largest estimated frequency or
     # the boundary rows get truncation-distorted coefficients.
     reach = max_f + 2 * math.ceil(l_value(params)) + 2
-    q = scheme.probs(reach)
     rv = compute_pi(params, scheme, reach)
-    if np.all(q[1:] == 1.0):
+    if np.all(rv.q[1:] == 1.0):
         table = compute_pij(params, scheme, reach)
     else:
         table = discretize_pdfs(compute_pdfs(params, scheme, reach))
@@ -200,6 +199,9 @@ def nrmse_experiment(config: SweepConfig) -> list[SweepRow]:
     freqs, _ = selection.frequencies_and_counts()
     max_f = int(freqs[-1])
     methods = config.methods if config.methods != REPORTING_METHODS else NRMSE_METHODS
+    for method in methods:
+        if method not in NRMSE_METHODS:
+            raise ValueError(f"unknown estimation method {method!r}")
 
     rows: list[SweepRow] = []
     for tau in config.grid:
@@ -211,14 +213,10 @@ def nrmse_experiment(config: SweepConfig) -> list[SweepRow]:
                 elif method == "sampled-sbh":
                     table = sbh_moment_table(SbhConfig(params), scheme, g_identity, max_f)
                     result = statistic_moments(selection, table).nrmse
-                elif method == "nonprivate":
+                else:
                     table = nonprivate_moment_table(scheme, g_identity, max_f)
                     result = statistic_moments(selection, table).nrmse
-                else:
-                    raise ValueError(f"unknown estimation method {method!r}")
-            except ValueError as exc:
-                if "unknown estimation method" in str(exc):
-                    raise
+            except ValueError:
                 result = math.nan  # undefined at this grid point; flagged, not fatal
             rows.append(SweepRow("tau", float(tau), method, "nrmse", result))
     return rows

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PURPOSE_TOKEN, key_uniform
-from .keys import _pi_step
+from .keys import compute_pi
 from .privacy import DpReport, PrivacyParams, verify_dp
 from .sampling import SamplingScheme, WeightedSample
 
@@ -67,11 +67,6 @@ class SanitizerTable:
     def n_tokens(self) -> int:
         return self.rows.shape[1] - 1
 
-    def row(self, i: int) -> np.ndarray:
-        if not 0 <= i <= self.max_frequency:
-            raise ValueError(f"frequency {i} outside table range 0..{self.max_frequency}")
-        return self.rows[i]
-
     def pi_marginals(self) -> np.ndarray:
         """Total reporting mass per row; matches the key-reporting solution."""
         return self.rows[:, 1:].sum(axis=1)
@@ -90,18 +85,15 @@ def compute_pij(
     from token i downward, capping each entry by the budget the previous
     row leaves in the growing direction.
     """
-    if max_frequency < 1:
-        raise ValueError("max_frequency must be >= 1")
+    pi = compute_pi(params, scheme, max_frequency).pi
     eps, delta = params.epsilon, params.delta
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
     m = max_frequency
-    q = scheme.probs(m)
 
     rows = np.zeros((m + 1, m + 1))
     rows[0, 0] = 1.0
-    pi_prev = 0.0
     for i in range(1, m + 1):
-        pi_i = _pi_step(pi_prev, float(q[i]), e_eps, e_neg, delta)
+        pi_i = float(pi[i])
         prev = rows[i - 1]
         row = rows[i]
         row[0] = 1.0 - pi_i
@@ -135,7 +127,6 @@ def compute_pij(
                 remaining = 0.0
             suffix_prev += prev[j - 1]
             suffix_cur += row[j]
-        pi_prev = pi_i
     return SanitizerTable(params=params, scheme=scheme, rows=rows)
 
 
@@ -237,16 +228,13 @@ def compute_pdfs(
     integrals are exact segment arithmetic and any tie in the crossover
     equation is broken toward the smallest solution.
     """
-    if max_frequency < 1:
-        raise ValueError("max_frequency must be >= 1")
+    pi = compute_pi(params, scheme, max_frequency).pi
     eps, delta = params.epsilon, params.delta
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
-    q = scheme.probs(max_frequency)
 
     pdfs = [PiecewisePdf(atom0=1.0, bounds=np.array([0.0]), densities=np.empty(0))]
-    pi_prev = 0.0
     for i in range(1, max_frequency + 1):
-        pi_i = _pi_step(pi_prev, float(q[i]), e_eps, e_neg, delta)
+        pi_i = float(pi[i])
         atom = 1.0 - pi_i
         top_density = min(pi_i, delta)
         prev = pdfs[-1]
@@ -259,7 +247,6 @@ def compute_pdfs(
                     densities=np.array([top_density]),
                 )
             )
-            pi_prev = pi_i
             continue
 
         gap = max(0.0, e_neg * prev.atom0 - atom)
@@ -319,7 +306,6 @@ def compute_pdfs(
         bounds_i = np.append(grid_i, float(i))
         dens_i = np.append(dens_i, top_density)
         pdfs.append(_merged(atom, bounds_i, dens_i))
-        pi_prev = pi_i
     return PdfFamily(params=params, scheme=scheme, pdfs=tuple(pdfs))
 
 

@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 
-def _pi_step(prev: float, q_i: float, e_eps: float, e_neg_eps: float, delta: float) -> float:
-    return min(q_i, e_eps * prev + delta, 1.0 + e_neg_eps * (prev + delta - 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class ReportingVector:
     """End-to-end reporting probabilities pi_0..pi_max for one scheme.
@@ -58,7 +54,7 @@ class ReportingVector:
         if not 1 <= i <= self.max_frequency:
             raise ValueError(
                 f"frequency {i} outside table range 1..{self.max_frequency}; "
-                "recompute with a larger max_frequency or call extended()"
+                "recompute with a larger max_frequency"
             )
         q_i = float(self.q[i])
         if q_i <= 0.0:
@@ -66,21 +62,6 @@ class ReportingVector:
                 f"q_{i} = 0 but a sampled key with frequency {i} exists; input is corrupt"
             )
         return float(self.pi[i]) / q_i
-
-    def extended(self, new_max: int) -> "ReportingVector":
-        """Continue the recurrence to a larger maximum frequency."""
-        if new_max <= self.max_frequency:
-            return self
-        eps, delta = self.params.epsilon, self.params.delta
-        e_eps, e_neg = math.exp(eps), math.exp(-eps)
-        q = self.scheme.probs(new_max)
-        pi = np.zeros(new_max + 1)
-        pi[: len(self.pi)] = self.pi
-        prev = float(self.pi[-1])
-        for i in range(self.max_frequency + 1, new_max + 1):
-            prev = _pi_step(prev, float(q[i]), e_eps, e_neg, delta)
-            pi[i] = prev
-        return ReportingVector(params=self.params, scheme=self.scheme, pi=pi, q=q)
 
     def binary_rows(self) -> np.ndarray:
         """Per-frequency output laws over (not reported, reported) tokens."""
@@ -90,7 +71,12 @@ class ReportingVector:
 def compute_pi(
     params: PrivacyParams, scheme: SamplingScheme, max_frequency: int
 ) -> ReportingVector:
-    """Run the three-way minimum recurrence up to max_frequency."""
+    """Run the three-way minimum recurrence up to max_frequency.
+
+    The package's only copy of the recurrence: both token tables take their
+    per-row reporting mass from it.  pi_i depends only on q_1..q_i, so a
+    larger max_frequency extends the same array.
+    """
     if max_frequency < 1:
         raise ValueError("max_frequency must be >= 1")
     eps, delta = params.epsilon, params.delta
@@ -99,7 +85,7 @@ def compute_pi(
     pi = np.zeros(max_frequency + 1)
     prev = 0.0
     for i in range(1, max_frequency + 1):
-        prev = _pi_step(prev, float(q[i]), e_eps, e_neg, delta)
+        prev = min(float(q[i]), e_eps * prev + delta, 1.0 + e_neg * (prev + delta - 1.0))
         pi[i] = prev
     return ReportingVector(params=params, scheme=scheme, pi=pi, q=q)
 

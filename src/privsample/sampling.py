@@ -68,15 +68,12 @@ class SamplingScheme:
     def weight(self, w: float) -> float:
         return float(w) ** self.power
 
-    def inclusion_prob(self, i: int) -> float:
-        """Probability q_i that a key with integer frequency i is sampled."""
-        if i <= 0:
-            return 0.0
-        return self.inclusion_prob_real(float(i))
+    def inclusion_prob(self, w: float) -> float:
+        """Probability q_w that a key with frequency w is sampled.
 
-    def inclusion_prob_real(self, w: float) -> float:
-        """q extended to real-valued frequencies (used for already-noised data)."""
-        if w <= 0.0:
+        w may be real-valued (already-noised data).
+        """
+        if w <= 0:
             return 0.0
         if self.kind == "none":
             return 1.0
@@ -84,6 +81,16 @@ class SamplingScheme:
         if self.kind == "ppswor":
             return -math.expm1(-x)
         return min(1.0, x)
+
+    def includes(self, seed: int, key: str, w: float) -> bool:
+        """The sampling rule: keep the key iff its score u < w**power * tau."""
+        if self.kind == "ppswor":
+            u = key_exponential(seed, key, PURPOSE_SAMPLE)
+        elif self.kind == "pps":
+            u = key_uniform(seed, key, PURPOSE_SAMPLE)
+        else:
+            return True
+        return u < float(w) ** self.power * self.tau
 
     def probs(self, max_frequency: int) -> np.ndarray:
         """Vector (q_0, ..., q_max_frequency)."""
@@ -172,21 +179,12 @@ def aggregate_elements(elements: Iterable[str]) -> FrequencyHistogram:
 def draw_sample(data: FrequencyHistogram, scheme: SamplingScheme, seed: int) -> WeightedSample:
     """Threshold-sample a keyed histogram, deterministically in the seed.
 
-    Each key is included independently iff its per-key draw u satisfies
-    u < weight(frequency) * tau.  Decisions are per-key functions of
-    (seed, key), so partitioning keys across workers cannot change the result.
+    Each key is included independently by ``scheme.includes``.  Decisions
+    are per-key functions of (seed, key), so partitioning keys across
+    workers cannot change the result.
     """
     by_key = data.require_keyed()
     if scheme.kind == "none":
         return WeightedSample(pairs=dict(by_key), scheme=scheme)
-
-    pairs: dict[str, int] = {}
-    for key, freq in by_key.items():
-        threshold = scheme.weight(freq) * scheme.tau
-        if scheme.kind == "ppswor":
-            score = key_exponential(seed, key, PURPOSE_SAMPLE)
-        else:
-            score = key_uniform(seed, key, PURPOSE_SAMPLE)
-        if score < threshold:
-            pairs[key] = freq
+    pairs = {key: freq for key, freq in by_key.items() if scheme.includes(seed, key, freq)}
     return WeightedSample(pairs=pairs, scheme=scheme)

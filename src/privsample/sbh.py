@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from ._rng import PURPOSE_LAPLACE, PURPOSE_SAMPLE, key_exponential, key_laplace, key_uniform
-from .estimators import FrequencyFunc, MomentTable, PerKeyMoments
+from ._rng import PURPOSE_LAPLACE, key_laplace
+from .estimators import FrequencyFunc, MomentTable, PerKeyMoments, _g_values
 from .privacy import PrivacyParams
 from .sampling import SamplingScheme
 
@@ -83,43 +83,36 @@ def sampled_sbh(
 ) -> dict[str, float]:
     """Noise-then-sample: threshold-sample the noised frequencies.
 
-    The scheme's inclusion probability is extended to real arguments; the
+    The sampling rule is applied to the real-valued noised frequency; the
     per-key sampling draw is independent of the noise draw.
     """
     noised = sbh_sanitize(by_key, config, seed)
-    if scheme.kind == "none":
-        return noised
-    out: dict[str, float] = {}
-    for key, w_star in noised.items():
-        threshold = scheme.weight(w_star) * scheme.tau
-        if scheme.kind == "ppswor":
-            score = key_exponential(seed, key, PURPOSE_SAMPLE)
-        else:
-            score = key_uniform(seed, key, PURPOSE_SAMPLE)
-        if score < threshold:
-            out[key] = w_star
-    return out
+    return {key: w for key, w in noised.items() if scheme.includes(seed, key, w)}
 
 
-def _laplace_pdf(eps: float, center: float):
+def _integrate_tail(fn, config: SbhConfig, scheme: SamplingScheme, i: int) -> float:
+    """Integral over the kept region w >= T of fn(w) times the noise density at i.
+
+    Adaptive quadrature, split where the integrand has kinks or falls off:
+    at i, at the pps cap w**power * tau = 1, and far out in the Laplace tail.
+    """
+    eps, lo, center = config.params.epsilon, config.threshold, float(i)
     half = 0.5 * eps
 
-    def pdf(w: float) -> float:
-        return half * math.exp(-eps * abs(w - center))
+    def integrand(w: float) -> float:
+        return fn(w) * (half * math.exp(-eps * abs(w - center)))
 
-    return pdf
-
-
-def _integrate_tail(fn, lo: float, breaks: list[float]) -> float:
-    """Adaptive quadrature of fn over [lo, inf) split at interior breakpoints."""
-    pts = sorted({b for b in breaks if b > lo})
+    breaks = [center]
+    if scheme.kind == "pps":
+        breaks.append((1.0 / scheme.tau) ** (1.0 / scheme.power) if scheme.power else 1.0)
+    breaks.append(max(lo, center) + _TAIL_SCALES / eps)
     total = 0.0
     start = lo
-    for b in pts:
-        val, _ = integrate.quad(fn, start, b, epsrel=_QUAD_EPSREL, epsabs=1e-14, limit=200)
+    for b in sorted({b for b in breaks if b > lo}):
+        val, _ = integrate.quad(integrand, start, b, epsrel=_QUAD_EPSREL, epsabs=1e-14, limit=200)
         total += val
         start = b
-    val, _ = integrate.quad(fn, start, np.inf, epsrel=_QUAD_EPSREL, epsabs=1e-14, limit=200)
+    val, _ = integrate.quad(integrand, start, np.inf, epsrel=_QUAD_EPSREL, epsabs=1e-14, limit=200)
     return total + val
 
 
@@ -150,13 +143,7 @@ def sampled_sbh_report_prob(config: SbhConfig, scheme: SamplingScheme, i: int) -
         return sbh_report_prob(config, i) - 0.5 * eps * partial
     if scheme.tau == 0.0:
         return 0.0
-
-    pdf = _laplace_pdf(eps, float(i))
-    breaks = [float(i)]
-    if scheme.kind == "pps":
-        breaks.append((1.0 / scheme.tau) ** (1.0 / scheme.power) if scheme.power else 1.0)
-    breaks.append(max(T, float(i)) + _TAIL_SCALES / eps)
-    return _integrate_tail(lambda w: scheme.inclusion_prob_real(w) * pdf(w), T, breaks)
+    return _integrate_tail(scheme.inclusion_prob, config, scheme, i)
 
 
 def sbh_moments(
@@ -172,17 +159,9 @@ def sbh_moments(
         raise ValueError("frequency must be >= 1")
     if scheme.kind != "none" and scheme.tau == 0.0:
         raise ValueError("tau = 0 keeps nothing; the estimate is undefined")
-    eps = config.params.epsilon
-    T = config.threshold
-    pdf = _laplace_pdf(eps, float(i))
-    breaks = [float(i)]
-    if scheme.kind == "pps":
-        breaks.append((1.0 / scheme.tau) ** (1.0 / scheme.power) if scheme.power else 1.0)
-    breaks.append(max(T, float(i)) + _TAIL_SCALES / eps)
-
-    first = _integrate_tail(lambda w: float(g(w)) * pdf(w), T, breaks)
+    first = _integrate_tail(lambda w: float(g(w)), config, scheme, i)
     second = _integrate_tail(
-        lambda w: float(g(w)) ** 2 / scheme.inclusion_prob_real(w) * pdf(w), T, breaks
+        lambda w: float(g(w)) ** 2 / scheme.inclusion_prob(w), config, scheme, i
     )
     gi = float(g(i))
     bias = first - gi
@@ -195,8 +174,7 @@ def sbh_moment_table(
     config: SbhConfig, scheme: SamplingScheme, g: FrequencyFunc, max_frequency: int
 ) -> MomentTable:
     """Per-frequency moments for 1..max_frequency, as a vectorized table."""
-    gv = np.zeros(max_frequency + 1)
-    gv[1:] = g(np.arange(1, max_frequency + 1))
+    gv = _g_values(g, max_frequency)
     expectation = np.zeros(max_frequency + 1)
     bias = np.zeros(max_frequency + 1)
     variance = np.zeros(max_frequency + 1)

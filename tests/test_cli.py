@@ -164,7 +164,8 @@ class TestSanitizePipeline:
         assert exc.value.code == 2
 
     def test_invalid_flag_combinations_are_usage_errors(self, sample_file):
-        # scheme needing a threshold, threshold on scheme none, bad epsilon
+        # scheme needing a threshold, threshold on scheme none, bad epsilon,
+        # the removed --threads flag
         for argv in (
             ["sanitize", "--mode", "keys", "--input", str(sample_file),
              "--epsilon", "0.5", "--delta", "0.1", "--scheme", "ppswor",
@@ -172,6 +173,8 @@ class TestSanitizePipeline:
             ["pi", "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
              "--tau", "0.3", "--max-freq", "5"],
             ["pi", "--epsilon", "-2", "--delta", "0.1", "--scheme", "none",
+             "--max-freq", "5"],
+            ["--threads", "1", "pi", "--epsilon", "0.5", "--delta", "0.1",
              "--max-freq", "5"],
         ):
             with pytest.raises(SystemExit) as exc:

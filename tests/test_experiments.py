@@ -175,6 +175,18 @@ class TestNrmseExperiment:
             (a.value, a.method, a.result) for a in r2
         ]
 
+    def test_rejects_unknown_method_before_any_table(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("a table was built before the methods were checked")
+
+        monkeypatch.setattr("privsample.experiments._pws_mle_nrmse", build)
+        config = SweepConfig(
+            histogram=uniform_histogram(100, 1, 5), epsilon=0.1, sweep="tau",
+            grid=(1.0,), methods=("pws-freq-mle", "bogus"),
+        )
+        with pytest.raises(ValueError, match="unknown estimation method 'bogus'"):
+            nrmse_experiment(config)
+
     def test_rejects_delta_sweep(self):
         hist = uniform_histogram(100, 1, 5)
         config = SweepConfig(histogram=hist, epsilon=0.1, sweep="delta")

@@ -1,0 +1,137 @@
+"""Golden outputs: a fixed CLI corpus stays byte-identical.
+
+Every command of a small corpus runs in process through
+``privsample.cli.main``.  The sha256 of each output file, and of each
+command's stdout where it prints one, is compared with the digest recorded
+at commit def6c78.  A change that alters outputs on purpose re-records the
+digests by printing ``corpus_digests(tmp_dir)`` and says so in CHANGES.md.
+
+Unbiased coefficients stay at frequencies <= 40: further out they are
+forward-substitution rounding noise that any reordering of the arithmetic
+changes, so the unbiased moments CSV is left out too.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from privsample.cli import main
+
+PRIV = ["--epsilon", "0.5", "--delta", "0.001"]
+PPSWOR = ["--scheme", "ppswor", "--tau", "0.05"]
+PPS = ["--scheme", "pps", "--tau", "0.02", "--power", "0.5"]
+
+
+def _corpus(d):
+    """(name, argv, output files) per command, in run order."""
+    hist, s_ppswor, s_pps = d / "hist.tsv", d / "sample_ppswor.tsv", d / "sample_pps.tsv"
+    keys_ppswor = [*PRIV, *PPSWOR, "--input", str(s_ppswor)]
+    return [
+        ("sample-ppswor", ["sample", "--input", str(hist), *PPSWOR, "--seed", "1",
+                           "--out", str(s_ppswor)], [s_ppswor]),
+        ("sample-pps", ["sample", "--input", str(hist), *PPS, "--seed", "2",
+                        "--out", str(s_pps)], [s_pps]),
+        ("sanitize-keys", ["sanitize", "--mode", "keys", *keys_ppswor, "--seed", "3",
+                           "--out", str(d / "keys.txt")], [d / "keys.txt"]),
+        ("sanitize-keys-pps", ["sanitize", "--mode", "keys", *PRIV, *PPS, "--input", str(s_pps),
+                               "--seed", "3", "--out", str(d / "keys_pps.txt")],
+         [d / "keys_pps.txt"]),
+        ("sanitize-alg4", ["sanitize", "--mode", "freqs", "--table", "alg4", *keys_ppswor,
+                           "--seed", "4", "--out", str(d / "freqs4.tsv")], [d / "freqs4.tsv"]),
+        ("sanitize-alg5", ["sanitize", "--mode", "freqs", "--table", "alg5", *keys_ppswor,
+                           "--max-freq", "130", "--seed", "5", "--out", str(d / "freqs5.tsv")],
+         [d / "freqs5.tsv"]),
+        ("estimate-mle", ["estimate", "--input", str(d / "freqs4.tsv"), *PRIV, *PPSWOR,
+                          "--max-freq", "150", "--estimator", "mle"], []),
+        ("estimate-unbiased", ["estimate", "--input", str(d / "freqs4.tsv"), *PRIV, *PPSWOR,
+                               "--max-freq", "40", "--estimator", "unbiased",
+                               "--select", str(d / "low.txt")], []),
+        ("estimate-mle-alg5", ["estimate", "--input", str(d / "freqs5.tsv"), *PRIV, *PPSWOR,
+                               "--max-freq", "150", "--table", "alg5", "--g-power", "0.5"], []),
+        ("baseline-sampled-sbh", ["baseline", "sampled-sbh", "--input", str(hist), *PRIV, *PPS,
+                                  "--seed", "6", "--out", str(d / "sbh.tsv")], [d / "sbh.tsv"]),
+        ("pi", ["pi", "--epsilon", "0.1", "--delta", "0.01", "--scheme", "ppswor", "--tau", "0.1",
+                "--power", "2", "--max-freq", "150", "--out", str(d / "pi.csv")], [d / "pi.csv"]),
+        ("pij-alg4", ["pij", *PRIV, *PPS, "--max-freq", "100", "--table", "alg4",
+                      "--out", str(d / "pij4.csv")], [d / "pij4.csv"]),
+        ("pij-alg5", ["pij", "--epsilon", "0.1", "--delta", "0.01", *PPSWOR, "--max-freq", "100",
+                      "--table", "alg5", "--out", str(d / "pij5.csv")], [d / "pij5.csv"]),
+        ("pdfs", ["pdfs", *PRIV, "--max-freq", "60", "--segments-out", str(d / "seg.csv"),
+                  "--atoms-out", str(d / "atoms.csv")], [d / "seg.csv", d / "atoms.csv"]),
+        ("verify-dp-alg4", ["verify-dp", *PRIV, "--table", str(d / "pij4.csv")], []),
+        ("verify-dp-alg5", ["verify-dp", "--epsilon", "0.1", "--delta", "0.01",
+                            "--table", str(d / "pij5.csv")], []),
+        ("verify-dp-pi", ["verify-dp", "--epsilon", "0.1", "--delta", "0.01",
+                          "--table", str(d / "pi.csv"), "--kind", "pi"], []),
+        ("moments-mle", ["analyze", "moments", *PRIV, *PPSWOR, "--max-freq", "120",
+                         "--table", "alg5", "--out", str(d / "moments.csv")],
+         [d / "moments.csv"]),
+        ("nrmse", ["analyze", "nrmse", *PRIV, "--grid", "1,0.1", "--dist", "uniform",
+                   "--n-keys", "1000", "--freq-min", "1", "--freq-max", "40",
+                   "--out", str(d / "nrmse.csv")], [d / "nrmse.csv"]),
+        ("sweep", ["analyze", "sweep", *PRIV, "--scheme", "ppswor", "--grid", "0.5,0.05",
+                   "--dist", "zipf", "--n-keys", "2000", "--w-max", "60",
+                   "--out", str(d / "sweep.csv")], [d / "sweep.csv"]),
+        ("concordance-kendall", ["analyze", "concordance", *PRIV, *PPS, "--max-freq", "50",
+                                 "--kendall", "--dist", "uniform", "--n-keys", "500",
+                                 "--freq-max", "50", "--out", str(d / "conc.csv")],
+         [d / "conc.csv"]),
+    ]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def corpus_digests(d) -> dict:
+    """Run the corpus in directory ``d``; map each stdout and output file to its sha256."""
+    freqs = {f"k{j}": 1 + (j * j * 7919 + 3 * j) % 120 for j in range(3000)}
+    (d / "hist.tsv").write_text("".join(f"{k}\t{w}\n" for k, w in freqs.items()))
+    (d / "low.txt").write_text("".join(f"{k}\n" for k, w in freqs.items() if w <= 40))
+    digests = {}
+    for name, argv, outputs in _corpus(d):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code == 0, f"{name} exited {code}"
+        if buf.getvalue():
+            digests[f"{name}:stdout"] = _sha(buf.getvalue().encode())
+        for path in outputs:
+            digests[f"{name}:{path.name}"] = _sha(path.read_bytes())
+    return digests
+
+
+GOLDEN = {
+    "sample-ppswor:sample_ppswor.tsv": "4b9b01d49e78d5a7d2eda74fda60a1f6b4ef2f6cf18323cd37a9086807efdadd",
+    "sample-pps:sample_pps.tsv": "acc143a928b656a6e941071ba023464dbf6cc96bdfe37c36f16bfa93e73099a2",
+    "sanitize-keys:keys.txt": "d7403d1ad3478cbfdee4fd7ab4482611d9837cab19615b9cffa57fc46b32efaa",
+    "sanitize-keys-pps:keys_pps.txt": "ce60769f332b4234d8aaf1099736d049a2b5faf0e1d5751fa2ba0979578467b1",
+    "sanitize-alg4:freqs4.tsv": "4a5aa9292fd2bd3d70d1b78d6a486eee672e3a08046e71d5485dee5f1522216a",
+    "sanitize-alg5:freqs5.tsv": "6d05023bba4624c6ebc54d0ea92d41eb1f90e4d63f4678d5f26b128f345154a5",
+    "estimate-mle:stdout": "f1807204542f920f0f6724a4067f296bb4ad44e42238d156b4899b2bff71113b",
+    "estimate-unbiased:stdout": "80c114ff22a33eed27984bb2e4c2470adc62a7a2bd3a77cbafc5c399b816eef7",
+    "estimate-mle-alg5:stdout": "7950a7aa8d73458a7ac1fb1ef6544eab6762968d83cae7fc69e9a111e48074b4",
+    "baseline-sampled-sbh:sbh.tsv": "f6108581ef452b8ed032850595671259d26835acbe7c9d5341201e87bb5e37d6",
+    "pi:pi.csv": "8d23de27f1c42d9cc2ffd3d0e3aa5bf83ea8465270eb21b295e640832a2396ec",
+    "pij-alg4:pij4.csv": "71eba21532d373bdaee9d75c44a46c036e08151e937ea8f0e38da362c6275c2b",
+    "pij-alg5:pij5.csv": "e229f4e6410bce459cb1ed1bdb0e369060419786857e2eb59d05d0c49fe6156c",
+    "pdfs:seg.csv": "9664d2ec058205dfa11aae95c5ca697426ef4e919d880310e1536bee1b71be45",
+    "pdfs:atoms.csv": "14f6ec466a4d2c0ffffd7ecbfbee29df311829b23f4f5c7230d214c54b1a9475",
+    "verify-dp-alg4:stdout": "6c4ac2d4d1c029109d4ca5b711a2e193955860138a959539cff503ae03b802ea",
+    "verify-dp-alg5:stdout": "6cf48b52cadc62c015a530914ec9d9e4fb8fb3e49c77d48565066f3db8ee681a",
+    "verify-dp-pi:stdout": "f85ac4508e511642963c07a92b39abf5b81ed74a6729c1591c39de16868b012a",
+    "moments-mle:moments.csv": "75f806ac099c4ea6a35d8c663556f39d61524386b850b7e7b5465e6f1eaca682",
+    "nrmse:nrmse.csv": "569b6951435e776e02a491b756c279a1c75aea0f6609597b6f4a8200adf7fe29",
+    "sweep:sweep.csv": "88f39fcb8e1cc9635b6c5e141231824ec57f86bb1318f602ad36935f486e55cc",
+    "concordance-kendall:stdout": "53b7abeba48d8a2fd478e072eeb69f5da6e7e73e6b308e2f71f726fb16ce0bc4",
+    "concordance-kendall:conc.csv": "f739a230ec04aecfd6d297b0db44ca9b1b9f0bf193bbfd3a178df89c88c3d727",
+}
+
+
+def test_corpus_outputs_unchanged(tmp_path):
+    got = corpus_digests(tmp_path)
+    changed = {name: digest for name, digest in got.items() if GOLDEN.get(name) != digest}
+    for name, digest in changed.items():
+        print(f"{name}: {digest}")
+    assert set(got) == set(GOLDEN)
+    assert not changed, f"outputs changed: {sorted(changed)}"

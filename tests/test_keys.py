@@ -5,9 +5,13 @@ import pytest
 
 from privsample import (
     FrequencyHistogram,
+    PrivacyParams,
     SamplingScheme,
     WeightedSample,
+    compute_pdfs,
     compute_pi,
+    compute_pij,
+    discretize_pdfs,
     draw_sample,
     l_value,
     pi_star_closed_form,
@@ -73,11 +77,20 @@ class TestComputePi:
             rv = compute_pi(params, scheme_none, 500)
             assert verify_dp(rv.binary_rows(), params).ok
 
-    def test_extension_matches_direct(self, params_std):
-        scheme = SamplingScheme.ppswor(0.05)
-        direct = compute_pi(params_std, scheme, 400)
-        extended = compute_pi(params_std, scheme, 100).extended(400)
-        np.testing.assert_array_equal(direct.pi, extended.pi)
+    @pytest.mark.parametrize("params", [PrivacyParams(0.1, 0.01), PrivacyParams(0.5, 0.001)])
+    @pytest.mark.parametrize(
+        "scheme",
+        [SamplingScheme.none(), SamplingScheme.ppswor(0.05), SamplingScheme.pps(0.1, 0.5),
+         SamplingScheme.ppswor(0.002, 2.0)],
+    )
+    def test_tables_spend_exactly_pi(self, params, scheme):
+        # one recurrence: both tables report with exactly compute_pi's mass,
+        # and a larger range extends the same pi array
+        pi = compute_pi(params, scheme, 100).pi
+        np.testing.assert_array_equal(compute_pij(params, scheme, 100).rows[:, 0], 1.0 - pi)
+        alg5 = discretize_pdfs(compute_pdfs(params, scheme, 100))
+        np.testing.assert_array_equal(alg5.rows[:, 0], 1.0 - pi)
+        np.testing.assert_array_equal(compute_pi(params, scheme, 400).pi[:101], pi)
 
 
 class TestClosedForm:

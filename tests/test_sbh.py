@@ -112,7 +112,7 @@ class TestSampledSbh:
             scheme = SamplingScheme.ppswor(tau)
             for i in [1, 20, 47, 48, 120]:
                 def integrand(w):
-                    return scheme.inclusion_prob_real(w) * 0.5 * eps * math.exp(
+                    return scheme.inclusion_prob(w) * 0.5 * eps * math.exp(
                         -eps * abs(w - i)
                     )
 
