@@ -184,7 +184,29 @@ def _table_and_coeffs(args, params, scheme):
         coeffs = mle_coeffs(table, compute_pi(params, scheme, args.max_freq), g)
     else:
         coeffs = unbiased_coeffs(table, g)
+        _warn_if_noise(table, coeffs, g)
     return table, coeffs, g
+
+
+def _warn_if_noise(table, coeffs, g) -> None:
+    """Warn on stderr when the unbiased coefficients miss g(i) for some row.
+
+    Forward substitution loses all precision past a few dozen frequencies
+    on some tables; the estimate then prints rounding noise.
+    """
+    freqs = np.arange(1, table.max_frequency + 1)
+    expectation = table.rows[1:, 1:] @ coeffs.values[1:]
+    target = g(freqs)
+    # written as `not <=` so that NaN and inf count as misses
+    misses = ~(np.abs(expectation - target) <= 1e-6 * np.maximum(1.0, np.abs(target)))
+    if misses.any():
+        i = int(freqs[np.argmax(misses)])
+        print(
+            f"warning: the unbiased coefficients do not reproduce g({i}) at frequency {i}: "
+            "forward substitution has lost its precision, so estimates may be rounding "
+            "noise; lower --max-freq",
+            file=sys.stderr,
+        )
 
 
 def cmd_estimate(args) -> int:

@@ -7,6 +7,7 @@ that parsing them back reproduces the exact double.
 from __future__ import annotations
 
 import csv
+import warnings
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -71,27 +72,43 @@ def write_pij_csv(fp: TextIO, table: SanitizerTable) -> None:
     writer = csv.writer(fp)
     writer.writerow(["i", "j", "pi_ij"])
     rows = table.rows
-    for i in range(rows.shape[0]):
-        for j in range(rows.shape[1]):
-            # token 0 anchors the row; zero entries elsewhere are implicit
-            if j == 0 or rows[i, j] != 0.0:
-                writer.writerow([i, j, fmt(rows[i, j])])
+    # token 0 anchors the row; zero entries elsewhere are implicit
+    exported = rows != 0.0
+    exported[:, 0] = True
+    i, j = np.nonzero(exported)
+    writer.writerows(zip(i.tolist(), j.tolist(), map(fmt, rows[i, j].tolist())))
+
+
+_PIJ_DTYPE = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
 
 
 def read_pij_csv(fp: TextIO) -> np.ndarray:
-    """Rebuild the row matrix from an `i,j,pi_ij` export."""
-    reader = csv.reader(fp)
-    header = next(reader, None)
+    """Rebuild the row matrix from an `i,j,pi_ij` export.
+
+    Fails closed on negative indices and on a repeated (i, j) entry.
+    """
+    header = next(csv.reader(fp), None)
     if header is None or [h.strip() for h in header[:3]] != ["i", "j", "pi_ij"]:
         raise ValueError("expected a CSV with header i,j,pi_ij")
-    entries = [(int(r[0]), int(r[1]), float(r[2])) for r in reader if r]
-    if not entries:
+    with warnings.catch_warnings():
+        # an empty body is reported below, as a ValueError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        entries = np.loadtxt(
+            fp, delimiter=",", dtype=_PIJ_DTYPE, ndmin=1, usecols=(0, 1, 2), comments=None
+        )
+    if entries.size == 0:
         raise ValueError("table file holds no entries")
-    n_rows = max(e[0] for e in entries) + 1
-    n_cols = max(e[1] for e in entries) + 1
-    rows = np.zeros((n_rows, n_cols))
-    for i, j, v in entries:
-        rows[i, j] = v
+    i, j = entries["i"], entries["j"]
+    if i.min() < 0 or j.min() < 0:
+        raise ValueError("table file holds a negative index")
+    n_cols = int(j.max()) + 1
+    flat = np.sort(i * n_cols + j)
+    repeated = flat[1:][flat[1:] == flat[:-1]]
+    if repeated.size:
+        k = int(repeated[0])
+        raise ValueError(f"table file repeats entry i={k // n_cols}, j={k % n_cols}")
+    rows = np.zeros((int(i.max()) + 1, n_cols))
+    rows[i, j] = entries["v"]
     return rows
 
 

@@ -313,30 +313,33 @@ def _merged(atom: float, bounds: np.ndarray, densities: np.ndarray) -> Piecewise
     """Merge adjacent segments of (relatively) equal density.
 
     Exactly equal runs keep their density bit-for-bit; runs equal only to
-    relative 1e-12 take the mass-preserving average.
+    relative 1e-12 take the mass-preserving average.  The scan runs on
+    Python floats, which compare exactly as the float64 entries do.
     """
-    keep_bounds = [float(bounds[0])]
+    b = bounds.tolist()
+    d = densities.tolist()
+    keep_bounds = [b[0]]
     out_dens: list[float] = []
 
-    def flush(start_idx: int, end_idx: int):
-        # merge segments start_idx..end_idx-1 into one
-        d0 = densities[start_idx]
-        if np.all(densities[start_idx:end_idx] == d0):
-            merged = float(d0)
+    def flush(start: int, end: int, exact: bool):
+        # merge segments start..end-1 into one
+        if exact:
+            merged = d[start]
         else:
-            mass = float((densities[start_idx:end_idx] * np.diff(bounds)[start_idx:end_idx]).sum())
-            merged = mass / (bounds[end_idx] - bounds[start_idx])
+            mass = float((densities[start:end] * np.diff(bounds[start : end + 1])).sum())
+            merged = mass / (b[end] - b[start])
         out_dens.append(merged)
-        keep_bounds.append(float(bounds[end_idx]))
+        keep_bounds.append(b[end])
 
-    run_start = 0
-    for k in range(1, len(densities)):
-        d, d_prev = densities[k], densities[run_start]
-        if abs(d - d_prev) <= 1e-12 * max(abs(d), abs(d_prev)):
+    run_start, exact = 0, True
+    for k in range(1, len(d)):
+        d_k, d_start = d[k], d[run_start]
+        if abs(d_k - d_start) <= 1e-12 * max(abs(d_k), abs(d_start)):
+            exact = exact and d_k == d_start
             continue
-        flush(run_start, k)
-        run_start = k
-    flush(run_start, len(densities))
+        flush(run_start, k, exact)
+        run_start, exact = k, True
+    flush(run_start, len(d), exact)
     return PiecewisePdf(
         atom0=atom, bounds=np.array(keep_bounds), densities=np.array(out_dens)
     )

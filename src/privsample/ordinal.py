@@ -68,15 +68,13 @@ def expected_kendall_tau(histogram: FrequencyHistogram, table: SanitizerTable) -
     rows = table.rows[freqs]
     conc = concordance_matrix(rows)
     c = counts.astype(float)
-    pair_counts = np.outer(c, c)
 
-    total_sign = 0.0
-    total_pairs = 0.0
-    for hi in range(1, len(freqs)):
-        for lo in range(hi):
-            n_pairs = pair_counts[hi, lo]
-            total_sign += n_pairs * (2.0 * conc[hi, lo] - 1.0)
-            total_pairs += n_pairs
+    # Pairs (hi, lo) with lo < hi in row-major order; cumsum adds them one
+    # after another in that order, as a running total would.
+    hi, lo = np.tril_indices(len(freqs), -1)
+    n_pairs = c[hi] * c[lo]
+    total_pairs = float(np.cumsum(n_pairs)[-1])
     if total_pairs == 0.0:
         return math.nan
+    total_sign = float(np.cumsum(n_pairs * (2.0 * conc[hi, lo] - 1.0))[-1])
     return total_sign / total_pairs

@@ -120,12 +120,31 @@ def verify_dp(rows, params: PrivacyParams, *, slack: float = DELTA_SLACK) -> DpR
         raise ValueError("rows must form a matrix over one shared token set")
     if mat.shape[0] < 2:
         raise ValueError("need at least the frequency-0 row and one more")
-    for row in mat:
-        check_distribution(row, tol=1e-9)
+    # every row a probability vector, entries in [0, 1] summing to 1; NaN fails
+    tol = 1e-9
+    ok = (
+        (mat.min(axis=1) >= -tol)
+        & (mat.max(axis=1) <= 1.0 + tol)
+        & (np.abs(mat.sum(axis=1) - 1.0) <= tol)
+    )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"row {i} is not a probability vector: entries must lie in [0, 1] "
+            f"and sum to 1 within {tol}, got sum {float(mat[i].sum())!r}"
+        )
 
     factor = math.exp(params.epsilon)
-    div_up = np.maximum(mat[1:] - factor * mat[:-1], 0.0).sum(axis=1)
-    div_down = np.maximum(mat[:-1] - factor * mat[1:], 0.0).sum(axis=1)
+    tmp = np.empty((mat.shape[0] - 1, mat.shape[1]))
+
+    def divergences(p, q):
+        # max(p - e^eps * q, 0) summed per row, in one reused temporary
+        np.multiply(q, factor, out=tmp)
+        np.subtract(p, tmp, out=tmp)
+        return np.maximum(tmp, 0.0, out=tmp).sum(axis=1)
+
+    div_up = divergences(mat[1:], mat[:-1])
+    div_down = divergences(mat[:-1], mat[1:])
 
     i_up = int(np.argmax(div_up))
     i_down = int(np.argmax(div_down))

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,51 @@ class TestVerifyRoundTrip:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_verify_dp_rejects_bad_indices(self, tmp_path, capsys):
+        # a negative index would wrap into the last row and a repeated entry
+        # would silently overwrite; both must fail closed
+        good = "i,j,pi_ij\n0,0,1\n1,0,0.5\n1,1,0.5\n"
+        for extra, message in [("-1,1,0.25\n", "negative index"),
+                               ("1,1,0.4\n", "repeats entry i=1, j=1")]:
+            path = tmp_path / "t.csv"
+            path.write_text(good + extra)
+            with pytest.raises(ValueError, match=message):
+                with open(path) as fp:
+                    read_pij_csv(fp)
+            code, out, err = run(
+                ["verify-dp", "--epsilon", "0.1", "--delta", "0.5",
+                 "--table", str(path), "--kind", "pij"],
+                capsys,
+            )
+            assert code == 1
+            assert out == ""
+            assert message in err
+
+    def test_header_without_entries(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="table file holds no entries"):
+                read_pij_csv(io.StringIO("i,j,pi_ij\n"))
+
+
+class TestUnbiasedNoiseWarning:
+    @pytest.mark.parametrize("max_freq, warns", [(40, False), (150, True)])
+    def test_warns_only_when_coefficients_are_noise(self, tmp_path, capsys, max_freq, warns):
+        out_csv = tmp_path / "moments.csv"
+        code, out, err = run(
+            ["analyze", "moments", "--epsilon", "0.5", "--delta", "0.001",
+             "--scheme", "ppswor", "--tau", "0.05", "--max-freq", str(max_freq),
+             "--table", "alg4", "--estimator", "unbiased", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0
+        assert out == ""
+        if warns:
+            assert err.count("\n") == 1
+            assert err.startswith("warning: ") and "at frequency " in err
+        else:
+            assert err == ""
 
 
 class TestSanitizePipeline:

@@ -152,3 +152,10 @@ class TestVerifyDp:
         rv = compute_pi(params_std, scheme_none, 500)
         report = verify_dp(rv.binary_rows(), params_std)
         assert report.ok
+
+    @pytest.mark.parametrize("bad_row", [[0.5, 0.5 + 1e-6], [-0.5, 1.5], [math.nan, 1.0]])
+    def test_rejects_row_not_a_distribution(self, params_std, bad_row):
+        # the error names the first offending row
+        rows = np.array([[1.0, 0.0], [0.5, 0.5], bad_row, [0.3, 0.3]])
+        with pytest.raises(ValueError, match="row 2 "):
+            verify_dp(rows, params_std)
