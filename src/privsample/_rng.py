@@ -5,12 +5,22 @@ Every random decision in this package is a pure function of
 runs and platforms, lets keys be processed in any order or in parallel,
 and keeps the independent decisions (sampling, keeping, token choice,
 noise) on separated streams.
+
+The draw for one key is the 8-byte blake2b digest of the key's UTF-8
+bytes, keyed by the seed (taken modulo 2**64, little-endian) and
+personalised by the purpose; its top 53 bits b give the uniform
+(b + 0.5) / 2**53.  ``key_uniforms`` draws a whole batch: it keys one
+blake2b state per (seed, purpose) and copies it for each key, so the key
+block is compressed once per batch rather than once per key.  Callers
+apply their own inverse CDF to each uniform in Python floats.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
+from typing import Iterable, Iterator
+
+import numpy as np
 
 PURPOSE_SAMPLE = b"sample"
 PURPOSE_KEEP = b"keep"
@@ -18,27 +28,29 @@ PURPOSE_TOKEN = b"token"
 PURPOSE_LAPLACE = b"laplace"
 
 _TWO53 = float(1 << 53)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# digests converted per numpy call: bounds what a batch holds at once (4096
+# raised the release peak RSS by about 0.4 MB for no gain in speed)
+CHUNK = 1024
 
 
-def key_uniform(seed: int, key: str, purpose: bytes) -> float:
-    """Uniform draw in the open interval (0, 1) for (seed, key, purpose)."""
-    h = hashlib.blake2b(
-        key.encode("utf-8"),
-        digest_size=8,
-        key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"),
-        person=purpose,
+def key_uniforms(seed: int, keys: Iterable[str], purpose: bytes) -> Iterator[float]:
+    """Uniform draws in the open interval (0, 1), one per key, in key order."""
+    keyed = hashlib.blake2b(
+        digest_size=8, key=(seed & _MASK64).to_bytes(8, "little"), person=purpose
     )
-    bits = int.from_bytes(h.digest(), "little") >> 11
+    digests: list[bytes] = []
+    for key in keys:
+        h = keyed.copy()
+        h.update(key.encode("utf-8"))
+        digests.append(h.digest())
+        if len(digests) == CHUNK:
+            yield from _uniforms(digests)
+            digests = []
+    yield from _uniforms(digests)
+
+
+def _uniforms(digests: list[bytes]) -> list[float]:
+    bits = np.frombuffer(b"".join(digests), "<u8") >> 11
     # +0.5 keeps the draw strictly inside (0, 1) so inverse CDFs stay finite
-    return (bits + 0.5) / _TWO53
-
-
-def key_exponential(seed: int, key: str, purpose: bytes) -> float:
-    """Exp(1) draw via inverse CDF of the per-key uniform."""
-    return -math.log1p(-key_uniform(seed, key, purpose))
-
-
-def key_laplace(seed: int, key: str, purpose: bytes, scale: float) -> float:
-    """Laplace(scale) draw via inverse CDF of the per-key uniform."""
-    u = key_uniform(seed, key, purpose) - 0.5
-    return -scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
+    return ((bits + 0.5) / _TWO53).tolist()

@@ -113,16 +113,28 @@ def read_pij_csv(fp: TextIO) -> np.ndarray:
 
 
 def read_pi_csv(fp: TextIO) -> np.ndarray:
-    """Rebuild per-frequency reporting probabilities from an `i,q_i,pi_i,p_i` export."""
+    """Rebuild per-frequency reporting probabilities from an `i,q_i,pi_i,p_i` export.
+
+    Fails closed on negative indices and on a repeated i.
+    """
     reader = csv.reader(fp)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:3]] != ["i", "q_i", "pi_i"]:
         raise ValueError("expected a CSV with header i,q_i,pi_i,p_i")
-    entries = [(int(r[0]), float(r[2])) for r in reader if r]
+    rows = [r for r in reader if r]
+    if any(len(r) < 3 for r in rows):
+        raise ValueError("table file holds a row with fewer than 3 columns")
+    entries = [(int(r[0]), float(r[2])) for r in rows]
     if not entries:
         raise ValueError("table file holds no entries")
-    pi = np.zeros(max(e[0] for e in entries) + 1)
+    if min(i for i, _ in entries) < 0:
+        raise ValueError("table file holds a negative index")
+    pi = np.zeros(max(i for i, _ in entries) + 1)
+    seen: set[int] = set()
     for i, v in entries:
+        if i in seen:
+            raise ValueError(f"table file repeats entry i={i}")
+        seen.add(i)
         pi[i] = v
     return pi
 

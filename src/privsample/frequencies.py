@@ -20,11 +20,12 @@ frequency information.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import PURPOSE_TOKEN, key_uniform
+from ._rng import PURPOSE_TOKEN, key_uniforms
 from .keys import compute_pi
 from .privacy import DpReport, PrivacyParams, verify_dp
 from .sampling import SamplingScheme, WeightedSample
@@ -190,7 +191,10 @@ def _split_at(bounds: np.ndarray, densities: np.ndarray, z: float):
         return bounds, densities
     if k == 0 or k == len(bounds):
         raise ValueError(f"split point {z} outside support [{bounds[0]}, {bounds[-1]}]")
-    return np.insert(bounds, k, z), np.insert(densities, k, densities[k - 1])
+    return (
+        np.concatenate((bounds[:k], [z], bounds[k:])),
+        np.concatenate((densities[:k], densities[k - 1:k], densities[k:])),
+    )
 
 
 def _smallest_crossing(bounds: np.ndarray, node_values: np.ndarray, slopes, target: float,
@@ -385,16 +389,17 @@ def sanitize_frequencies(
         raise ValueError(
             f"table was built for {table.scheme}, sample drawn with {sample.scheme}"
         )
-    cum_by_freq: dict[int, np.ndarray] = {}
+    cum_by_freq: dict[int, list[float]] = {}
     out: list[tuple[str, int]] = []
-    for key, freq in sample.pairs.items():
-        if not 1 <= freq <= table.max_frequency:
-            raise ValueError(
-                f"frequency {freq} outside table range 1..{table.max_frequency}; "
-                "rebuild the table with a larger max_frequency"
-            )
+    pairs = sample.pairs
+    for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_TOKEN)):
         cum = cum_by_freq.get(freq)
         if cum is None:
+            if not 1 <= freq <= table.max_frequency:
+                raise ValueError(
+                    f"frequency {freq} outside table range 1..{table.max_frequency}; "
+                    "rebuild the table with a larger max_frequency"
+                )
             q_w = table.scheme.inclusion_prob(freq)
             if q_w <= 0.0:
                 raise ValueError(
@@ -403,11 +408,9 @@ def sanitize_frequencies(
                 )
             cond = table.rows[freq] / q_w
             cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
-            cum = np.cumsum(cond)
+            cum = np.cumsum(cond).tolist()
             cum_by_freq[freq] = cum
-        u = key_uniform(seed, key, PURPOSE_TOKEN)
-        token = int(np.searchsorted(cum, u, side="right"))
-        token = min(token, len(cum) - 1)
+        token = min(bisect_right(cum, u), len(cum) - 1)
         if token > 0:
             out.append((key, token))
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import PURPOSE_KEEP, key_uniform
+from ._rng import PURPOSE_KEEP, key_uniforms
 from .privacy import PrivacyParams, l_value
 from .sampling import SamplingScheme, WeightedSample
 
@@ -148,9 +148,13 @@ def sanitize_keys(sample: WeightedSample, rv: ReportingVector, seed: int) -> lis
         raise ValueError(
             f"reporting table was built for {rv.scheme}, sample drawn with {sample.scheme}"
         )
+    keep_by_freq: dict[int, float] = {}
     kept: list[str] = []
-    for key, freq in sample.pairs.items():
-        p = rv.keep_probability(freq)
-        if key_uniform(seed, key, PURPOSE_KEEP) < p:
+    pairs = sample.pairs
+    for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_KEEP)):
+        p = keep_by_freq.get(freq)
+        if p is None:
+            p = keep_by_freq[freq] = rv.keep_probability(freq)
+        if u < p:
             kept.append(key)
     return kept

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._rng import PURPOSE_SAMPLE, key_exponential, key_uniform
+from ._rng import PURPOSE_SAMPLE, key_uniforms
 
 __all__ = [
     "SamplingScheme",
@@ -82,15 +82,26 @@ class SamplingScheme:
             return -math.expm1(-x)
         return min(1.0, x)
 
-    def includes(self, seed: int, key: str, w: float) -> bool:
-        """The sampling rule: keep the key iff its score u < w**power * tau."""
-        if self.kind == "ppswor":
-            u = key_exponential(seed, key, PURPOSE_SAMPLE)
-        elif self.kind == "pps":
-            u = key_uniform(seed, key, PURPOSE_SAMPLE)
-        else:
-            return True
-        return u < float(w) ** self.power * self.tau
+    def sampled(self, seed: int, pairs: Mapping[str, float]) -> dict[str, float]:
+        """The sampling rule: the keys of ``pairs`` whose score u < w**power * tau.
+
+        pairs maps each key to its frequency w, which may be real-valued
+        (already-noised data); the result keeps their order.
+        """
+        if self.kind == "none":
+            return dict(pairs)
+        exponential = self.kind == "ppswor"
+        thresholds: dict[float, float] = {}
+        out = {}
+        for (key, w), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_SAMPLE)):
+            threshold = thresholds.get(w)
+            if threshold is None:
+                threshold = thresholds[w] = float(w) ** self.power * self.tau
+            if exponential:
+                u = -math.log1p(-u)  # Exp(1) by the inverse CDF
+            if u < threshold:
+                out[key] = w
+        return out
 
     def probs(self, max_frequency: int) -> np.ndarray:
         """Vector (q_0, ..., q_max_frequency)."""
@@ -179,12 +190,8 @@ def aggregate_elements(elements: Iterable[str]) -> FrequencyHistogram:
 def draw_sample(data: FrequencyHistogram, scheme: SamplingScheme, seed: int) -> WeightedSample:
     """Threshold-sample a keyed histogram, deterministically in the seed.
 
-    Each key is included independently by ``scheme.includes``.  Decisions
+    Each key is included independently by ``scheme.sampled``.  Decisions
     are per-key functions of (seed, key), so partitioning keys across
     workers cannot change the result.
     """
-    by_key = data.require_keyed()
-    if scheme.kind == "none":
-        return WeightedSample(pairs=dict(by_key), scheme=scheme)
-    pairs = {key: freq for key, freq in by_key.items() if scheme.includes(seed, key, freq)}
-    return WeightedSample(pairs=pairs, scheme=scheme)
+    return WeightedSample(pairs=scheme.sampled(seed, data.require_keyed()), scheme=scheme)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from ._rng import PURPOSE_LAPLACE, key_laplace
+from ._rng import PURPOSE_LAPLACE, key_uniforms
 from .estimators import FrequencyFunc, MomentTable, PerKeyMoments, _g_values
 from .privacy import PrivacyParams
 from .sampling import SamplingScheme
@@ -55,13 +55,14 @@ def sbh_sanitize(by_key: dict[str, int], config: SbhConfig, seed: int) -> dict[s
     Output is sparse (a subset of the input keys) and deterministic in the
     seed; sanitized frequencies stay real-valued.
     """
-    eps = config.params.epsilon
+    scale = 1.0 / config.params.epsilon
     T = config.threshold
     out: dict[str, float] = {}
-    for key, freq in by_key.items():
+    for (key, freq), u in zip(by_key.items(), key_uniforms(seed, by_key, PURPOSE_LAPLACE)):
         if freq <= 0:
             raise ValueError(f"frequencies must be positive, got {freq} for key {key!r}")
-        noised = freq + key_laplace(seed, key, PURPOSE_LAPLACE, 1.0 / eps)
+        u -= 0.5  # Laplace(scale) by the inverse CDF
+        noised = freq - scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
         if noised >= T:
             out[key] = noised
     return out
@@ -87,7 +88,7 @@ def sampled_sbh(
     per-key sampling draw is independent of the noise draw.
     """
     noised = sbh_sanitize(by_key, config, seed)
-    return {key: w for key, w in noised.items() if scheme.includes(seed, key, w)}
+    return scheme.sampled(seed, noised)
 
 
 def _integrate_tail(fn, config: SbhConfig, scheme: SamplingScheme, i: int) -> float:

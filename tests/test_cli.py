@@ -8,7 +8,7 @@ import pytest
 
 from privsample import compute_pij
 from privsample.cli import main
-from privsample.formats import fmt, read_pij_csv, write_pij_csv
+from privsample.formats import fmt, read_pi_csv, read_pij_csv, write_pij_csv
 
 
 def run(args, capsys):
@@ -114,6 +114,29 @@ class TestVerifyRoundTrip:
             code, out, err = run(
                 ["verify-dp", "--epsilon", "0.1", "--delta", "0.5",
                  "--table", str(path), "--kind", "pij"],
+                capsys,
+            )
+            assert code == 1
+            assert out == ""
+            assert message in err
+
+    def test_verify_dp_rejects_bad_pi_indices(self, tmp_path, capsys):
+        # as for pij: -1 would wrap onto the last frequency and a repeated i
+        # would silently overwrite
+        good = "i,q_i,pi_i,p_i\n1,1,0.01,0.01\n2,1,0.02,0.02\n"
+        for extra, message in [("-5,1,0.5,0.5\n", "negative index"),
+                               ("-1,1,0.5,0.5\n", "negative index"),
+                               ("2,1,0.03,0.03\n", "repeats entry i=2"),
+                               ("-1,1,0.5,0.5\n2,1,0.03,0.03\n", "negative index"),
+                               ("3,1\n", "fewer than 3 columns")]:
+            path = tmp_path / "pi.csv"
+            path.write_text(good + extra)
+            with pytest.raises(ValueError, match=message):
+                with open(path) as fp:
+                    read_pi_csv(fp)
+            code, out, err = run(
+                ["verify-dp", "--epsilon", "0.1", "--delta", "0.5",
+                 "--table", str(path), "--kind", "pi"],
                 capsys,
             )
             assert code == 1
@@ -238,6 +261,54 @@ class TestSanitizePipeline:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["keys", "freqs"])
+    @pytest.mark.parametrize("text, lineno", [
+        ("a\t3\nno_tab_here\n", 2),
+        ("a\t3\n\nb\t2.5\n", 3),
+        ("a\tthree\n", 1),
+        ("a\t3\tb\t4\n", 1),
+    ])
+    def test_malformed_line_names_its_number(self, tmp_path, capsys, mode, text, lineno):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run(
+            ["sanitize", "--mode", mode, "--input", str(bad),
+             "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
+             "--seed", "5", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: line {lineno}: expected 'key<TAB>value'")
+        assert out == ""
+        assert not out_path.exists()
+
+    # with scheme none the bad key comes after more valid keys than one
+    # batch of draws; with tau 0 every key has q_w = 0
+    VALID_LINES = "".join(f"key{i}\t{i % 7 + 1}\n" for i in range(5000))
+
+    @pytest.mark.parametrize("mode", ["keys", "freqs"])
+    @pytest.mark.parametrize("scheme, text, message", [
+        (["--scheme", "none"], VALID_LINES + "bad\t0\n", "frequency 0 outside table range"),
+        (["--scheme", "none"], VALID_LINES + "bad\t-4\n", "frequency -4 outside table range"),
+        (["--scheme", "ppswor", "--tau", "0.0"], "bad\t7\n", "q_7 = 0"),
+    ])
+    def test_bad_frequency_fails_before_any_output(self, tmp_path, capsys, mode, scheme,
+                                                  text, message):
+        sample = tmp_path / "sample.tsv"
+        sample.write_text(text)
+        out_path = tmp_path / "out.tsv"
+        for out_args in (["--out", str(out_path)], []):
+            code, out, err = run(
+                ["sanitize", "--mode", mode, "--input", str(sample),
+                 "--epsilon", "0.5", "--delta", "0.1", *scheme, "--seed", "5", *out_args],
+                capsys,
+            )
+            assert code == 1
+            assert message in err
+            assert out == ""
+        assert not out_path.exists()
 
 
 class TestEstimatePipeline:

@@ -1,21 +1,48 @@
-"""The vectorised table paths against the per-cell loops they replaced.
+"""The vectorised table paths and the batched per-key draws against the loops they replaced.
 
 Each oracle below is the earlier loop implementation, kept verbatim in
 spirit.  The arithmetic is unchanged, so results must agree bit for bit.
 """
 
 import csv
+import hashlib
 import io
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from privsample import FrequencyHistogram, PrivacyParams, SamplingScheme, verify_dp
+from privsample import (
+    FrequencyHistogram,
+    PrivacyParams,
+    SamplingScheme,
+    SbhConfig,
+    WeightedSample,
+    compute_pdfs,
+    compute_pi,
+    compute_pij,
+    discretize_pdfs,
+    draw_sample,
+    sampled_sbh,
+    sanitize_frequencies,
+    sanitize_keys,
+    sbh_sanitize,
+    verify_dp,
+)
+from privsample._rng import (
+    CHUNK,
+    PURPOSE_KEEP,
+    PURPOSE_LAPLACE,
+    PURPOSE_SAMPLE,
+    PURPOSE_TOKEN,
+    key_uniforms,
+)
 from privsample.formats import fmt, read_pij_csv, write_pij_csv
-from privsample.frequencies import SanitizerTable, _merged
+from privsample.frequencies import SanitizerTable, _merged, _split_at
 from privsample.ordinal import concordance_matrix, expected_kendall_tau
 from privsample.privacy import check_distribution
 
@@ -194,3 +221,228 @@ def test_verify_dp_matches_loop(rows, epsilon, delta):
     assert report.worst_divergence == worst
     assert report.worst_pair == pair
     assert report.direction == direction
+
+
+def split_at_insert(bounds, densities, z):
+    k = int(np.searchsorted(bounds, z))
+    if k < len(bounds) and bounds[k] == z:
+        return bounds, densities
+    return np.insert(bounds, k, z), np.insert(densities, k, densities[k - 1])
+
+
+@SETTINGS
+@given(segmentations(), st.floats(0.0, 1.0))
+def test_split_at_matches_insert(seg, where):
+    bounds, densities = seg
+    z = float(bounds[0] + where * (bounds[-1] - bounds[0]))
+    if not bounds[0] < z < bounds[-1]:
+        return
+    got_bounds, got_dens = _split_at(bounds, densities, z)
+    ref_bounds, ref_dens = split_at_insert(bounds, densities, z)
+    assert got_bounds.tobytes() == ref_bounds.tobytes()
+    assert got_dens.tobytes() == ref_dens.tobytes()
+
+
+# ---------------------------------------------------------------- per-key draws
+#
+# The scalar draws and the per-key loops that called them, one fresh keyed
+# blake2b per key; the package now draws a batch from one copied state.
+
+
+def key_uniform_loop(seed, key, purpose):
+    h = hashlib.blake2b(
+        key.encode("utf-8"),
+        digest_size=8,
+        key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"),
+        person=purpose,
+    )
+    bits = int.from_bytes(h.digest(), "little") >> 11
+    return (bits + 0.5) / float(1 << 53)
+
+
+def key_exponential_loop(seed, key, purpose):
+    return -math.log1p(-key_uniform_loop(seed, key, purpose))
+
+
+def key_laplace_loop(seed, key, purpose, scale):
+    u = key_uniform_loop(seed, key, purpose) - 0.5
+    return -scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
+
+
+def includes_loop(scheme, seed, key, w):
+    if scheme.kind == "ppswor":
+        u = key_exponential_loop(seed, key, PURPOSE_SAMPLE)
+    elif scheme.kind == "pps":
+        u = key_uniform_loop(seed, key, PURPOSE_SAMPLE)
+    else:
+        return True
+    return u < float(w) ** scheme.power * scheme.tau
+
+
+def draw_sample_loop(by_key, scheme, seed):
+    if scheme.kind == "none":
+        return dict(by_key)
+    return {key: freq for key, freq in by_key.items() if includes_loop(scheme, seed, key, freq)}
+
+
+def sanitize_keys_loop(pairs, rv, seed):
+    kept = []
+    for key, freq in pairs.items():
+        p = rv.keep_probability(freq)
+        if key_uniform_loop(seed, key, PURPOSE_KEEP) < p:
+            kept.append(key)
+    return kept
+
+
+def sanitize_frequencies_loop(pairs, table, seed):
+    cum_by_freq = {}
+    out = []
+    for key, freq in pairs.items():
+        if not 1 <= freq <= table.max_frequency:
+            raise ValueError(
+                f"frequency {freq} outside table range 1..{table.max_frequency}; "
+                "rebuild the table with a larger max_frequency"
+            )
+        cum = cum_by_freq.get(freq)
+        if cum is None:
+            q_w = table.scheme.inclusion_prob(freq)
+            if q_w <= 0.0:
+                raise ValueError(
+                    f"q_{freq} = 0 but a sampled key with frequency {freq} exists; "
+                    "input is corrupt"
+                )
+            cond = table.rows[freq] / q_w
+            cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
+            cum = np.cumsum(cond)
+            cum_by_freq[freq] = cum
+        u = key_uniform_loop(seed, key, PURPOSE_TOKEN)
+        token = int(np.searchsorted(cum, u, side="right"))
+        token = min(token, len(cum) - 1)
+        if token > 0:
+            out.append((key, token))
+    return out
+
+
+def sbh_sanitize_loop(by_key, config, seed):
+    eps = config.params.epsilon
+    T = config.threshold
+    out = {}
+    for key, freq in by_key.items():
+        if freq <= 0:
+            raise ValueError(f"frequencies must be positive, got {freq} for key {key!r}")
+        noised = freq + key_laplace_loop(seed, key, PURPOSE_LAPLACE, 1.0 / eps)
+        if noised >= T:
+            out[key] = noised
+    return out
+
+
+def sampled_sbh_loop(by_key, config, scheme, seed):
+    noised = sbh_sanitize_loop(by_key, config, seed)
+    return {key: w for key, w in noised.items() if includes_loop(scheme, seed, key, w)}
+
+
+PURPOSES = [PURPOSE_SAMPLE, PURPOSE_KEEP, PURPOSE_TOKEN, PURPOSE_LAPLACE]
+SCHEMES = [SamplingScheme.ppswor(0.05), SamplingScheme.pps(0.2, power=0.5), SamplingScheme.none()]
+MAX_FREQ = 60
+BASELINE = SbhConfig(PrivacyParams(0.5, 0.01))  # threshold ~10.2, inside 1..MAX_FREQ
+
+# seeds wider than 64 bits on both sides: the draw takes them modulo 2**64
+seeds = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(-(2**70), -1),
+    st.integers(2**64, 2**72),
+)
+# any text UTF-8 can encode (no lone surrogates), the empty key and long keys
+key_text = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.text("ab\u00e9\u4e2d\U0001f600", min_size=100, max_size=400),
+)
+
+
+def _keys(n):
+    return [f"k{i}" for i in range(n)]
+
+
+@SETTINGS
+@given(seeds, st.lists(key_text, max_size=40), st.sampled_from(PURPOSES))
+@example(0, ["", "\u00e9\u00e8", "\U0001f600", "x" * 300], PURPOSE_SAMPLE)
+def test_key_uniforms_match_scalar(seed, keys, purpose):
+    assert list(key_uniforms(seed, keys, purpose)) == [
+        key_uniform_loop(seed, key, purpose) for key in keys
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_key_uniforms_batch_sizes(n):
+    keys = _keys(n)
+    for purpose in PURPOSES:
+        assert list(key_uniforms(-3, keys, purpose)) == [
+            key_uniform_loop(-3, key, purpose) for key in keys
+        ]
+
+
+_tables = {}
+
+
+def _tables_for(scheme):
+    """The alg4 and alg5 tables for one scheme, built once per session."""
+    if scheme not in _tables:
+        _tables[scheme] = (
+            compute_pij(PARAMS, scheme, MAX_FREQ),
+            discretize_pdfs(compute_pdfs(PARAMS, scheme, MAX_FREQ)),
+        )
+    return _tables[scheme]
+
+
+def _assert_per_key_path_matches(by_key, scheme, seed):
+    """Every per-key stage against its loop, in order and value."""
+    sample = draw_sample(FrequencyHistogram.from_keys(by_key), scheme, seed)
+    ref_pairs = draw_sample_loop(by_key, scheme, seed)
+    assert list(sample.pairs.items()) == list(ref_pairs.items())
+
+    rv = compute_pi(PARAMS, scheme, MAX_FREQ)
+    assert sanitize_keys(sample, rv, seed) == sanitize_keys_loop(ref_pairs, rv, seed)
+    for table in _tables_for(scheme):
+        assert sanitize_frequencies(sample, table, seed) == sanitize_frequencies_loop(
+            ref_pairs, table, seed
+        )
+
+    got = sbh_sanitize(by_key, BASELINE, seed)
+    assert list(got.items()) == list(sbh_sanitize_loop(by_key, BASELINE, seed).items())
+    got = sampled_sbh(by_key, BASELINE, scheme, seed)
+    assert list(got.items()) == list(sampled_sbh_loop(by_key, BASELINE, scheme, seed).items())
+
+
+@SETTINGS
+@given(
+    st.dictionaries(key_text, st.integers(1, MAX_FREQ), max_size=60),
+    st.sampled_from(SCHEMES),
+    seeds,
+)
+def test_per_key_path_matches_loops(by_key, scheme, seed):
+    _assert_per_key_path_matches(by_key, scheme, seed)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: f"{s.kind}-{s.power}")
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_per_key_path_batch_sizes(n, scheme):
+    by_key = {key: 1 + i % MAX_FREQ for i, key in enumerate(_keys(n))}
+    _assert_per_key_path_matches(by_key, scheme, 2**64 + 11)
+
+
+@pytest.mark.parametrize("freq", [0, MAX_FREQ + 1])
+def test_per_key_errors_match_loops(freq):
+    # the first out-of-range key raises the loop's error, after valid keys
+    pairs = {"a": 3, "b": freq, "c": MAX_FREQ + 5}
+    scheme = SCHEMES[0]
+    sample = WeightedSample(pairs=pairs, scheme=scheme)
+    rv = compute_pi(PARAMS, scheme, MAX_FREQ)
+    with pytest.raises(ValueError) as want:
+        sanitize_keys_loop(pairs, rv, 1)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        sanitize_keys(sample, rv, 1)
+    for table in _tables_for(scheme):
+        with pytest.raises(ValueError) as want:
+            sanitize_frequencies_loop(pairs, table, 1)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            sanitize_frequencies(sample, table, 1)
