@@ -191,8 +191,11 @@ def _table_and_coeffs(args, params, scheme):
 def _warn_if_noise(table, coeffs, g) -> None:
     """Warn on stderr when the unbiased coefficients miss g(i) for some row.
 
-    Forward substitution loses all precision past a few dozen frequencies
-    on some tables; the estimate then prints rounding noise.
+    The float solve is not at fault: it agrees with 120- and 300-digit
+    solves of the same table.  The exact coefficients themselves grow
+    without bound and alternate in sign past a few dozen frequencies on
+    some tables, so no float vector reproduces g(i) and the estimate's
+    variance explodes.
     """
     freqs = np.arange(1, table.max_frequency + 1)
     expectation = table.rows[1:, 1:] @ coeffs.values[1:]
@@ -203,8 +206,8 @@ def _warn_if_noise(table, coeffs, g) -> None:
         i = int(freqs[np.argmax(misses)])
         print(
             f"warning: the unbiased coefficients do not reproduce g({i}) at frequency {i}: "
-            "forward substitution has lost its precision, so estimates may be rounding "
-            "noise; lower --max-freq",
+            "the exact coefficients explode and alternate in sign, so estimates are "
+            "dominated by their variance; lower --max-freq",
             file=sys.stderr,
         )
 
@@ -278,21 +281,24 @@ def cmd_analyze_nrmse(args) -> int:
 def cmd_analyze_concordance(args) -> int:
     params = _params(args)
     m = args.max_freq
-    triples = []
     table = None
     if args.method == "pws":
         table = discretize_pdfs(compute_pdfs(params, _scheme(args), m))
         conc = concordance_matrix(table.rows)
-        for i1 in range(1, m + 1):
-            for i2 in range(1, i1):
-                triples.append((i1, i2, float(conc[i1, i2])))
+        i1, i2 = np.tril_indices(m + 1, -1)  # row-major: i1 ascending, then i2
+        i1, i2 = i1[i2 >= 1], i2[i2 >= 1]
+        triples = zip(i1.tolist(), i2.tolist(), conc[i1, i2].tolist())
+        del conc, i1, i2
     else:
         config = SbhConfig(params)
-        for i1 in range(1, m + 1):
-            for i2 in range(1, i1):
-                triples.append((i1, i2, sbh_concordance_prob(config, i1, i2)))
+        triples = [
+            (i1, i2, sbh_concordance_prob(config, i1, i2))
+            for i1 in range(1, m + 1)
+            for i2 in range(1, i1)
+        ]
     with _open_out(args.out) as fp:
         formats.write_concordance_csv(fp, triples)
+    del triples  # the pair lists are not needed by --kendall
     if args.kendall:
         if table is None:
             raise UsageError("--kendall needs --method pws (token table required)")

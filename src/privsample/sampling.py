@@ -69,9 +69,10 @@ class SamplingScheme:
         return float(w) ** self.power
 
     def inclusion_prob(self, w: float) -> float:
-        """Probability q_w that a key with frequency w is sampled.
+        """Probability q_w that a key with frequency w is sampled (scalar form).
 
-        w may be real-valued (already-noised data).
+        w may be real-valued (already-noised data); ``inclusion_probs`` is
+        the array form.
         """
         if w <= 0:
             return 0.0
@@ -103,21 +104,24 @@ class SamplingScheme:
                 out[key] = w
         return out
 
-    def probs(self, max_frequency: int) -> np.ndarray:
-        """Vector (q_0, ..., q_max_frequency)."""
-        if max_frequency < 0:
-            raise ValueError("max_frequency must be >= 0")
-        i = np.arange(max_frequency + 1, dtype=float)
+    def inclusion_probs(self, w) -> np.ndarray:
+        """Array of q_w over frequencies w >= 0, which may be real-valued (noised data)."""
+        w = np.asarray(w, dtype=float)
         if self.kind == "none":
-            q = np.ones(max_frequency + 1)
+            q = np.ones_like(w)
         else:
-            x = i**self.power * self.tau
+            x = w**self.power * self.tau
             if self.kind == "ppswor":
                 q = -np.expm1(-x)
             else:
                 q = np.minimum(1.0, x)
-        q[0] = 0.0
-        return q
+        return np.where(w == 0.0, 0.0, q)
+
+    def probs(self, max_frequency: int) -> np.ndarray:
+        """Vector (q_0, ..., q_max_frequency)."""
+        if max_frequency < 0:
+            raise ValueError("max_frequency must be >= 0")
+        return self.inclusion_probs(np.arange(max_frequency + 1, dtype=float))
 
 
 @dataclass(eq=False)

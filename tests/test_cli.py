@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from privsample import compute_pij
 from privsample.cli import main
-from privsample.formats import fmt, read_pi_csv, read_pij_csv, write_pij_csv
+from privsample.formats import fmt, read_keyed_tsv, read_pi_csv, read_pij_csv, write_pij_csv
 
 
 def run(args, capsys):
@@ -309,6 +312,65 @@ class TestSanitizePipeline:
             assert message in err
             assert out == ""
         assert not out_path.exists()
+
+
+class TestRepeatedKey:
+    TEXT = "a\t5\nb\t7\n\na\t300\n"  # the repeat sits on line 4, after a blank line
+
+    @pytest.mark.parametrize("mode", ["keys", "freqs"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_sanitize_fails_closed(self, tmp_path, capsys, mode, to_file):
+        sample = tmp_path / "sample.tsv"
+        sample.write_text(self.TEXT)
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run(
+            ["sanitize", "--mode", mode, "--input", str(sample), "--scheme", "none",
+             "--epsilon", "0.5", "--delta", "0.01", "--max-freq", "400", "--seed", "5",
+             *(["--out", str(out_path)] if to_file else [])],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: line 4: repeated key 'a'\n"
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--scheme", "ppswor", "--tau", "0.5", "--seed", "1"],
+        ["estimate", "--epsilon", "0.5", "--delta", "0.01", "--max-freq", "20"],
+        ["baseline", "sbh", "--epsilon", "0.5", "--delta", "0.01", "--seed", "1"],
+    ])
+    def test_every_keyed_reader_fails_closed(self, tmp_path, capsys, argv):
+        data = tmp_path / "in.tsv"
+        data.write_text("k\t3\nk\t4\n")
+        out_path = tmp_path / "out.tsv"
+        out_args = [] if argv[0] == "estimate" else ["--out", str(out_path)]
+        code, out, err = run([*argv, "--input", str(data), *out_args], capsys)
+        assert code == 1
+        assert err == "error: line 2: repeated key 'k'\n"
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_empty_key_repeat_is_named(self):
+        with pytest.raises(ValueError, match="line 3: repeated key ''"):
+            read_keyed_tsv(io.StringIO("\t1\nx\t2\n\t3\n"))
+
+    def test_unseekable_stream_still_fails(self):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+        with pytest.raises(ValueError, match="^repeated key in the input$"):
+            read_keyed_tsv(Pipe("a\t1\na\t2\n"))
+        assert read_keyed_tsv(Pipe("a\t1\n\nb\t2\n")) == {"a": 1, "b": 2}
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the library's only runtime dependency is numpy; scipy is for the tests
+    code = "import privsample.cli, sys; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 class TestEstimatePipeline:

@@ -49,6 +49,18 @@ class TestScheme:
                     assert np.all(q >= prev_tau_q - 1e-15)
                     prev_tau_q = q
 
+    @pytest.mark.parametrize("scheme", [
+        SamplingScheme.none(), SamplingScheme.ppswor(0.03), SamplingScheme.ppswor(0.01, 2.0),
+        SamplingScheme.pps(0.05, 0.5), SamplingScheme.pps(0.01), SamplingScheme.pps(0.2, 0.0),
+    ])
+    def test_array_form_matches_scalar_form(self, scheme):
+        w = np.array([0.0, 0.5, 1.0, 7.25, 48.0, 99.9, 100.0, 401.3, 1e4])
+        got = scheme.inclusion_probs(w)
+        want = [scheme.inclusion_prob(x) for x in w]
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert got[0] == 0.0
+        assert np.array_equal(scheme.probs(30), scheme.inclusion_probs(np.arange(31.0)))
+
     def test_ppswor_memorylessness(self):
         # q_i = 1 - (1 - q_1)^i exactly for the identity weight
         scheme = SamplingScheme.ppswor(0.037)

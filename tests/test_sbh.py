@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,9 +11,11 @@ from privsample import (
     SbhConfig,
     compute_pi,
     g_identity,
+    g_power,
     sampled_sbh,
     sampled_sbh_report_prob,
     sbh_concordance_prob,
+    sbh_moment_table,
     sbh_moments,
     sbh_report_prob,
     sbh_sanitize,
@@ -214,3 +217,92 @@ class TestConcordance:
 
     def test_equal_frequencies_tie(self, config):
         assert sbh_concordance_prob(config, 40, 40) == pytest.approx(0.5, abs=1e-12)
+
+
+# Schemes for the quadrature checks at eps 0.1, delta 0.01 (T = 47.05),
+# with the frequencies on both sides of each pps cap w**power * tau = 1.
+QUAD_SCHEMES = {
+    "none": (SamplingScheme.none(), ()),
+    "ppswor": (SamplingScheme.ppswor(0.03), ()),
+    "pps-power-0.5": (SamplingScheme.pps(0.05, 0.5), (399, 401)),
+    "pps-power-1": (SamplingScheme.pps(0.01), (99, 101)),
+    "pps-power-2": (SamplingScheme.pps(1e-4, 2.0), (99, 101)),
+}
+# 1, just below, at and just above T, and far above it: 300 is within 60
+# scales of T, 1000 is not
+QUAD_FREQS = (1, 46, 47, 48, 300, 1000)
+QUAD_CASES = [
+    (name, i) for name, (_, caps) in QUAD_SCHEMES.items() for i in (*QUAD_FREQS, *caps)
+]
+
+
+def _mp_kept_integral(config, scheme, i, f):
+    """30-digit integral of f(w) times the noise density at i over the kept region w >= T."""
+    with mpmath.workdps(30):
+        eps = mpmath.mpf(config.params.epsilon)
+        T = mpmath.log(1 / mpmath.mpf(config.params.delta)) / eps + 1
+        points = {T, max(T, mpmath.mpf(i)) + 60 / eps}
+        if i > T:
+            points.add(mpmath.mpf(i))
+        if scheme.kind == "pps":
+            cap = (1 / mpmath.mpf(scheme.tau)) ** (1 / mpmath.mpf(scheme.power))
+            if cap > T:
+                points.add(cap)
+
+        def density(w):
+            return eps / 2 * mpmath.exp(-eps * abs(w - i))
+
+        return mpmath.quad(lambda w: f(w) * density(w), [*sorted(points), mpmath.inf])
+
+
+def _mp_q(scheme):
+    def q(w):
+        if scheme.kind == "none":
+            return mpmath.mpf(1)
+        x = w ** mpmath.mpf(scheme.power) * mpmath.mpf(scheme.tau)
+        return -mpmath.expm1(-x) if scheme.kind == "ppswor" else min(mpmath.mpf(1), x)
+
+    return q
+
+
+class TestQuadratureAgainstMpmath:
+    @pytest.mark.parametrize("name, i", QUAD_CASES)
+    @pytest.mark.parametrize("power", [1.0, 0.5])
+    def test_moments(self, config, name, i, power):
+        scheme, _ = QUAD_SCHEMES[name]
+        q = _mp_q(scheme)
+        g = g_identity if power == 1.0 else g_power(power)
+        mom = sbh_moments(config, scheme, g, i)
+        p = mpmath.mpf(power)
+        want_first = _mp_kept_integral(config, scheme, i, lambda w: w**p)
+        want_second = _mp_kept_integral(config, scheme, i, lambda w: w ** (2 * p) / q(w))
+        gi = float(g(i))
+        second = mom.mse + gi * (2.0 * mom.expectation - gi)
+        assert mom.expectation == pytest.approx(float(want_first), rel=1e-12)
+        assert second == pytest.approx(float(want_second), rel=1e-12)
+
+    @pytest.mark.parametrize("name, i", QUAD_CASES)
+    def test_report_prob(self, config, name, i):
+        scheme, _ = QUAD_SCHEMES[name]
+        want = _mp_kept_integral(config, scheme, i, _mp_q(scheme))
+        assert sampled_sbh_report_prob(config, scheme, i) == pytest.approx(float(want), rel=1e-12)
+
+
+class TestMomentTable:
+    @pytest.mark.parametrize("name", QUAD_SCHEMES)
+    @pytest.mark.parametrize("g", [g_identity, g_power(0.5)])
+    def test_rows_equal_single_frequency_bit_for_bit(self, config, name, g):
+        scheme, _ = QUAD_SCHEMES[name]
+        table = sbh_moment_table(config, scheme, g, 120)
+        assert table.max_frequency == 120
+        assert table.expectation[0] == table.bias[0] == table.variance[0] == table.mse[0] == 0.0
+        for i in range(1, 121):
+            mom = sbh_moments(config, scheme, g, i)
+            got = (table.expectation[i], table.bias[i], table.variance[i], table.mse[i])
+            assert got == (mom.expectation, mom.bias, mom.variance, mom.mse), i
+
+    def test_undefined_inputs_raise(self, config):
+        with pytest.raises(ValueError):
+            sbh_moment_table(config, SamplingScheme.pps(0.0), g_identity, 10)
+        with pytest.raises(ValueError):
+            sbh_moments(config, SamplingScheme.none(), g_identity, 0)
