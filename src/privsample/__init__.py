@@ -16,11 +16,9 @@ from .estimators import (
     estimate_statistic,
     g_identity,
     g_power,
-    inverse_prob_coeffs,
     mle_coeffs,
     moments_by_frequency,
     nonprivate_moment_table,
-    per_key_moments,
     statistic_moments,
     unbiased_coeffs,
 )
@@ -42,22 +40,9 @@ from .frequencies import (
     discretize_pdfs,
     sanitize_frequencies,
 )
-from .keys import (
-    ReportingVector,
-    compute_pi,
-    pi_star_closed_form,
-    ppswor_structure,
-    sanitize_keys,
-)
-from .ordinal import concordance_matrix, concordance_prob, expected_kendall_tau
-from .privacy import (
-    DpReport,
-    PrivacyParams,
-    hockey_stick,
-    l_value,
-    l_value_approx,
-    verify_dp,
-)
+from .keys import ReportingVector, compute_pi, sanitize_keys
+from .ordinal import concordance_matrix, expected_kendall_tau
+from .privacy import DpReport, PrivacyParams, l_value, verify_dp
 from .sampling import (
     FrequencyHistogram,
     SamplingScheme,

@@ -156,18 +156,14 @@ def cmd_sample(args) -> int:
 def cmd_sanitize(args) -> int:
     params, scheme = _params(args), _scheme(args)
     with _open_in(args.input) as fp:
-        pairs = formats.read_keyed_tsv(fp)
-    sample = WeightedSample(pairs=pairs, scheme=scheme)
-    max_freq = max(pairs.values(), default=1)
-    if args.max_freq:
-        max_freq = max(max_freq, args.max_freq)
+        sample = WeightedSample(pairs=formats.read_keyed_tsv(fp), scheme=scheme)
+    # the table range is the public --max-freq, never the sample's own maximum
     if args.mode == "keys":
-        rv = compute_pi(params, scheme, max_freq)
-        kept = sanitize_keys(sample, rv, args.seed)
+        kept = sanitize_keys(sample, compute_pi(params, scheme, args.max_freq), args.seed)
         with _open_out(args.out) as fp:
             formats.write_key_lines(fp, kept)
     else:
-        table = _build_table(params, scheme, max_freq, args.table)
+        table = _build_table(params, scheme, args.max_freq, args.table)
         sanitized = sanitize_frequencies(sample, table, args.seed)
         with _open_out(args.out) as fp:
             formats.write_keyed_tsv(fp, sanitized)
@@ -240,6 +236,14 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_analyze_sweep(args) -> int:
+    if args.sweep == "tau":
+        if args.scheme == "none":
+            raise UsageError("--sweep tau needs --scheme ppswor or pps")
+        if args.tau is not None:
+            raise UsageError("--sweep tau takes its thresholds from --grid, not --tau")
+        scheme = {"scheme_kind": args.scheme}
+    else:
+        scheme = {"scheme": _scheme(args)}
     hist = _dist_histogram(args)
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else ()
     config = SweepConfig(
@@ -249,9 +253,8 @@ def cmd_analyze_sweep(args) -> int:
         sweep=args.sweep,
         grid=grid,
         methods=tuple(args.methods.split(",")),
-        scheme=_scheme(args) if args.sweep == "delta" else SamplingScheme.none(),
-        scheme_kind=args.scheme if args.scheme != "none" else "ppswor",
         power=args.power,
+        **scheme,
     )
     rows = run_sweep(config)
     with _open_out(args.out) as fp:
@@ -281,7 +284,12 @@ def cmd_analyze_nrmse(args) -> int:
 def cmd_analyze_concordance(args) -> int:
     params = _params(args)
     m = args.max_freq
-    table = None
+    if args.kendall:
+        if args.method != "pws":
+            raise UsageError("--kendall needs --method pws (token table required)")
+        hist = _dist_histogram(args)
+        if hist.max_frequency > m:
+            raise ValueError("--kendall distribution exceeds --max-freq")
     if args.method == "pws":
         table = discretize_pdfs(compute_pdfs(params, _scheme(args), m))
         conc = concordance_matrix(table.rows)
@@ -300,11 +308,6 @@ def cmd_analyze_concordance(args) -> int:
         formats.write_concordance_csv(fp, triples)
     del triples  # the pair lists are not needed by --kendall
     if args.kendall:
-        if table is None:
-            raise UsageError("--kendall needs --method pws (token table required)")
-        hist = _dist_histogram(args)
-        if hist.max_frequency > m:
-            raise ValueError("--kendall distribution exceeds --max-freq")
         tau = expected_kendall_tau(hist, table)
         print(f"kendall_tau,{formats.fmt(tau)}")
     return 0
@@ -381,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="sample TSV key<TAB>frequency")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=int, default=None, help="extend tables at least this far")
+    p.add_argument("--max-freq", type=int, required=True,
+                   help="public table range; a sampled frequency above it is an error")
     p.add_argument("--table", choices=["alg4", "alg5"], default="alg5")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="-")

@@ -26,10 +26,8 @@ __all__ = [
     "StatisticMoments",
     "g_identity",
     "g_power",
-    "inverse_prob_coeffs",
     "unbiased_coeffs",
     "mle_coeffs",
-    "per_key_moments",
     "moments_by_frequency",
     "nonprivate_moment_table",
     "statistic_moments",
@@ -98,22 +96,6 @@ class PerKeyMoments:
     mse: float
 
 
-def inverse_prob_coeffs(
-    scheme: SamplingScheme, g: FrequencyFunc, max_frequency: int
-) -> EstimatorCoeffs:
-    """Non-private coefficients a_i = g(i) / q_i over true frequencies.
-
-    Unbiased by construction: q_i * a_i = g(i) for every estimable i.
-    """
-    q, gv = _estimable(scheme, g, max_frequency)
-    values = np.zeros(max_frequency + 1)
-    nz = q > 0.0
-    values[nz] = gv[nz] / q[nz]
-    defined = np.ones(max_frequency + 1, dtype=bool)
-    defined[0] = False
-    return EstimatorCoeffs(values=values, defined=defined, kind="inverse-prob")
-
-
 def unbiased_coeffs(table: SanitizerTable, g: FrequencyFunc) -> EstimatorCoeffs:
     """The unique unbiased coefficients for an integer-token table.
 
@@ -159,24 +141,6 @@ def mle_coeffs(
     ok = defined[1:]
     values[1:][ok] = gv[ok] / pi_star[ok]
     return EstimatorCoeffs(values=values, defined=defined, kind="mle")
-
-
-def per_key_moments(
-    table: SanitizerTable, coeffs: EstimatorCoeffs, g: FrequencyFunc, i: int
-) -> PerKeyMoments:
-    """Exact moments of the estimate a_J for a key with true frequency i."""
-    if not 0 <= i <= table.max_frequency:
-        raise ValueError(f"frequency {i} outside table range 0..{table.max_frequency}")
-    if len(coeffs.values) != table.n_tokens + 1:
-        raise ValueError("coefficients do not match the table's token set")
-    row = table.rows[i]
-    a = coeffs.values
-    gi = float(g(np.array([i]))[0]) if i > 0 else 0.0
-    expectation = float(row[1:] @ a[1:])
-    bias = expectation - gi
-    mse = float(row[0]) * gi * gi + float(row[1:] @ (a[1:] - gi) ** 2)
-    variance = max(0.0, mse - bias * bias)
-    return PerKeyMoments(expectation=expectation, bias=bias, variance=variance, mse=mse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,31 +213,20 @@ class StatisticMoments:
         return not math.isnan(self.nrmse)
 
 
-def statistic_moments(
-    selection: FrequencyHistogram, moments: MomentTable, weights=None
-) -> StatisticMoments:
-    """Moments of sum L(x) g(w_x) over the selection, exactly from counts.
+def statistic_moments(selection: FrequencyHistogram, moments: MomentTable) -> StatisticMoments:
+    """Moments of sum g(w_x) over the selected keys, exactly from counts.
 
-    ``weights`` is the constant L value per key (scalar, or a mapping from
-    frequency to weight for selections where L is constant per frequency);
-    default 1.  Bias adds linearly in L, variance in L^2.
+    Keys are independent, so bias and variance add over the selection.
     """
     freqs, counts = selection.frequencies_and_counts()
     if freqs.size and freqs[-1] > moments.max_frequency:
         raise ValueError(
             f"selection contains frequency {int(freqs[-1])} beyond the moment table"
         )
-    if weights is None:
-        w = np.ones(len(freqs))
-    elif np.isscalar(weights):
-        w = np.full(len(freqs), float(weights))
-    else:
-        w = np.array([float(weights[int(f)]) for f in freqs])
-
     c = counts.astype(float)
-    statistic = float(np.sum(c * w * moments.g_values[freqs]))
-    bias = float(np.sum(c * w * moments.bias[freqs]))
-    variance = float(np.sum(c * w**2 * moments.variance[freqs]))
+    statistic = float(np.sum(c * moments.g_values[freqs]))
+    bias = float(np.sum(c * moments.bias[freqs]))
+    variance = float(np.sum(c * moments.variance[freqs]))
     mse = variance + bias * bias
     nrmse = math.sqrt(mse) / statistic if statistic > 0.0 else math.nan
     return StatisticMoments(
@@ -282,20 +235,15 @@ def statistic_moments(
 
 
 def estimate_statistic(
-    sanitized, coeffs: EstimatorCoeffs, selection: set[str] | None = None, weights=None
+    sanitized, coeffs: EstimatorCoeffs, selection: set[str] | None = None
 ) -> float:
-    """Evaluate sum L(x) a_{j_x} over a sanitized sample of (key, token) pairs.
+    """Evaluate sum a_{j_x} over a sanitized sample of (key, token) pairs.
 
     Reads only the private output and public coefficients.  ``selection``
-    restricts to keys with L(x) = 1 (None selects everything); ``weights``
-    optionally maps keys to L values.
+    restricts the sum to those keys (None selects everything).
     """
     total = 0.0
     for key, token in sanitized:
-        if selection is not None and key not in selection:
-            continue
-        lx = 1.0 if weights is None else float(weights.get(key, 0.0))
-        if lx == 0.0:
-            continue
-        total += lx * coeffs.value(token)
+        if selection is None or key in selection:
+            total += coeffs.value(token)
     return total

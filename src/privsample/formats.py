@@ -30,44 +30,25 @@ def read_element_stream(fp: TextIO) -> Iterable[str]:
             yield key
 
 
-def read_keyed_tsv(fp: TextIO, *, value_type=int) -> dict:
-    """Read `key<TAB>value` lines into an ordered mapping.
+def read_keyed_tsv(fp: TextIO) -> dict[str, int]:
+    """Read `key<TAB>integer` lines into an ordered mapping.
 
-    Fails closed on a malformed line and on a repeated key.  Repeats are
-    found by comparing the number of parsed lines with the number of keys
-    at the end; only then is the stream read again, to name the line.
+    Fails closed on a malformed line and on a repeated key, naming the line.
     """
-    start = fp.tell() if fp.seekable() else None
     out = {}
-    lineno = blank = 0
     for lineno, line in enumerate(fp, 1):
         line = line.rstrip("\n")
         if not line:
-            blank += 1
             continue
         try:
             key, value = line.split("\t")
-            out[key] = value_type(value)
+            value = int(value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: expected 'key<TAB>value', got {line!r}") from exc
-    if len(out) != lineno - blank:
-        raise ValueError(_first_repeat(fp, start))
+        if key in out:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        out[key] = value
     return out
-
-
-def _first_repeat(fp: TextIO, start) -> str:
-    """Message naming the first repeated key of an already parsed keyed TSV."""
-    if start is not None:  # a pipe cannot be read twice
-        fp.seek(start)
-        seen = set()
-        for lineno, line in enumerate(fp, 1):
-            line = line.rstrip("\n")
-            if line:
-                key = line.split("\t")[0]
-                if key in seen:
-                    return f"line {lineno}: repeated key {key!r}"
-                seen.add(key)
-    return "repeated key in the input"
 
 
 def write_keyed_tsv(fp: TextIO, pairs, *, float_values: bool = False) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._rng import PURPOSE_TOKEN, key_uniforms
 from .keys import compute_pi
-from .privacy import DpReport, PrivacyParams, verify_dp
+from .privacy import PrivacyParams
 from .sampling import SamplingScheme, WeightedSample
 
 __all__ = [
@@ -67,13 +67,6 @@ class SanitizerTable:
     @property
     def n_tokens(self) -> int:
         return self.rows.shape[1] - 1
-
-    def pi_marginals(self) -> np.ndarray:
-        """Total reporting mass per row; matches the key-reporting solution."""
-        return self.rows[:, 1:].sum(axis=1)
-
-    def verify(self, *, slack: float = 1e-12) -> DpReport:
-        return verify_dp(self.rows, self.params, slack=slack)
 
 
 def compute_pij(
@@ -151,9 +144,6 @@ class PiecewisePdf:
 
     def segment_masses(self) -> np.ndarray:
         return self.densities * np.diff(self.bounds)
-
-    def mass(self) -> float:
-        return self.atom0 + float(self.segment_masses().sum())
 
     def node_cumulative(self) -> np.ndarray:
         """Mass on (0, bounds[k]] at every breakpoint."""

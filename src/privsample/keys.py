@@ -7,8 +7,7 @@ constraints against the adjacent frequencies, via the forward recurrence
     pi_i = min(q_i,  e^eps pi_{i-1} + delta,  1 + e^-eps (pi_{i-1} + delta - 1)).
 
 The recurrence is the source of truth everywhere in this package; the
-closed form for the no-sampling case is kept as a cross-check because its
-two middle branches disagree at the seam i = L + 1 (see tests).
+tests keep the closed form for the no-sampling case as a cross-check.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PURPOSE_KEEP, key_uniforms
-from .privacy import PrivacyParams, l_value
+from .privacy import PrivacyParams
 from .sampling import SamplingScheme, WeightedSample
 
 __all__ = [
     "ReportingVector",
     "compute_pi",
-    "pi_star_closed_form",
-    "ppswor_structure",
     "sanitize_keys",
 ]
 
@@ -63,10 +60,6 @@ class ReportingVector:
             )
         return float(self.pi[i]) / q_i
 
-    def binary_rows(self) -> np.ndarray:
-        """Per-frequency output laws over (not reported, reported) tokens."""
-        return np.stack([1.0 - self.pi, self.pi], axis=1)
-
 
 def compute_pi(
     params: PrivacyParams, scheme: SamplingScheme, max_frequency: int
@@ -88,54 +81,6 @@ def compute_pi(
         prev = min(float(q[i]), e_eps * prev + delta, 1.0 + e_neg * (prev + delta - 1.0))
         pi[i] = prev
     return ReportingVector(params=params, scheme=scheme, pi=pi, q=q)
-
-
-def pi_star_closed_form(params: PrivacyParams, i: int) -> float:
-    """Three-branch closed form of the no-sampling reporting curve.
-
-    Kept as a validation aid only: with L = l_value(params) the growth and
-    decay branches disagree at the seam i = L + 1, and the recurrence
-    saturates at 2L + 1 rather than 2L + 2, so exact agreement with
-    compute_pi is only expected away from those indices.
-    """
-    if i < 0:
-        raise ValueError("frequency must be >= 0")
-    if i == 0:
-        return 0.0
-    eps, delta = params.epsilon, params.delta
-    L = l_value(params)
-    if i <= L + 1.0:
-        return delta * math.expm1(eps * i) / math.expm1(eps)
-    if i < 2.0 * L + 2.0:
-        return 1.0 - delta * math.expm1(eps * (2.0 * L + 2.0 - i)) / math.expm1(eps)
-    return 1.0
-
-
-def ppswor_structure(
-    params: PrivacyParams, scheme: SamplingScheme, max_frequency: int
-) -> int | None:
-    """Crossover index of the two-phase solution under ppswor with power 1.
-
-    Returns the smallest i where the no-sampling solution exceeds q_i, or
-    None when there is no crossover within range.  Also verifies that the
-    scheme's solution equals the no-sampling solution below the crossover
-    and q itself at and above it (within 1e-12).
-    """
-    if scheme.kind != "ppswor" or scheme.power != 1.0:
-        raise ValueError("the two-phase structure applies to ppswor with power 1 only")
-    star = compute_pi(params, SamplingScheme.none(), max_frequency).pi
-    actual = compute_pi(params, scheme, max_frequency)
-    q = actual.q
-
-    above = np.nonzero(star[1:] > q[1:])[0]
-    ell = int(above[0]) + 1 if above.size else None
-
-    cut = ell if ell is not None else max_frequency + 1
-    if not np.allclose(actual.pi[:cut], star[:cut], rtol=0.0, atol=1e-12):
-        raise RuntimeError("two-phase structure violated below the crossover")
-    if not np.allclose(actual.pi[cut:], q[cut:], rtol=0.0, atol=1e-12):
-        raise RuntimeError("two-phase structure violated at or above the crossover")
-    return ell
 
 
 def sanitize_keys(sample: WeightedSample, rv: ReportingVector, seed: int) -> list[str]:

@@ -14,28 +14,12 @@ import math
 import numpy as np
 
 from .frequencies import SanitizerTable
-from .privacy import check_distribution
 from .sampling import FrequencyHistogram
 
 __all__ = [
-    "concordance_prob",
     "concordance_matrix",
     "expected_kendall_tau",
 ]
-
-
-def concordance_prob(row_high, row_low) -> float:
-    """Pr[J_high > J_low] + 0.5 Pr[J_high = J_low] for independent draws.
-
-    ``row_high`` is the token law of the strictly larger true frequency.
-    Token 0 participates as the minimum token.
-    """
-    p = check_distribution(row_high, tol=1e-9)
-    q = check_distribution(row_low, tol=1e-9)
-    if p.shape != q.shape:
-        raise ValueError("rows must share one ordered token set")
-    upper = 1.0 - np.cumsum(p)  # Pr[J_high > token j]
-    return float(q @ upper + 0.5 * (p @ q))
 
 
 def concordance_matrix(rows: np.ndarray) -> np.ndarray:

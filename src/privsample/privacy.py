@@ -17,9 +17,6 @@ __all__ = [
     "PrivacyParams",
     "DpReport",
     "l_value",
-    "l_value_approx",
-    "check_distribution",
-    "hockey_stick",
     "verify_dp",
 ]
 
@@ -52,46 +49,6 @@ def l_value(params: PrivacyParams) -> float:
     eps, delta = params.epsilon, params.delta
     ratio = (math.expm1(eps) + 2.0 * delta) / (delta * (math.exp(eps) + 1.0))
     return math.log(ratio) / eps
-
-
-def l_value_approx(params: PrivacyParams) -> float:
-    """Coarse approximation (1/eps) * ln(min(1, eps/2) / delta) of l_value.
-
-    Useful as a sanity scale; accurate to O(1/eps) when delta <= eps.
-    """
-    eps, delta = params.epsilon, params.delta
-    return math.log(min(1.0, eps / 2.0) / delta) / eps
-
-
-def check_distribution(probs, *, tol: float = 1e-12) -> np.ndarray:
-    """Validate a finite probability vector (entries in [0,1], sums to 1)."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("a distribution must be a one-dimensional probability vector")
-    if p.size == 0:
-        raise ValueError("a distribution must have at least one token")
-    if np.any(p < -tol) or np.any(p > 1.0 + tol):
-        raise ValueError("probabilities must lie in [0, 1]")
-    total = float(p.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"probabilities must sum to 1 within {tol}, got {total!r}")
-    return p
-
-
-def hockey_stick(p, q, epsilon: float) -> float:
-    """Divergence sum_j max(0, p_j - e^eps q_j) between two discrete laws.
-
-    Equals the maximum over all token subsets T of p(T) - e^eps q(T), so the
-    privacy inequality from p to q holds for every output set iff the result
-    is <= delta.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(
-            f"distributions must share one token index set, got shapes {p.shape} and {q.shape}"
-        )
-    return float(np.maximum(p - math.exp(epsilon) * q, 0.0).sum())
 
 
 @dataclass(frozen=True)

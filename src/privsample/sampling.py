@@ -65,9 +65,6 @@ class SamplingScheme:
     def pps(cls, tau: float, power: float = 1.0) -> "SamplingScheme":
         return cls(kind="pps", tau=tau, power=power)
 
-    def weight(self, w: float) -> float:
-        return float(w) ** self.power
-
     def inclusion_prob(self, w: float) -> float:
         """Probability q_w that a key with frequency w is sampled (scalar form).
 
@@ -78,7 +75,7 @@ class SamplingScheme:
             return 0.0
         if self.kind == "none":
             return 1.0
-        x = self.weight(w) * self.tau
+        x = float(w) ** self.power * self.tau
         if self.kind == "ppswor":
             return -math.expm1(-x)
         return min(1.0, x)

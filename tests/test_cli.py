@@ -185,7 +185,7 @@ class TestSanitizePipeline:
         code, out, _ = run(
             ["sanitize", "--mode", "keys", "--input", str(sample_file),
              "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
-             "--seed", "5"],
+             "--max-freq", "20", "--seed", "5"],
             capsys,
         )
         assert code == 0
@@ -195,7 +195,7 @@ class TestSanitizePipeline:
     def test_freqs_mode_deterministic(self, sample_file, capsys):
         args = ["sanitize", "--mode", "freqs", "--input", str(sample_file),
                 "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
-                "--seed", "5"]
+                "--max-freq", "20", "--seed", "5"]
         code, out1, _ = run(args, capsys)
         assert code == 0
         _, out2, _ = run(args, capsys)
@@ -232,7 +232,8 @@ class TestSanitizePipeline:
     def test_missing_seed_is_usage_error(self, sample_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sanitize", "--mode", "keys", "--input", str(sample_file),
-                  "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none"])
+                  "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
+                  "--max-freq", "20"])
         assert exc.value.code == 2
 
     def test_invalid_flag_combinations_are_usage_errors(self, sample_file):
@@ -241,7 +242,7 @@ class TestSanitizePipeline:
         for argv in (
             ["sanitize", "--mode", "keys", "--input", str(sample_file),
              "--epsilon", "0.5", "--delta", "0.1", "--scheme", "ppswor",
-             "--seed", "5"],
+             "--max-freq", "20", "--seed", "5"],
             ["pi", "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
              "--tau", "0.3", "--max-freq", "5"],
             ["pi", "--epsilon", "-2", "--delta", "0.1", "--scheme", "none",
@@ -259,7 +260,7 @@ class TestSanitizePipeline:
         code, _, err = run(
             ["sanitize", "--mode", "keys", "--input", str(bad),
              "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
-             "--seed", "5"],
+             "--max-freq", "20", "--seed", "5"],
             capsys,
         )
         assert code == 1
@@ -279,7 +280,7 @@ class TestSanitizePipeline:
         code, out, err = run(
             ["sanitize", "--mode", mode, "--input", str(bad),
              "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none",
-             "--seed", "5", "--out", str(out_path)],
+             "--max-freq", "20", "--seed", "5", "--out", str(out_path)],
             capsys,
         )
         assert code == 1
@@ -305,13 +306,56 @@ class TestSanitizePipeline:
         for out_args in (["--out", str(out_path)], []):
             code, out, err = run(
                 ["sanitize", "--mode", mode, "--input", str(sample),
-                 "--epsilon", "0.5", "--delta", "0.1", *scheme, "--seed", "5", *out_args],
+                 "--epsilon", "0.5", "--delta", "0.1", *scheme, "--max-freq", "20",
+                 "--seed", "5", *out_args],
                 capsys,
             )
             assert code == 1
             assert message in err
             assert out == ""
         assert not out_path.exists()
+
+    def test_missing_max_freq_is_usage_error(self, sample_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sanitize", "--mode", "freqs", "--input", str(sample_file),
+                  "--epsilon", "0.5", "--delta", "0.1", "--scheme", "none", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--max-freq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["keys", "freqs"])
+    def test_frequency_above_range_fails_closed(self, tmp_path, capsys, mode):
+        sample = tmp_path / "sample.tsv"
+        sample.write_text("a\t20\nb\t21\n")
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run(
+            ["sanitize", "--mode", mode, "--input", str(sample), "--epsilon", "0.5",
+             "--delta", "0.1", "--scheme", "none", "--max-freq", "20", "--seed", "5",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "frequency 21 outside table range 1..20" in err
+        assert not out_path.exists()
+
+    def test_tokens_do_not_depend_on_other_keys(self, tmp_path, capsys):
+        # With the range taken from the sample, key a's alg5 tokens shifted
+        # when key b moved from 100 to 101 (235 249 ... against 236 251 ...).
+        tokens = {}
+        for b in (100, 101):
+            sample = tmp_path / f"sample{b}.tsv"
+            sample.write_text(f"a\t99\nb\t{b}\n")
+            tokens[b] = []
+            for seed in range(1, 7):
+                code, out, _ = run(
+                    ["sanitize", "--mode", "freqs", "--input", str(sample), "--scheme", "none",
+                     "--epsilon", "0.1", "--delta", "0.01", "--max-freq", "120",
+                     "--seed", str(seed)],
+                    capsys,
+                )
+                assert code == 0
+                tokens[b] += [int(line.split("\t")[1]) for line in out.splitlines()
+                              if line.startswith("a\t")]
+        assert tokens[100] == tokens[101] == [252, 281, 269, 240, 228, 261]
 
 
 class TestRepeatedKey:
@@ -359,7 +403,7 @@ class TestRepeatedKey:
             def seekable(self):
                 return False
 
-        with pytest.raises(ValueError, match="^repeated key in the input$"):
+        with pytest.raises(ValueError, match="^line 2: repeated key 'a'$"):
             read_keyed_tsv(Pipe("a\t1\na\t2\n"))
         assert read_keyed_tsv(Pipe("a\t1\n\nb\t2\n")) == {"a": 1, "b": 2}
 
@@ -463,6 +507,36 @@ class TestAnalyzeCommands:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 15  # all ordered pairs below 6
         assert all(0.0 <= float(r["concordance"]) <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("flags, status", [
+        (["--method", "sbh", "--max-freq", "6"], 2),
+        (["--method", "pws", "--max-freq", "6", "--freq-max", "7"], 1),
+    ])
+    def test_kendall_checks_run_before_any_output(self, tmp_path, capsys, flags, status):
+        out_path = tmp_path / "conc.csv"
+        argv = ["analyze", "concordance", "--epsilon", "0.5", "--delta", "0.05", "--scheme",
+                "none", "--kendall", "--dist", "uniform", "--n-keys", "20", *flags,
+                "--out", str(out_path)]
+        if status == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            code, _, err = run(argv, capsys)
+            assert code == 1
+            assert "exceeds --max-freq" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("scheme", [
+        ["--scheme", "none"],
+        ["--scheme", "ppswor", "--tau", "0.1"],
+    ])
+    def test_tau_sweep_rejects_ignored_scheme_flags(self, capsys, scheme):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "sweep", "--epsilon", "0.1", "--delta", "0.01", "--sweep", "tau",
+                  "--grid", "1.0,0.1", *scheme, "--dist", "uniform", "--n-keys", "50"])
+        assert exc.value.code == 2
+        assert "--sweep tau" in capsys.readouterr().err
 
     def test_moments_csv(self, capsys):
         code, out, _ = run(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import inverse_prob_coeffs, per_key_moments
 
 from privsample import (
     FrequencyHistogram,
@@ -13,12 +14,10 @@ from privsample import (
     discretize_pdfs,
     estimate_statistic,
     g_identity,
-    inverse_prob_coeffs,
     l_value,
     mle_coeffs,
     moments_by_frequency,
     nonprivate_moment_table,
-    per_key_moments,
     statistic_moments,
     unbiased_coeffs,
 )

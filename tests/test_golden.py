@@ -29,18 +29,19 @@ def _corpus(d):
     """(name, argv, output files) per command, in run order."""
     hist, s_ppswor, s_pps = d / "hist.tsv", d / "sample_ppswor.tsv", d / "sample_pps.tsv"
     keys_ppswor = [*PRIV, *PPSWOR, "--input", str(s_ppswor)]
+    m = ["--max-freq", "120"]  # the corpus maximum
     return [
         ("sample-ppswor", ["sample", "--input", str(hist), *PPSWOR, "--seed", "1",
                            "--out", str(s_ppswor)], [s_ppswor]),
         ("sample-pps", ["sample", "--input", str(hist), *PPS, "--seed", "2",
                         "--out", str(s_pps)], [s_pps]),
-        ("sanitize-keys", ["sanitize", "--mode", "keys", *keys_ppswor, "--seed", "3",
+        ("sanitize-keys", ["sanitize", "--mode", "keys", *keys_ppswor, *m, "--seed", "3",
                            "--out", str(d / "keys.txt")], [d / "keys.txt"]),
         ("sanitize-keys-pps", ["sanitize", "--mode", "keys", *PRIV, *PPS, "--input", str(s_pps),
-                               "--seed", "3", "--out", str(d / "keys_pps.txt")],
+                               *m, "--seed", "3", "--out", str(d / "keys_pps.txt")],
          [d / "keys_pps.txt"]),
         ("sanitize-alg4", ["sanitize", "--mode", "freqs", "--table", "alg4", *keys_ppswor,
-                           "--seed", "4", "--out", str(d / "freqs4.tsv")], [d / "freqs4.tsv"]),
+                           *m, "--seed", "4", "--out", str(d / "freqs4.tsv")], [d / "freqs4.tsv"]),
         ("sanitize-alg5", ["sanitize", "--mode", "freqs", "--table", "alg5", *keys_ppswor,
                            "--max-freq", "130", "--seed", "5", "--out", str(d / "freqs5.tsv")],
          [d / "freqs5.tsv"]),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import binary_rows, pi_star_closed_form, ppswor_structure
 
 from privsample import (
     FrequencyHistogram,
@@ -14,8 +15,6 @@ from privsample import (
     discretize_pdfs,
     draw_sample,
     l_value,
-    pi_star_closed_form,
-    ppswor_structure,
     sanitize_keys,
     verify_dp,
 )
@@ -75,7 +74,7 @@ class TestComputePi:
     def test_end_to_end_law_is_private(self, params_std, params_tight, scheme_none):
         for params in [params_std, params_tight]:
             rv = compute_pi(params, scheme_none, 500)
-            assert verify_dp(rv.binary_rows(), params).ok
+            assert verify_dp(binary_rows(rv), params).ok
 
     @pytest.mark.parametrize("params", [PrivacyParams(0.1, 0.01), PrivacyParams(0.5, 0.001)])
     @pytest.mark.parametrize(

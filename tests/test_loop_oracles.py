@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import check_distribution
 
 from privsample import (
     FrequencyHistogram,
@@ -44,7 +45,6 @@ from privsample._rng import (
 from privsample.formats import fmt, read_pij_csv, write_pij_csv
 from privsample.frequencies import SanitizerTable, _merged, _split_at
 from privsample.ordinal import concordance_matrix, expected_kendall_tau
-from privsample.privacy import check_distribution
 
 PARAMS = PrivacyParams(0.1, 0.01)
 SCHEME = SamplingScheme.none()

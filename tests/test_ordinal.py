@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import concordance_prob
 
 from privsample import (
     FrequencyHistogram,
@@ -10,7 +11,6 @@ from privsample import (
     SamplingScheme,
     compute_pdfs,
     concordance_matrix,
-    concordance_prob,
     discretize_pdfs,
     expected_kendall_tau,
 )

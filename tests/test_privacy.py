@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from privsample import PrivacyParams, hockey_stick, l_value, l_value_approx, verify_dp
-from privsample.privacy import check_distribution
+from oracles import binary_rows, check_distribution, hockey_stick, l_value_approx
+
+from privsample import PrivacyParams, l_value, verify_dp
 
 
 def brute_force_divergence(p, q, epsilon):
@@ -150,7 +151,7 @@ class TestVerifyDp:
         from privsample import compute_pi
 
         rv = compute_pi(params_std, scheme_none, 500)
-        report = verify_dp(rv.binary_rows(), params_std)
+        report = verify_dp(binary_rows(rv), params_std)
         assert report.ok
 
     @pytest.mark.parametrize("bad_row", [[0.5, 0.5 + 1e-6], [-0.5, 1.5], [math.nan, 1.0]])

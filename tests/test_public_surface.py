@@ -1,0 +1,82 @@
+"""The public surface is pinned: adding or dropping a name shows up as a diff here.
+
+The library exports what its CLI and the benchmark run.  References that
+only the tests use live in ``tests/oracles.py``.
+"""
+
+import importlib
+import types
+
+import pytest
+
+import privsample
+
+PACKAGE = [
+    "DpReport", "EstimatorCoeffs", "FrequencyHistogram", "MomentTable", "PdfFamily",
+    "PerKeyMoments", "PiecewisePdf", "PrivacyParams", "ReportingVector", "SamplingScheme",
+    "SanitizerTable", "SbhConfig", "StatisticMoments", "SweepConfig", "SweepRow",
+    "WeightedSample", "aggregate_elements", "compute_pdfs", "compute_pi", "compute_pij",
+    "concordance_matrix", "discretize_pdfs", "draw_sample", "estimate_statistic",
+    "expected_kendall_tau", "expected_reported_fraction", "g_identity", "g_power", "l_value",
+    "mle_coeffs", "moments_by_frequency", "nonprivate_moment_table", "nrmse_experiment",
+    "run_sweep", "sampled_sbh", "sampled_sbh_report_prob", "sanitize_frequencies",
+    "sanitize_keys", "sbh_concordance_prob", "sbh_moment_table", "sbh_moments",
+    "sbh_report_prob", "sbh_sanitize", "statistic_moments", "unbiased_coeffs",
+    "uniform_histogram", "verify_dp", "zipf_histogram",
+]
+
+MODULES = {
+    "estimators": [
+        "EstimatorCoeffs", "MomentTable", "PerKeyMoments", "StatisticMoments",
+        "estimate_statistic", "g_identity", "g_power", "mle_coeffs", "moments_by_frequency",
+        "nonprivate_moment_table", "statistic_moments", "unbiased_coeffs",
+    ],
+    "experiments": [
+        "DELTA_GRID_DEFAULT", "SweepConfig", "SweepRow", "TAU_GRID_DEFAULT",
+        "expected_reported_fraction", "nrmse_experiment", "run_sweep", "uniform_histogram",
+        "zipf_histogram",
+    ],
+    "frequencies": [
+        "PdfFamily", "PiecewisePdf", "SanitizerTable", "compute_pdfs", "compute_pij",
+        "discretize_pdfs", "sanitize_frequencies",
+    ],
+    "keys": ["ReportingVector", "compute_pi", "sanitize_keys"],
+    "ordinal": ["concordance_matrix", "expected_kendall_tau"],
+    "privacy": ["DpReport", "PrivacyParams", "l_value", "verify_dp"],
+    "sampling": [
+        "FrequencyHistogram", "SamplingScheme", "WeightedSample", "aggregate_elements",
+        "draw_sample",
+    ],
+    "sbh": [
+        "SbhConfig", "sampled_sbh", "sampled_sbh_report_prob", "sbh_concordance_prob",
+        "sbh_moment_table", "sbh_moments", "sbh_report_prob", "sbh_sanitize",
+    ],
+}
+
+
+def test_package_names():
+    # submodules become attributes once imported, so they are left out
+    names = sorted(
+        n for n in dir(privsample)
+        if not n.startswith("_") and not isinstance(getattr(privsample, n), types.ModuleType)
+    )
+    assert names == PACKAGE
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_module_all(module):
+    mod = importlib.import_module(f"privsample.{module}")
+    assert sorted(mod.__all__) == MODULES[module]
+    stale = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not stale, f"__all__ names missing from privsample.{module}: {stale}"
+
+
+@pytest.mark.parametrize("owner, method", [
+    (privsample.ReportingVector, "binary_rows"),
+    (privsample.SanitizerTable, "verify"),
+    (privsample.SanitizerTable, "pi_marginals"),
+    (privsample.PiecewisePdf, "mass"),
+    (privsample.SamplingScheme, "weight"),
+])
+def test_removed_methods_stay_out(owner, method):
+    assert not hasattr(owner, method)
