@@ -11,7 +11,6 @@ round out the analysis surface.
 from .estimators import (
     EstimatorCoeffs,
     MomentTable,
-    PerKeyMoments,
     StatisticMoments,
     estimate_statistic,
     g_identity,
@@ -23,7 +22,6 @@ from .estimators import (
     unbiased_coeffs,
 )
 from .experiments import (
-    SweepConfig,
     SweepRow,
     expected_reported_fraction,
     nrmse_experiment,
@@ -56,7 +54,6 @@ from .sbh import (
     sampled_sbh_report_prob,
     sbh_concordance_prob,
     sbh_moment_table,
-    sbh_moments,
     sbh_report_prob,
     sbh_sanitize,
 )

@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic: identical flags, inputs and seed give
 byte-identical outputs.  Randomized subcommands require --seed explicitly.
-Exit status: 0 on success, 1 on data errors, 2 on usage errors.
+A flag set away from its default where it cannot change the output is a
+usage error.  Exit status: 0 on success, 1 on data errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .estimators import (
     unbiased_coeffs,
 )
 from .experiments import (
+    DELTA_GRID_DEFAULT,
     NRMSE_METHODS,
     REPORTING_METHODS,
-    SweepConfig,
+    TAU_GRID_DEFAULT,
     nrmse_experiment,
     run_sweep,
     uniform_histogram,
@@ -42,9 +44,13 @@ class UsageError(ValueError):
     """Invalid flag combination; maps to exit status 2."""
 
 
-def _add_privacy_flags(parser):
+def _add_privacy_flags(parser, delta_required=True):
     parser.add_argument("--epsilon", type=float, required=True, help="privacy parameter epsilon (> 0)")
-    parser.add_argument("--delta", type=float, required=True, help="privacy parameter delta in (0, 1]")
+    parser.add_argument("--delta", type=float, required=delta_required,
+                        help="privacy parameter delta in (0, 1]")
+
+
+_SCHEME_FLAGS = ("scheme", "tau", "power")
 
 
 def _add_scheme_flags(parser, default="none"):
@@ -53,6 +59,24 @@ def _add_scheme_flags(parser, default="none"):
     )
     parser.add_argument("--tau", type=float, default=None, help="sampling threshold (tau >= 0)")
     parser.add_argument("--power", type=float, default=1.0, help="frequency weight exponent in [0, 2]")
+
+
+def _add_table_flag(parser):
+    parser.add_argument("--table", choices=["alg4", "alg5"], default="alg4",
+                        help="integer-token table or discretized density table")
+
+
+def _add_estimator_flags(parser):
+    _add_table_flag(parser)
+    parser.add_argument("--estimator", choices=["mle", "unbiased"], default="mle")
+    parser.add_argument("--g-power", type=float, default=1.0)
+
+
+def _reject(args, why: str, *dests: str) -> None:
+    """A usage error for each flag in ``dests`` set to anything but its parser default."""
+    for dest in dests:
+        if getattr(args, dest) != args.parser.get_default(dest):
+            raise UsageError(f"--{dest.replace('_', '-')} {why}")
 
 
 def _params(args) -> PrivacyParams:
@@ -64,8 +88,7 @@ def _params(args) -> PrivacyParams:
 
 def _scheme(args) -> SamplingScheme:
     if args.scheme == "none":
-        if args.tau is not None:
-            raise UsageError("--tau is meaningless with --scheme none")
+        _reject(args, "is meaningless with --scheme none", "tau", "power")
         return SamplingScheme.none()
     if args.tau is None:
         raise UsageError(f"--scheme {args.scheme} requires --tau")
@@ -99,6 +122,9 @@ def _build_table(params, scheme, max_freq, which: str):
     if which == "alg4":
         return compute_pij(params, scheme, max_freq)
     return discretize_pdfs(compute_pdfs(params, scheme, max_freq))
+
+
+_DIST_FLAGS = ("dist", "n_keys", "alpha", "w_max", "freq_min", "freq_max", "input")
 
 
 def _dist_histogram(args) -> FrequencyHistogram:
@@ -139,9 +165,6 @@ def cmd_pdfs(args) -> int:
         formats.write_pdf_segments_csv(fp, family)
     with _open_out(args.atoms_out) as fp:
         formats.write_pdf_atoms_csv(fp, family)
-    if args.table_out:
-        with _open_out(args.table_out) as fp:
-            formats.write_pij_csv(fp, discretize_pdfs(family))
     return 0
 
 
@@ -155,6 +178,8 @@ def cmd_sample(args) -> int:
 
 def cmd_sanitize(args) -> int:
     params, scheme = _params(args), _scheme(args)
+    if args.mode == "keys":
+        _reject(args, "is meaningless with --mode keys, which releases no tokens", "table")
     with _open_in(args.input) as fp:
         sample = WeightedSample(pairs=formats.read_keyed_tsv(fp), scheme=scheme)
     # the table range is the public --max-freq, never the sample's own maximum
@@ -222,8 +247,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    params = _params(args)
-    config = SbhConfig(params)
+    config = SbhConfig(_params(args))
+    if args.baseline == "sbh":
+        _reject(args, "is meaningless with baseline sbh, which samples nothing", *_SCHEME_FLAGS)
     with _open_in(args.input) as fp:
         by_key = formats.read_keyed_tsv(fp)
     if args.baseline == "sbh":
@@ -235,47 +261,41 @@ def cmd_baseline(args) -> int:
     return 0
 
 
+def _grid(args, default: tuple) -> tuple:
+    return tuple(float(x) for x in args.grid.split(",")) if args.grid else default
+
+
+def _tau_points(args, kind: str) -> list:
+    """(tau, params, scheme) at each --grid threshold, for the sampling family ``kind``."""
+    params = PrivacyParams(args.epsilon, args.delta)
+    return [(tau, params, SamplingScheme(kind, tau, args.power))
+            for tau in _grid(args, TAU_GRID_DEFAULT)]
+
+
 def cmd_analyze_sweep(args) -> int:
     if args.sweep == "tau":
         if args.scheme == "none":
             raise UsageError("--sweep tau needs --scheme ppswor or pps")
-        if args.tau is not None:
-            raise UsageError("--sweep tau takes its thresholds from --grid, not --tau")
-        scheme = {"scheme_kind": args.scheme}
+        _reject(args, "is meaningless with --sweep tau, which takes its thresholds from --grid",
+                "tau")
+        if args.delta is None:
+            raise UsageError("--sweep tau requires --delta")
+        points = _tau_points(args, args.scheme)
     else:
-        scheme = {"scheme": _scheme(args)}
-    hist = _dist_histogram(args)
-    grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else ()
-    config = SweepConfig(
-        histogram=hist,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        sweep=args.sweep,
-        grid=grid,
-        methods=tuple(args.methods.split(",")),
-        power=args.power,
-        **scheme,
-    )
-    rows = run_sweep(config)
+        _reject(args, "is meaningless with --sweep delta, which takes its deltas from --grid",
+                "delta")
+        scheme = _scheme(args)
+        points = [(delta, PrivacyParams(args.epsilon, delta), scheme)
+                  for delta in _grid(args, DELTA_GRID_DEFAULT)]
+    rows = run_sweep(_dist_histogram(args), args.sweep, points, tuple(args.methods.split(",")))
     with _open_out(args.out) as fp:
         formats.write_sweep_csv(fp, rows)
     return 0
 
 
 def cmd_analyze_nrmse(args) -> int:
-    hist = _dist_histogram(args)
-    grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else ()
-    config = SweepConfig(
-        histogram=hist,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        sweep="tau",
-        grid=grid,
-        methods=tuple(args.methods.split(",")),
-        scheme_kind=args.scheme_kind,
-        power=args.power,
-    )
-    rows = nrmse_experiment(config)
+    rows = nrmse_experiment(_dist_histogram(args), _tau_points(args, args.scheme_kind),
+                            tuple(args.methods.split(",")))
     with _open_out(args.out) as fp:
         formats.write_sweep_csv(fp, rows)
     return 0
@@ -284,12 +304,16 @@ def cmd_analyze_nrmse(args) -> int:
 def cmd_analyze_concordance(args) -> int:
     params = _params(args)
     m = args.max_freq
+    if args.method == "sbh":
+        _reject(args, "is meaningless with --method sbh, which samples nothing", *_SCHEME_FLAGS)
     if args.kendall:
         if args.method != "pws":
             raise UsageError("--kendall needs --method pws (token table required)")
         hist = _dist_histogram(args)
         if hist.max_frequency > m:
             raise ValueError("--kendall distribution exceeds --max-freq")
+    else:
+        _reject(args, "is only read with --kendall", *_DIST_FLAGS)
     if args.method == "pws":
         table = discretize_pdfs(compute_pdfs(params, _scheme(args), m))
         conc = concordance_matrix(table.rows)
@@ -351,25 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(p)
     p.add_argument("--max-freq", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_pi)
+    p.set_defaults(parser=p, func=cmd_pi)
 
     p = sub.add_parser("pij", help="integer-token frequency table (CSV i,j,pi_ij)")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
     p.add_argument("--max-freq", type=int, required=True)
-    p.add_argument("--table", choices=["alg4", "alg5"], default="alg4",
-                   help="integer-token table or discretized density table")
+    _add_table_flag(p)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_pij)
+    p.set_defaults(parser=p, func=cmd_pij)
 
-    p = sub.add_parser("pdfs", help="piecewise densities (CSV segments + atoms, optional table)")
+    p = sub.add_parser("pdfs", help="piecewise densities (CSV segments + atoms)")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
     p.add_argument("--max-freq", type=int, required=True)
     p.add_argument("--segments-out", required=True, help="CSV i,left,right,density")
     p.add_argument("--atoms-out", required=True, help="CSV i,atom0")
-    p.add_argument("--table-out", default=None, help="optional discretized CSV i,j,pi_ij")
-    p.set_defaults(func=cmd_pdfs)
+    p.set_defaults(parser=p, func=cmd_pdfs)
 
     p = sub.add_parser("sample", help="threshold-sample a histogram (TSV key<TAB>frequency)")
     p.add_argument("--input", default="-", help="histogram TSV, or element stream with --aggregate")
@@ -377,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(p, default="ppswor")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(parser=p, func=cmd_sample)
 
     p = sub.add_parser("sanitize", help="sanitize a weighted sample privately")
     p.add_argument("--mode", choices=["keys", "freqs"], required=True)
@@ -386,21 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(p)
     p.add_argument("--max-freq", type=int, required=True,
                    help="public table range; a sampled frequency above it is an error")
-    p.add_argument("--table", choices=["alg4", "alg5"], default="alg5")
+    _add_table_flag(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_sanitize)
+    p.set_defaults(parser=p, func=cmd_sanitize)
 
     p = sub.add_parser("estimate", help="linear statistic from a sanitized sample")
     p.add_argument("--input", default="-", help="sanitized TSV key<TAB>token")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
     p.add_argument("--max-freq", type=int, required=True)
-    p.add_argument("--table", choices=["alg4", "alg5"], default="alg4")
-    p.add_argument("--estimator", choices=["mle", "unbiased"], default="mle")
-    p.add_argument("--g-power", type=float, default=1.0)
+    _add_estimator_flags(p)
     p.add_argument("--select", default=None, help="file of selected keys, one per line")
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(parser=p, func=cmd_estimate)
 
     p = sub.add_parser("baseline", help="stability-histogram baseline sanitizers")
     p.add_argument("baseline", choices=["sbh", "sampled-sbh"])
@@ -409,20 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(parser=p, func=cmd_baseline)
 
     p = sub.add_parser("analyze", help="exact sweeps and comparisons")
     asub = p.add_subparsers(dest="analysis", required=True)
 
     pa = asub.add_parser("sweep", help="expected reported fraction over a grid")
-    _add_privacy_flags(pa)
+    _add_privacy_flags(pa, delta_required=False)
     _add_scheme_flags(pa, default="ppswor")
     pa.add_argument("--sweep", choices=["delta", "tau"], default="tau")
     pa.add_argument("--grid", default=None, help="comma-separated grid values")
     pa.add_argument("--methods", default=",".join(REPORTING_METHODS))
     _add_dist_flags(pa)
     pa.add_argument("--out", default="-")
-    pa.set_defaults(func=cmd_analyze_sweep)
+    pa.set_defaults(parser=pa, func=cmd_analyze_sweep)
 
     pa = asub.add_parser("nrmse", help="estimation error across sampling rates")
     _add_privacy_flags(pa)
@@ -433,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--methods", default=",".join(NRMSE_METHODS))
     _add_dist_flags(pa)
     pa.add_argument("--out", default="-")
-    pa.set_defaults(func=cmd_analyze_nrmse)
+    pa.set_defaults(parser=pa, func=cmd_analyze_nrmse)
 
     pa = asub.add_parser("concordance", help="pairwise concordance probabilities")
     _add_privacy_flags(pa)
@@ -446,23 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
                          "frequency are excluded from the normalizer)")
     _add_dist_flags(pa)
     pa.add_argument("--out", default="-")
-    pa.set_defaults(func=cmd_analyze_concordance)
+    pa.set_defaults(parser=pa, func=cmd_analyze_concordance)
 
     pa = asub.add_parser("moments", help="per-frequency estimate moments (CSV)")
     _add_privacy_flags(pa)
     _add_scheme_flags(pa)
     pa.add_argument("--max-freq", type=int, required=True)
-    pa.add_argument("--table", choices=["alg4", "alg5"], default="alg4")
-    pa.add_argument("--estimator", choices=["mle", "unbiased"], default="mle")
-    pa.add_argument("--g-power", type=float, default=1.0)
+    _add_estimator_flags(pa)
     pa.add_argument("--out", default="-")
-    pa.set_defaults(func=cmd_analyze_moments)
+    pa.set_defaults(parser=pa, func=cmd_analyze_moments)
 
     p = sub.add_parser("verify-dp", help="privacy oracle over an exported table")
     _add_privacy_flags(p)
     p.add_argument("--table", required=True, help="CSV exported by pi or pij")
     p.add_argument("--kind", choices=["pi", "pij"], default="pij")
-    p.set_defaults(func=cmd_verify_dp)
+    p.set_defaults(parser=p, func=cmd_verify_dp)
 
     return parser
 

@@ -21,7 +21,6 @@ from .sampling import FrequencyHistogram, SamplingScheme
 
 __all__ = [
     "EstimatorCoeffs",
-    "PerKeyMoments",
     "MomentTable",
     "StatisticMoments",
     "g_identity",
@@ -76,7 +75,6 @@ class EstimatorCoeffs:
 
     values: np.ndarray
     defined: np.ndarray
-    kind: str
 
     def value(self, token: int) -> float:
         if not 0 <= token < len(self.values):
@@ -84,16 +82,6 @@ class EstimatorCoeffs:
         if token > 0 and not self.defined[token]:
             raise ValueError(f"token {token} is never emitted; no coefficient defined")
         return float(self.values[token])
-
-
-@dataclass(frozen=True)
-class PerKeyMoments:
-    """Exact moments of the per-key estimate for one true frequency."""
-
-    expectation: float
-    bias: float
-    variance: float
-    mse: float
 
 
 def unbiased_coeffs(table: SanitizerTable, g: FrequencyFunc) -> EstimatorCoeffs:
@@ -116,7 +104,7 @@ def unbiased_coeffs(table: SanitizerTable, g: FrequencyFunc) -> EstimatorCoeffs:
         a[i] = (gv[i] - float(rows[i, 1:i] @ a[1:i])) / diag
     defined = np.ones(m + 1, dtype=bool)
     defined[0] = False
-    return EstimatorCoeffs(values=a, defined=defined, kind="unbiased")
+    return EstimatorCoeffs(values=a, defined=defined)
 
 
 def mle_coeffs(
@@ -140,7 +128,7 @@ def mle_coeffs(
     pi_star = rv.pi[i_star]
     ok = defined[1:]
     values[1:][ok] = gv[ok] / pi_star[ok]
-    return EstimatorCoeffs(values=values, defined=defined, kind="mle")
+    return EstimatorCoeffs(values=values, defined=defined)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +195,6 @@ class StatisticMoments:
     variance: float
     mse: float
     nrmse: float  # NaN when the true statistic is 0
-
-    @property
-    def nrmse_defined(self) -> bool:
-        return not math.isnan(self.nrmse)
 
 
 def statistic_moments(selection: FrequencyHistogram, moments: MomentTable) -> StatisticMoments:

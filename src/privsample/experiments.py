@@ -1,15 +1,16 @@
 """Exact sweep harness: reporting fractions and estimation error over grids.
 
 All sweep outputs are exact expectations computed from frequency counts and
-per-frequency probabilities or moments; nothing here simulates.  Results
-come back as flat rows ready for CSV: (sweep_var, value, method, metric,
-result).
+per-frequency probabilities or moments; nothing here simulates.  A sweep
+takes its grid as points (value, params, scheme) that the caller builds, so
+each point states everything it is computed from.  Results come back as
+flat rows ready for CSV: (sweep_var, value, method, metric, result).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .sampling import FrequencyHistogram, SamplingScheme
 from .sbh import SbhConfig, sampled_sbh_report_prob, sbh_moment_table, sbh_report_prob
 
 __all__ = [
-    "SweepConfig",
     "SweepRow",
     "DELTA_GRID_DEFAULT",
     "TAU_GRID_DEFAULT",
@@ -95,43 +95,15 @@ class SweepRow:
     result: float
 
 
-@dataclass(eq=False)
-class SweepConfig:
-    """One sweep: a histogram, a parameter grid, and methods to compare.
-
-    ``sweep`` is "delta" (scheme fixed, delta varies) or "tau" (params
-    fixed, threshold varies).  ``scheme_kind``/``power`` describe the
-    sampling family used at each tau grid point; "delta" sweeps use the
-    fixed ``scheme``.
-    """
-
-    histogram: FrequencyHistogram
-    epsilon: float
-    delta: float = 1e-2
-    sweep: str = "tau"
-    grid: tuple = ()
-    methods: tuple = REPORTING_METHODS
-    scheme: SamplingScheme = field(default_factory=SamplingScheme.none)
-    scheme_kind: str = "ppswor"
-    power: float = 1.0
-
-    def __post_init__(self):
-        if self.sweep not in ("delta", "tau"):
-            raise ValueError("sweep must be 'delta' or 'tau'")
-        if not self.grid:
-            self.grid = DELTA_GRID_DEFAULT if self.sweep == "delta" else TAU_GRID_DEFAULT
-        if self.histogram.n_keys == 0:
-            raise ValueError("histogram is empty")
-
-    def scheme_at(self, tau: float) -> SamplingScheme:
-        return SamplingScheme(kind=self.scheme_kind, tau=tau, power=self.power)
+def _max_frequency(histogram: FrequencyHistogram) -> int:
+    if histogram.n_keys == 0:
+        raise ValueError("histogram is empty")
+    return histogram.max_frequency
 
 
-def _reported_fraction(config: SweepConfig, method: str, params: PrivacyParams,
-                       scheme: SamplingScheme) -> float:
-    hist = config.histogram
+def _reported_fraction(hist: FrequencyHistogram, max_f: int, method: str,
+                       params: PrivacyParams, scheme: SamplingScheme) -> float:
     freqs, _ = hist.frequencies_and_counts()
-    max_f = int(freqs[-1])
     if method == "pws-keys":
         rv = compute_pi(params, scheme, max_f)
         return expected_reported_fraction(hist, rv.pi)
@@ -149,21 +121,19 @@ def _reported_fraction(config: SweepConfig, method: str, params: PrivacyParams,
     raise ValueError(f"unknown reporting method {method!r}")
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Expected reported fraction per grid point and method."""
+def run_sweep(histogram: FrequencyHistogram, sweep_var: str, points,
+              methods=REPORTING_METHODS) -> list[SweepRow]:
+    """Expected reported fraction per grid point and method.
+
+    ``points`` holds (value, params, scheme) per grid point; ``value`` is
+    the swept quantity named ``sweep_var`` that labels the point's rows.
+    """
+    max_f = _max_frequency(histogram)
     rows: list[SweepRow] = []
-    for value in config.grid:
-        if config.sweep == "delta":
-            params = PrivacyParams(config.epsilon, float(value))
-            scheme = config.scheme
-        else:
-            params = PrivacyParams(config.epsilon, config.delta)
-            scheme = config.scheme_at(float(value))
-        for method in config.methods:
-            frac = _reported_fraction(config, method, params, scheme)
-            rows.append(
-                SweepRow(config.sweep, float(value), method, "reported_fraction", frac)
-            )
+    for value, params, scheme in points:
+        for method in methods:
+            frac = _reported_fraction(histogram, max_f, method, params, scheme)
+            rows.append(SweepRow(sweep_var, float(value), method, "reported_fraction", frac))
     return rows
 
 
@@ -183,29 +153,24 @@ def _pws_mle_nrmse(params: PrivacyParams, scheme: SamplingScheme,
     return statistic_moments(selection, moments).nrmse
 
 
-def nrmse_experiment(config: SweepConfig) -> list[SweepRow]:
-    """Estimation error of the frequency-sum statistic across the tau grid.
+def nrmse_experiment(selection: FrequencyHistogram, points,
+                     methods=NRMSE_METHODS) -> list[SweepRow]:
+    """Estimation error of the frequency-sum statistic across a tau grid.
 
-    Compares the private sample with most-likely-frequency coefficients, the
+    ``points`` holds (tau, params, scheme) per grid point.  Compares the
+    private sample with most-likely-frequency coefficients, the
     noise-then-sample baseline with its inverse-probability estimate, and
-    the non-private sample.  With the pps family (scheme_kind="pps"),
-    tau = 1 makes q = 1 on every frequency >= 1, so that grid point is
-    exactly "no sampling".  Undefined grid points yield NaN, not failure.
+    the non-private sample.  With the pps family, tau = 1 makes q = 1 on
+    every frequency >= 1, so that grid point is exactly "no sampling".
+    Undefined grid points yield NaN, not failure.
     """
-    if config.sweep != "tau":
-        raise ValueError("the estimation-error experiment sweeps tau")
-    params = PrivacyParams(config.epsilon, config.delta)
-    selection = config.histogram
-    freqs, _ = selection.frequencies_and_counts()
-    max_f = int(freqs[-1])
-    methods = config.methods if config.methods != REPORTING_METHODS else NRMSE_METHODS
+    max_f = _max_frequency(selection)
     for method in methods:
         if method not in NRMSE_METHODS:
             raise ValueError(f"unknown estimation method {method!r}")
 
     rows: list[SweepRow] = []
-    for tau in config.grid:
-        scheme = config.scheme_at(float(tau))
+    for tau, params, scheme in points:
         for method in methods:
             try:
                 if method == "pws-freq-mle":

@@ -379,6 +379,7 @@ def sanitize_frequencies(
         raise ValueError(
             f"table was built for {table.scheme}, sample drawn with {sample.scheme}"
         )
+    q = table.scheme.probs(table.max_frequency)  # the q that built the table's rows
     cum_by_freq: dict[int, list[float]] = {}
     out: list[tuple[str, int]] = []
     pairs = sample.pairs
@@ -390,7 +391,7 @@ def sanitize_frequencies(
                     f"frequency {freq} outside table range 1..{table.max_frequency}; "
                     "rebuild the table with a larger max_frequency"
                 )
-            q_w = table.scheme.inclusion_prob(freq)
+            q_w = float(q[freq])
             if q_w <= 0.0:
                 raise ValueError(
                     f"q_{freq} = 0 but a sampled key with frequency {freq} exists; "

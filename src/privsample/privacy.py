@@ -61,9 +61,6 @@ class DpReport:
     delta: float
     direction: str  # "up": higher row against lower; "down": the reverse
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_dp(rows, params: PrivacyParams, *, slack: float = DELTA_SLACK) -> DpReport:
     """Check the privacy inequality in both directions for adjacent rows.

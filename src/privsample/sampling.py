@@ -65,21 +65,6 @@ class SamplingScheme:
     def pps(cls, tau: float, power: float = 1.0) -> "SamplingScheme":
         return cls(kind="pps", tau=tau, power=power)
 
-    def inclusion_prob(self, w: float) -> float:
-        """Probability q_w that a key with frequency w is sampled (scalar form).
-
-        w may be real-valued (already-noised data); ``inclusion_probs`` is
-        the array form.
-        """
-        if w <= 0:
-            return 0.0
-        if self.kind == "none":
-            return 1.0
-        x = float(w) ** self.power * self.tau
-        if self.kind == "ppswor":
-            return -math.expm1(-x)
-        return min(1.0, x)
-
     def sampled(self, seed: int, pairs: Mapping[str, float]) -> dict[str, float]:
         """The sampling rule: the keys of ``pairs`` whose score u < w**power * tau.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PURPOSE_LAPLACE, key_uniforms
-from .estimators import FrequencyFunc, MomentTable, PerKeyMoments, _g_values
+from .estimators import FrequencyFunc, MomentTable, _g_values
 from .privacy import PrivacyParams
 from .sampling import SamplingScheme
 
@@ -31,7 +31,6 @@ __all__ = [
     "sbh_report_prob",
     "sampled_sbh",
     "sampled_sbh_report_prob",
-    "sbh_moments",
     "sbh_moment_table",
     "sbh_concordance_prob",
 ]
@@ -215,26 +214,16 @@ def _moment_rows(config: SbhConfig, scheme: SamplingScheme, g: FrequencyFunc, fr
     return first, bias, variance, mse
 
 
-def sbh_moments(
-    config: SbhConfig, scheme: SamplingScheme, g: FrequencyFunc, i: int
-) -> PerKeyMoments:
-    """Exact moments of the inverse-probability estimate applied to noised data.
-
-    The estimate for a kept key is g(w*) / q(w*); the sampling probability
-    cancels in the expectation, so the bias depends only on the noise and
-    threshold, while the variance grows as sampling thins out.
-    """
-    if i <= 0:
-        raise ValueError("frequency must be >= 1")
-    rows = _moment_rows(config, scheme, g, np.array([float(i)]))
-    expectation, bias, variance, mse = (float(r[0]) for r in rows)
-    return PerKeyMoments(expectation=expectation, bias=bias, variance=variance, mse=mse)
-
-
 def sbh_moment_table(
     config: SbhConfig, scheme: SamplingScheme, g: FrequencyFunc, max_frequency: int
 ) -> MomentTable:
-    """Per-frequency moments for 1..max_frequency, as a vectorized table."""
+    """Per-frequency moments for 1..max_frequency, as a vectorized table.
+
+    The moments are those of the inverse-probability estimate applied to
+    noised data: a kept key estimates g(w*) / q(w*).  The sampling
+    probability cancels in the expectation, so the bias depends only on the
+    noise and threshold, while the variance grows as sampling thins out.
+    """
     rows = _moment_rows(config, scheme, g, np.arange(1, max_frequency + 1, dtype=float))
     expectation, bias, variance, mse = (np.concatenate([[0.0], r]) for r in rows)
     return MomentTable(

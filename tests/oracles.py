@@ -8,12 +8,12 @@ of the vectorised table paths in the same spirit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from privsample import (
     EstimatorCoeffs,
-    PerKeyMoments,
     PrivacyParams,
     SamplingScheme,
     compute_pi,
@@ -21,6 +21,24 @@ from privsample import (
     verify_dp,
 )
 from privsample.estimators import _estimable
+
+# ---------------------------------------------------------------- sampling
+
+
+def inclusion_prob(scheme: SamplingScheme, w: float) -> float:
+    """Probability q_w that a key with frequency w is sampled, one scalar at a time.
+
+    The library computes q only in array form (``SamplingScheme.inclusion_probs``).
+    """
+    if w <= 0:
+        return 0.0
+    if scheme.kind == "none":
+        return 1.0
+    x = float(w) ** scheme.power * scheme.tau
+    if scheme.kind == "ppswor":
+        return -math.expm1(-x)
+    return min(1.0, x)
+
 
 # ---------------------------------------------------------------- keys
 
@@ -151,7 +169,17 @@ def inverse_prob_coeffs(scheme: SamplingScheme, g, max_frequency: int) -> Estima
     values[nz] = gv[nz] / q[nz]
     defined = np.ones(max_frequency + 1, dtype=bool)
     defined[0] = False
-    return EstimatorCoeffs(values=values, defined=defined, kind="inverse-prob")
+    return EstimatorCoeffs(values=values, defined=defined)
+
+
+@dataclass(frozen=True)
+class PerKeyMoments:
+    """Exact moments of the per-key estimate for one true frequency."""
+
+    expectation: float
+    bias: float
+    variance: float
+    mse: float
 
 
 def per_key_moments(table, coeffs: EstimatorCoeffs, g, i: int) -> PerKeyMoments:

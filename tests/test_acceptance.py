@@ -18,7 +18,6 @@ from privsample import (
     PrivacyParams,
     SamplingScheme,
     SbhConfig,
-    SweepConfig,
     compute_pdfs,
     compute_pi,
     compute_pij,
@@ -345,11 +344,9 @@ def test_criterion_10_nrmse_experiment():
     # single estimator family spans the sweep and the bias-variance tradeoff
     # is visible (the pps family's tau=1 point is exactly "no sampling",
     # whose integer-token estimate is already near-unbiased here)
-    config = SweepConfig(
-        histogram=hist, epsilon=0.1, delta=0.01, sweep="tau",
-        grid=TAU_GRID_DEFAULT, scheme_kind="ppswor",
-    )
-    rows = nrmse_experiment(config)
+    params = PrivacyParams(0.1, 0.01)
+    points = [(tau, params, SamplingScheme.ppswor(tau)) for tau in TAU_GRID_DEFAULT]
+    rows = nrmse_experiment(hist, points)
     curve = {}
     for r in rows:
         curve.setdefault(r.method, []).append(r.result)

@@ -347,9 +347,9 @@ class TestSanitizePipeline:
             tokens[b] = []
             for seed in range(1, 7):
                 code, out, _ = run(
-                    ["sanitize", "--mode", "freqs", "--input", str(sample), "--scheme", "none",
-                     "--epsilon", "0.1", "--delta", "0.01", "--max-freq", "120",
-                     "--seed", str(seed)],
+                    ["sanitize", "--mode", "freqs", "--table", "alg5", "--input", str(sample),
+                     "--scheme", "none", "--epsilon", "0.1", "--delta", "0.01",
+                     "--max-freq", "120", "--seed", str(seed)],
                     capsys,
                 )
                 assert code == 0
@@ -463,6 +463,114 @@ class TestEstimatePipeline:
         )
         assert code == 0
         assert 0 <= float(out.strip()) <= estimate
+
+    def test_readme_pipeline_with_default_tables(self, tmp_path, capsys):
+        # sample -> sanitize -> estimate as the README shows it, no --table:
+        # both commands must use the same table, the one an explicit
+        # --table alg4 picks
+        hist = tmp_path / "hist.tsv"
+        hist.write_text("".join(f"k{j}\t{j % 100 + 1}\n" for j in range(2000)))  # sum 101000
+        sample = tmp_path / "s.tsv"
+        scheme = ["--scheme", "ppswor", "--tau", "0.1"]
+        common = ["--epsilon", "0.1", "--delta", "0.01", *scheme, "--max-freq", "500"]
+        assert run(["sample", "--input", str(hist), *scheme, "--seed", "1",
+                    "--out", str(sample)], capsys)[0] == 0
+        outputs, estimates = [], []
+        for table in ([], ["--table", "alg4"]):
+            private = tmp_path / f"private{len(table)}.tsv"
+            assert run(["sanitize", "--mode", "freqs", "--input", str(sample), *common, *table,
+                        "--seed", "2", "--out", str(private)], capsys)[0] == 0
+            code, out, _ = run(["estimate", "--input", str(private), *common, *table,
+                                "--estimator", "mle"], capsys)
+            assert code == 0
+            outputs.append(private.read_bytes())
+            estimates.append(float(out))
+        assert outputs[0] == outputs[1]
+        assert estimates[0] == estimates[1]
+        assert abs(estimates[0] - 101_000) < 0.05 * 101_000
+
+
+class TestIgnoredFlags:
+    """A flag that would not change the output is a usage error, raised before any output.
+
+    ``IN`` in an argv stands for a small keyed input file.
+    """
+
+    PRIV = ["--epsilon", "0.5", "--delta", "0.05"]
+
+    @staticmethod
+    def _argv(tmp_path, argv):
+        data = tmp_path / "in.tsv"
+        data.write_text("a\t3\nb\t5\n")
+        return [str(data) if arg == "IN" else arg for arg in argv]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["baseline", "sbh", "--input", "IN", *PRIV, "--scheme", "ppswor", "--tau", "0.1",
+          "--seed", "1"], "--scheme"),
+        (["baseline", "sbh", "--input", "IN", *PRIV, "--power", "0.5", "--seed", "1"],
+         "--power"),
+        (["analyze", "concordance", *PRIV, "--method", "sbh", "--scheme", "pps", "--tau", "0.1",
+          "--max-freq", "6"], "--scheme"),
+        (["analyze", "concordance", *PRIV, "--method", "sbh", "--power", "2", "--max-freq", "6"],
+         "--power"),
+        (["pi", *PRIV, "--scheme", "none", "--power", "2", "--max-freq", "6"], "--power"),
+        (["sample", "--input", "IN", "--scheme", "none", "--power", "0.5", "--seed", "1"],
+         "--power"),
+        (["baseline", "sampled-sbh", "--input", "IN", *PRIV, "--power", "0.5", "--seed", "1"],
+         "--power"),
+        (["sanitize", "--mode", "freqs", "--input", "IN", *PRIV, "--power", "0.5",
+          "--max-freq", "6", "--seed", "1"], "--power"),
+        (["analyze", "sweep", *PRIV, "--sweep", "delta", "--scheme", "none", "--dist", "uniform",
+          "--n-keys", "50"], "--delta"),
+        (["analyze", "concordance", *PRIV, "--max-freq", "6", "--dist", "uniform"], "--dist"),
+        (["analyze", "concordance", *PRIV, "--max-freq", "6", "--n-keys", "20"], "--n-keys"),
+        (["sanitize", "--mode", "keys", "--input", "IN", *PRIV, "--table", "alg5",
+          "--max-freq", "6", "--seed", "1"], "--table"),
+    ])
+    def test_exits_two_without_output(self, tmp_path, capsys, argv, flag):
+        out_path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*self._argv(tmp_path, argv), "--out", str(out_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert not out_path.exists()
+
+    def test_tau_sweep_requires_delta(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "sweep", "--epsilon", "0.1", "--sweep", "tau", "--grid", "0.5",
+                  "--dist", "uniform", "--n-keys", "50"])
+        assert exc.value.code == 2
+        assert "--sweep tau requires --delta" in capsys.readouterr().err
+
+    def test_pdfs_table_out_is_gone(self, tmp_path, capsys):
+        seg, atoms, table = tmp_path / "seg.csv", tmp_path / "atoms.csv", tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["pdfs", *self.PRIV, "--max-freq", "6", "--segments-out", str(seg),
+                  "--atoms-out", str(atoms), "--table-out", str(table)])
+        assert exc.value.code == 2
+        assert not any(p.exists() for p in (seg, atoms, table))
+
+    @pytest.mark.parametrize("argv, explicit", [
+        # the benchmark spells out the sbh concordance defaults
+        (["analyze", "concordance", *PRIV, "--method", "sbh", "--max-freq", "6"],
+         ["--scheme", "none"]),
+        (["baseline", "sbh", "--input", "IN", *PRIV, "--seed", "1"],
+         ["--scheme", "none", "--power", "1"]),
+        (["pi", *PRIV, "--scheme", "none", "--max-freq", "6"], ["--power", "1.0"]),
+        (["sanitize", "--mode", "keys", "--input", "IN", *PRIV, "--max-freq", "6",
+          "--seed", "1"], ["--table", "alg4"]),
+    ])
+    def test_explicit_default_is_accepted(self, tmp_path, capsys, argv, explicit):
+        outputs = []
+        for extra in ([], explicit):
+            out_path = tmp_path / f"out{len(extra)}.csv"
+            code, _, _ = run([*self._argv(tmp_path, argv), *extra, "--out", str(out_path)],
+                             capsys)
+            assert code == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestBaselineCommand:

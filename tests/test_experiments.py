@@ -6,7 +6,6 @@ from privsample import (
     PrivacyParams,
     SamplingScheme,
     SbhConfig,
-    SweepConfig,
     compute_pi,
     expected_reported_fraction,
     nrmse_experiment,
@@ -16,6 +15,11 @@ from privsample import (
     uniform_histogram,
     zipf_histogram,
 )
+from privsample.experiments import DELTA_GRID_DEFAULT
+
+
+def tau_points(kind, taus, params):
+    return [(tau, params, SamplingScheme(kind, tau)) for tau in taus]
 
 
 class TestZipf:
@@ -82,38 +86,21 @@ def small_zipf():
 class TestRunSweep:
 
     def test_delta_one_reports_everything(self, small_zipf):
-        config = SweepConfig(
-            histogram=small_zipf,
-            epsilon=0.1,
-            sweep="delta",
-            grid=(1.0,),
-            methods=("pws-keys", "sbh"),
-        )
-        rows = {r.method: r.result for r in run_sweep(config)}
+        points = [(1.0, PrivacyParams(0.1, 1.0), SamplingScheme.none())]
+        rows = {r.method: r.result for r in run_sweep(small_zipf, "delta", points,
+                                                      ("pws-keys", "sbh"))}
         assert rows["pws-keys"] == pytest.approx(1.0, abs=1e-12)
         assert rows["sbh"] < 1.0  # the baseline loses keys even without privacy
 
     def test_reported_fraction_monotone_in_delta(self, small_zipf):
-        config = SweepConfig(
-            histogram=small_zipf,
-            epsilon=0.1,
-            sweep="delta",
-            methods=("pws-keys",),
-        )
-        rows = run_sweep(config)
+        points = [(d, PrivacyParams(0.1, d), SamplingScheme.none()) for d in DELTA_GRID_DEFAULT]
+        rows = run_sweep(small_zipf, "delta", points, ("pws-keys",))
         fractions = [r.result for r in rows]  # grid runs from delta=1 downward
         assert all(a >= b - 1e-15 for a, b in zip(fractions, fractions[1:]))
 
     def test_pws_dominates_sampled_baseline_per_point(self, small_zipf):
-        config = SweepConfig(
-            histogram=small_zipf,
-            epsilon=0.1,
-            delta=0.001,
-            sweep="tau",
-            grid=(1.0, 0.1, 0.01, 0.001),
-            methods=("pws-keys", "sampled-sbh"),
-        )
-        rows = run_sweep(config)
+        points = tau_points("ppswor", (1.0, 0.1, 0.01, 0.001), PrivacyParams(0.1, 0.001))
+        rows = run_sweep(small_zipf, "tau", points, ("pws-keys", "sampled-sbh"))
         by_value = {}
         for r in rows:
             by_value.setdefault(r.value, {})[r.method] = r.result
@@ -141,16 +128,9 @@ class TestRunSweep:
 @pytest.fixture(scope="module")
 def rows_by_method():
     hist = uniform_histogram(20_000, 1, 60)
-    config = SweepConfig(
-        histogram=hist,
-        epsilon=0.1,
-        delta=0.01,
-        sweep="tau",
-        grid=(1.0, 0.1, 0.01, 0.001),
-        scheme_kind="pps",
-    )
+    points = tau_points("pps", (1.0, 0.1, 0.01, 0.001), PrivacyParams(0.1, 0.01))
     out = {}
-    for r in nrmse_experiment(config):
+    for r in nrmse_experiment(hist, points):
         out.setdefault(r.method, {})[r.value] = r.result
     return out
 
@@ -165,12 +145,9 @@ class TestNrmseExperiment:
 
     def test_deterministic(self):
         hist = uniform_histogram(5000, 1, 30)
-        config = SweepConfig(
-            histogram=hist, epsilon=0.1, delta=0.01, sweep="tau",
-            grid=(0.5, 0.01), scheme_kind="pps",
-        )
-        r1 = nrmse_experiment(config)
-        r2 = nrmse_experiment(config)
+        points = tau_points("pps", (0.5, 0.01), PrivacyParams(0.1, 0.01))
+        r1 = nrmse_experiment(hist, points)
+        r2 = nrmse_experiment(hist, points)
         assert [(a.value, a.method, a.result) for a in r1] == [
             (a.value, a.method, a.result) for a in r2
         ]
@@ -180,15 +157,6 @@ class TestNrmseExperiment:
             raise AssertionError("a table was built before the methods were checked")
 
         monkeypatch.setattr("privsample.experiments._pws_mle_nrmse", build)
-        config = SweepConfig(
-            histogram=uniform_histogram(100, 1, 5), epsilon=0.1, sweep="tau",
-            grid=(1.0,), methods=("pws-freq-mle", "bogus"),
-        )
+        points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
         with pytest.raises(ValueError, match="unknown estimation method 'bogus'"):
-            nrmse_experiment(config)
-
-    def test_rejects_delta_sweep(self):
-        hist = uniform_histogram(100, 1, 5)
-        config = SweepConfig(histogram=hist, epsilon=0.1, sweep="delta")
-        with pytest.raises(ValueError):
-            nrmse_experiment(config)
+            nrmse_experiment(uniform_histogram(100, 1, 5), points, ("pws-freq-mle", "bogus"))

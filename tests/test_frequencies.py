@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import pdf_mass, pi_marginals, verify_table
+from oracles import inclusion_prob, pdf_mass, pi_marginals, verify_table
 
 from privsample import (
     PrivacyParams,
@@ -279,7 +279,7 @@ class TestSanitizeFrequencies:
         table = discretize_pdfs(compute_pdfs(params_std, scheme, 20))
         sample = WeightedSample(pairs={f"k{j}": i for j in range(n)}, scheme=scheme)
         out = sanitize_frequencies(sample, table, seed=3)
-        q_i = scheme.inclusion_prob(i)
+        q_i = inclusion_prob(scheme, i)
 
         counts = np.zeros(table.n_tokens + 1)
         for _, token in out:

@@ -305,7 +305,7 @@ def sanitize_frequencies_loop(pairs, table, seed):
             )
         cum = cum_by_freq.get(freq)
         if cum is None:
-            q_w = table.scheme.inclusion_prob(freq)
+            q_w = float(table.scheme.probs(table.max_frequency)[freq])
             if q_w <= 0.0:
                 raise ValueError(
                     f"q_{freq} = 0 but a sampled key with frequency {freq} exists; "
