@@ -79,11 +79,16 @@ def _reject(args, why: str, *dests: str) -> None:
             raise UsageError(f"--{dest.replace('_', '-')} {why}")
 
 
-def _params(args) -> PrivacyParams:
+def _usage(build, *values):
+    """``build(*values)`` for values taken from flags; a ValueError becomes a usage error."""
     try:
-        return PrivacyParams(args.epsilon, args.delta)
+        return build(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _params(args) -> PrivacyParams:
+    return _usage(PrivacyParams, args.epsilon, args.delta)
 
 
 def _scheme(args) -> SamplingScheme:
@@ -92,10 +97,7 @@ def _scheme(args) -> SamplingScheme:
         return SamplingScheme.none()
     if args.tau is None:
         raise UsageError(f"--scheme {args.scheme} requires --tau")
-    try:
-        return SamplingScheme(kind=args.scheme, tau=args.tau, power=args.power)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _usage(SamplingScheme, args.scheme, args.tau, args.power)
 
 
 def _open_out(path: str):
@@ -111,13 +113,6 @@ def _open_in(path: str):
     return open(path, "r", encoding="utf-8")
 
 
-def _read_histogram(args) -> FrequencyHistogram:
-    with _open_in(args.input) as fp:
-        if getattr(args, "aggregate", False):
-            return aggregate_elements(formats.read_element_stream(fp))
-        return FrequencyHistogram.from_keys(formats.read_keyed_tsv(fp))
-
-
 def _build_table(params, scheme, max_freq, which: str):
     if which == "alg4":
         return compute_pij(params, scheme, max_freq)
@@ -126,13 +121,22 @@ def _build_table(params, scheme, max_freq, which: str):
 
 _DIST_FLAGS = ("dist", "n_keys", "alpha", "w_max", "freq_min", "freq_max", "input")
 
+# The --dist group flags each distribution does not read.
+_DIST_UNREAD = {
+    "zipf": ("freq_min", "freq_max", "input"),
+    "uniform": ("alpha", "w_max", "input"),
+    "file": ("n_keys", "alpha", "w_max", "freq_min", "freq_max"),
+}
+
 
 def _dist_histogram(args) -> FrequencyHistogram:
+    _reject(args, f"is meaningless with --dist {args.dist}", *_DIST_UNREAD[args.dist])
     if args.dist == "zipf":
         return zipf_histogram(args.n_keys, args.alpha, args.w_max)
     if args.dist == "uniform":
         return uniform_histogram(args.n_keys, args.freq_min, args.freq_max)
-    return _read_histogram(args)
+    with _open_in(args.input) as fp:
+        return FrequencyHistogram.from_keys(formats.read_keyed_tsv(fp))
 
 
 def _add_dist_flags(parser):
@@ -169,8 +173,12 @@ def cmd_pdfs(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    hist = _read_histogram(args)
-    sample = draw_sample(hist, _scheme(args), args.seed)
+    with _open_in(args.input) as fp:
+        if args.aggregate:
+            by_key = aggregate_elements(formats.read_element_stream(fp))
+        else:
+            by_key = formats.read_keyed_tsv(fp)
+    sample = draw_sample(by_key, _scheme(args), args.seed)
     with _open_out(args.out) as fp:
         formats.write_keyed_tsv(fp, sample.pairs)
     return 0
@@ -202,7 +210,7 @@ def _table_and_coeffs(args, params, scheme):
     g = g_power(args.g_power)
     table = _build_table(params, scheme, args.max_freq, args.table)
     if args.estimator == "mle":
-        coeffs = mle_coeffs(table, compute_pi(params, scheme, args.max_freq), g)
+        coeffs = mle_coeffs(table, table.reporting, g)
     else:
         coeffs = unbiased_coeffs(table, g)
         _warn_if_noise(table, coeffs, g)
@@ -262,13 +270,18 @@ def cmd_baseline(args) -> int:
 
 
 def _grid(args, default: tuple) -> tuple:
-    return tuple(float(x) for x in args.grid.split(",")) if args.grid else default
+    if not args.grid:
+        return default
+    try:
+        return tuple(float(x) for x in args.grid.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--grid: {exc}") from exc
 
 
 def _tau_points(args, kind: str) -> list:
     """(tau, params, scheme) at each --grid threshold, for the sampling family ``kind``."""
-    params = PrivacyParams(args.epsilon, args.delta)
-    return [(tau, params, SamplingScheme(kind, tau, args.power))
+    params = _params(args)
+    return [(tau, params, _usage(SamplingScheme, kind, tau, args.power))
             for tau in _grid(args, TAU_GRID_DEFAULT)]
 
 
@@ -285,7 +298,7 @@ def cmd_analyze_sweep(args) -> int:
         _reject(args, "is meaningless with --sweep delta, which takes its deltas from --grid",
                 "delta")
         scheme = _scheme(args)
-        points = [(delta, PrivacyParams(args.epsilon, delta), scheme)
+        points = [(delta, _usage(PrivacyParams, args.epsilon, delta), scheme)
                   for delta in _grid(args, DELTA_GRID_DEFAULT)]
     rows = run_sweep(_dist_histogram(args), args.sweep, points, tuple(args.methods.split(",")))
     with _open_out(args.out) as fp:
@@ -294,8 +307,8 @@ def cmd_analyze_sweep(args) -> int:
 
 
 def cmd_analyze_nrmse(args) -> int:
-    rows = nrmse_experiment(_dist_histogram(args), _tau_points(args, args.scheme_kind),
-                            tuple(args.methods.split(",")))
+    points = _tau_points(args, args.scheme_kind)
+    rows = nrmse_experiment(_dist_histogram(args), points, tuple(args.methods.split(",")))
     with _open_out(args.out) as fp:
         formats.write_sweep_csv(fp, rows)
     return 0

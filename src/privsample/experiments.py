@@ -9,6 +9,7 @@ flat rows ready for CSV: (sweep_var, value, method, metric, result).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,23 +68,19 @@ def uniform_histogram(n_keys: int, low: int, high: int) -> FrequencyHistogram:
     return FrequencyHistogram.from_counts({f: c for f, c in counts.items() if c > 0})
 
 
-def expected_reported_fraction(histogram: FrequencyHistogram, report_probs) -> float:
+def expected_reported_fraction(histogram: FrequencyHistogram, report_probs: np.ndarray) -> float:
     """Exact expected fraction of keys reported, given per-frequency probabilities.
 
-    ``report_probs`` is an array indexed by frequency or a mapping; it must
-    cover every frequency present.
+    ``report_probs`` is indexed by frequency; it must cover every frequency
+    present.
     """
     freqs, counts = histogram.frequencies_and_counts()
     if freqs.size == 0:
         raise ValueError("histogram is empty")
-    if isinstance(report_probs, np.ndarray):
-        if freqs[-1] >= len(report_probs):
-            raise ValueError("report_probs does not cover the histogram's frequencies")
-        probs = report_probs[freqs]
-    else:
-        probs = np.array([float(report_probs[int(f)]) for f in freqs])
+    if freqs[-1] >= len(report_probs):
+        raise ValueError("report_probs does not cover the histogram's frequencies")
     c = counts.astype(float)
-    return float(np.sum(c * probs) / np.sum(c))
+    return float(np.sum(c * report_probs[freqs]) / np.sum(c))
 
 
 @dataclass(frozen=True)
@@ -103,22 +100,21 @@ def _max_frequency(histogram: FrequencyHistogram) -> int:
 
 def _reported_fraction(hist: FrequencyHistogram, max_f: int, method: str,
                        params: PrivacyParams, scheme: SamplingScheme) -> float:
-    freqs, _ = hist.frequencies_and_counts()
     if method == "pws-keys":
-        rv = compute_pi(params, scheme, max_f)
-        return expected_reported_fraction(hist, rv.pi)
+        return expected_reported_fraction(hist, compute_pi(params, scheme, max_f).pi)
     if method == "nonprivate":
         return expected_reported_fraction(hist, scheme.probs(max_f))
     config_sbh = SbhConfig(params)
     if method == "sbh":
-        probs = {int(f): sbh_report_prob(config_sbh, int(f)) for f in freqs}
-        return expected_reported_fraction(hist, probs)
-    if method == "sampled-sbh":
-        probs = {
-            int(f): sampled_sbh_report_prob(config_sbh, scheme, int(f)) for f in freqs
-        }
-        return expected_reported_fraction(hist, probs)
-    raise ValueError(f"unknown reporting method {method!r}")
+        report_prob = functools.partial(sbh_report_prob, config_sbh)
+    elif method == "sampled-sbh":
+        report_prob = functools.partial(sampled_sbh_report_prob, config_sbh, scheme)
+    else:
+        raise ValueError(f"unknown reporting method {method!r}")
+    freqs, _ = hist.frequencies_and_counts()
+    probs = np.zeros(max_f + 1)
+    probs[freqs] = [report_prob(int(f)) for f in freqs]
+    return expected_reported_fraction(hist, probs)
 
 
 def run_sweep(histogram: FrequencyHistogram, sweep_var: str, points,
@@ -143,12 +139,11 @@ def _pws_mle_nrmse(params: PrivacyParams, scheme: SamplingScheme,
     # the public table must extend past the largest estimated frequency or
     # the boundary rows get truncation-distorted coefficients.
     reach = max_f + 2 * math.ceil(l_value(params)) + 2
-    rv = compute_pi(params, scheme, reach)
-    if np.all(rv.q[1:] == 1.0):
+    if np.all(scheme.probs(reach)[1:] == 1.0):
         table = compute_pij(params, scheme, reach)
     else:
         table = discretize_pdfs(compute_pdfs(params, scheme, reach))
-    coeffs = mle_coeffs(table, rv, g_identity)
+    coeffs = mle_coeffs(table, table.reporting, g_identity)
     moments = moments_by_frequency(table, coeffs, g_identity)
     return statistic_moments(selection, moments).nrmse
 

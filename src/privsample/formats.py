@@ -85,7 +85,38 @@ def write_pij_csv(fp: TextIO, table: SanitizerTable) -> None:
     writer.writerows(zip(i.tolist(), j.tolist(), map(fmt, rows[i, j].tolist())))
 
 
-_PIJ_DTYPE = [("i", np.int64), ("j", np.int64), ("v", np.float64)]
+def _read_table(fp: TextIO, header: str, index: tuple[str, ...], usecols: tuple[int, ...]):
+    """Rebuild the array a table export describes, zero where it holds no entry.
+
+    ``usecols`` picks the index columns, then the value column.  Fails closed
+    on a wrong header, an empty body, a negative index and a repeated index.
+    """
+    names = header.split(",")
+    got = next(csv.reader(fp), None)
+    if got is None or [h.strip() for h in got[:3]] != names[:3]:
+        raise ValueError(f"expected a CSV with header {header}")
+    dtype = [(name, np.int64) for name in index] + [("v", np.float64)]
+    with warnings.catch_warnings():
+        # an empty body is reported below, as a ValueError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        entries = np.loadtxt(
+            fp, delimiter=",", dtype=dtype, ndmin=1, usecols=usecols, comments=None
+        )
+    if entries.size == 0:
+        raise ValueError("table file holds no entries")
+    at = tuple(entries[name] for name in index)
+    if min(int(ix.min()) for ix in at) < 0:
+        raise ValueError("table file holds a negative index")
+    shape = tuple(int(ix.max()) + 1 for ix in at)
+    flat = np.sort(np.ravel_multi_index(at, shape))
+    repeated = flat[1:][flat[1:] == flat[:-1]]
+    if repeated.size:
+        where = np.unravel_index(int(repeated[0]), shape)
+        named = ", ".join(f"{name}={int(k)}" for name, k in zip(index, where))
+        raise ValueError(f"table file repeats entry {named}")
+    out = np.zeros(shape)
+    out[at] = entries["v"]
+    return out
 
 
 def read_pij_csv(fp: TextIO) -> np.ndarray:
@@ -93,29 +124,7 @@ def read_pij_csv(fp: TextIO) -> np.ndarray:
 
     Fails closed on negative indices and on a repeated (i, j) entry.
     """
-    header = next(csv.reader(fp), None)
-    if header is None or [h.strip() for h in header[:3]] != ["i", "j", "pi_ij"]:
-        raise ValueError("expected a CSV with header i,j,pi_ij")
-    with warnings.catch_warnings():
-        # an empty body is reported below, as a ValueError
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        entries = np.loadtxt(
-            fp, delimiter=",", dtype=_PIJ_DTYPE, ndmin=1, usecols=(0, 1, 2), comments=None
-        )
-    if entries.size == 0:
-        raise ValueError("table file holds no entries")
-    i, j = entries["i"], entries["j"]
-    if i.min() < 0 or j.min() < 0:
-        raise ValueError("table file holds a negative index")
-    n_cols = int(j.max()) + 1
-    flat = np.sort(i * n_cols + j)
-    repeated = flat[1:][flat[1:] == flat[:-1]]
-    if repeated.size:
-        k = int(repeated[0])
-        raise ValueError(f"table file repeats entry i={k // n_cols}, j={k % n_cols}")
-    rows = np.zeros((int(i.max()) + 1, n_cols))
-    rows[i, j] = entries["v"]
-    return rows
+    return _read_table(fp, "i,j,pi_ij", ("i", "j"), (0, 1, 2))
 
 
 def read_pi_csv(fp: TextIO) -> np.ndarray:
@@ -123,26 +132,7 @@ def read_pi_csv(fp: TextIO) -> np.ndarray:
 
     Fails closed on negative indices and on a repeated i.
     """
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != ["i", "q_i", "pi_i"]:
-        raise ValueError("expected a CSV with header i,q_i,pi_i,p_i")
-    rows = [r for r in reader if r]
-    if any(len(r) < 3 for r in rows):
-        raise ValueError("table file holds a row with fewer than 3 columns")
-    entries = [(int(r[0]), float(r[2])) for r in rows]
-    if not entries:
-        raise ValueError("table file holds no entries")
-    if min(i for i, _ in entries) < 0:
-        raise ValueError("table file holds a negative index")
-    pi = np.zeros(max(i for i, _ in entries) + 1)
-    seen: set[int] = set()
-    for i, v in entries:
-        if i in seen:
-            raise ValueError(f"table file repeats entry i={i}")
-        seen.add(i)
-        pi[i] = v
-    return pi
+    return _read_table(fp, "i,q_i,pi_i,p_i", ("i",), (0, 2))
 
 
 def write_pdf_segments_csv(fp: TextIO, family: PdfFamily) -> None:

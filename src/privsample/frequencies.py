@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PURPOSE_TOKEN, key_uniforms
-from .keys import compute_pi
+from .keys import ReportingVector, compute_pi
 from .privacy import PrivacyParams
 from .sampling import SamplingScheme, WeightedSample
 
@@ -52,11 +52,12 @@ class SanitizerTable:
     Token 0 means "not reported"; tokens are ordered and only their order
     carries meaning downstream.  For integer-token tables token j stands for
     the value j itself; for discretized density tables ``token_edges[j - 1]``
-    is the right edge of token j's interval.
+    is the right edge of token j's interval.  ``reporting`` is the law the
+    rows were built from: row i reports with mass pi_i, and a sampled key
+    with frequency i draws from row i divided by q_i.
     """
 
-    params: PrivacyParams
-    scheme: SamplingScheme
+    reporting: ReportingVector
     rows: np.ndarray
     token_edges: np.ndarray | None = None
 
@@ -79,7 +80,7 @@ def compute_pij(
     from token i downward, capping each entry by the budget the previous
     row leaves in the growing direction.
     """
-    pi = compute_pi(params, scheme, max_frequency).pi
+    rv = compute_pi(params, scheme, max_frequency)
     eps, delta = params.epsilon, params.delta
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
     m = max_frequency
@@ -87,7 +88,7 @@ def compute_pij(
     rows = np.zeros((m + 1, m + 1))
     rows[0, 0] = 1.0
     for i in range(1, m + 1):
-        pi_i = float(pi[i])
+        pi_i = float(rv.pi[i])
         prev = rows[i - 1]
         row = rows[i]
         row[0] = 1.0 - pi_i
@@ -121,7 +122,7 @@ def compute_pij(
                 remaining = 0.0
             suffix_prev += prev[j - 1]
             suffix_cur += row[j]
-    return SanitizerTable(params=params, scheme=scheme, rows=rows)
+    return SanitizerTable(reporting=rv, rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +155,9 @@ class PiecewisePdf:
 
 @dataclass(frozen=True, eq=False)
 class PdfFamily:
-    """Piecewise densities for frequencies 0..max_frequency of one scheme."""
+    """Piecewise densities for frequencies 0..max_frequency, built from ``reporting``."""
 
-    params: PrivacyParams
-    scheme: SamplingScheme
+    reporting: ReportingVector
     pdfs: tuple[PiecewisePdf, ...]
 
     def __len__(self) -> int:
@@ -222,13 +222,13 @@ def compute_pdfs(
     integrals are exact segment arithmetic and any tie in the crossover
     equation is broken toward the smallest solution.
     """
-    pi = compute_pi(params, scheme, max_frequency).pi
+    rv = compute_pi(params, scheme, max_frequency)
     eps, delta = params.epsilon, params.delta
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
 
     pdfs = [PiecewisePdf(atom0=1.0, bounds=np.array([0.0]), densities=np.empty(0))]
     for i in range(1, max_frequency + 1):
-        pi_i = float(pi[i])
+        pi_i = float(rv.pi[i])
         atom = 1.0 - pi_i
         top_density = min(pi_i, delta)
         prev = pdfs[-1]
@@ -300,42 +300,18 @@ def compute_pdfs(
         bounds_i = np.append(grid_i, float(i))
         dens_i = np.append(dens_i, top_density)
         pdfs.append(_merged(atom, bounds_i, dens_i))
-    return PdfFamily(params=params, scheme=scheme, pdfs=tuple(pdfs))
+    return PdfFamily(reporting=rv, pdfs=tuple(pdfs))
 
 
 def _merged(atom: float, bounds: np.ndarray, densities: np.ndarray) -> PiecewisePdf:
-    """Merge adjacent segments of (relatively) equal density.
+    """Merge each run of adjacent segments with exactly equal density into one.
 
-    Exactly equal runs keep their density bit-for-bit; runs equal only to
-    relative 1e-12 take the mass-preserving average.  The scan runs on
-    Python floats, which compare exactly as the float64 entries do.
+    Densities are never averaged, so every one stays the exact segment
+    arithmetic that built it.
     """
-    b = bounds.tolist()
-    d = densities.tolist()
-    keep_bounds = [b[0]]
-    out_dens: list[float] = []
-
-    def flush(start: int, end: int, exact: bool):
-        # merge segments start..end-1 into one
-        if exact:
-            merged = d[start]
-        else:
-            mass = float((densities[start:end] * np.diff(bounds[start : end + 1])).sum())
-            merged = mass / (b[end] - b[start])
-        out_dens.append(merged)
-        keep_bounds.append(b[end])
-
-    run_start, exact = 0, True
-    for k in range(1, len(d)):
-        d_k, d_start = d[k], d[run_start]
-        if abs(d_k - d_start) <= 1e-12 * max(abs(d_k), abs(d_start)):
-            exact = exact and d_k == d_start
-            continue
-        flush(run_start, k, exact)
-        run_start, exact = k, True
-    flush(run_start, len(d), exact)
+    starts = np.concatenate(([True], densities[1:] != densities[:-1]))
     return PiecewisePdf(
-        atom0=atom, bounds=np.array(keep_bounds), densities=np.array(out_dens)
+        atom0=atom, bounds=np.append(bounds[:-1][starts], bounds[-1]), densities=densities[starts]
     )
 
 
@@ -360,9 +336,7 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
         cover = int(np.searchsorted(edges, pdf.top, side="right"))
         seg = np.searchsorted(pdf.bounds, edges[:cover], side="left") - 1
         rows[i, 1 : cover + 1] = pdf.densities[seg] * widths[:cover]
-    return SanitizerTable(
-        params=family.params, scheme=family.scheme, rows=rows, token_edges=edges
-    )
+    return SanitizerTable(reporting=family.reporting, rows=rows, token_edges=edges)
 
 
 def sanitize_frequencies(
@@ -375,33 +349,16 @@ def sanitize_frequencies(
     over sampling and sanitization is exactly the table row.  Deterministic
     in the seed; output preserves input order.
     """
-    if table.scheme != sample.scheme:
-        raise ValueError(
-            f"table was built for {table.scheme}, sample drawn with {sample.scheme}"
-        )
-    q = table.scheme.probs(table.max_frequency)  # the q that built the table's rows
-    cum_by_freq: dict[int, list[float]] = {}
+    cum_by_freq = {}
+    for w, q_w in table.reporting.sampled_q(sample).items():
+        cond = table.rows[w] / q_w
+        cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
+        cum_by_freq[w] = np.cumsum(cond).tolist()
+    last = table.n_tokens
     out: list[tuple[str, int]] = []
     pairs = sample.pairs
     for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_TOKEN)):
-        cum = cum_by_freq.get(freq)
-        if cum is None:
-            if not 1 <= freq <= table.max_frequency:
-                raise ValueError(
-                    f"frequency {freq} outside table range 1..{table.max_frequency}; "
-                    "rebuild the table with a larger max_frequency"
-                )
-            q_w = float(q[freq])
-            if q_w <= 0.0:
-                raise ValueError(
-                    f"q_{freq} = 0 but a sampled key with frequency {freq} exists; "
-                    "input is corrupt"
-                )
-            cond = table.rows[freq] / q_w
-            cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
-            cum = np.cumsum(cond).tolist()
-            cum_by_freq[freq] = cum
-        token = min(bisect_right(cum, u), len(cum) - 1)
+        token = min(bisect_right(cum_by_freq[freq], u), last)
         if token > 0:
             out.append((key, token))
     return out

@@ -34,7 +34,7 @@ class ReportingVector:
 
     pi[i] is the probability that a key with true frequency i survives both
     sampling and sanitization; q[i] is the scheme's sampling probability.
-    The conditional keep probability applied to a sampled key is pi[i]/q[i].
+    A sampled key with frequency i is kept with probability pi[i]/q[i].
     """
 
     params: PrivacyParams
@@ -46,19 +46,30 @@ class ReportingVector:
     def max_frequency(self) -> int:
         return len(self.pi) - 1
 
-    def keep_probability(self, i: int) -> float:
-        """Conditional probability of keeping a sampled key with frequency i."""
-        if not 1 <= i <= self.max_frequency:
+    def sampled_q(self, sample: WeightedSample) -> dict[int, float]:
+        """q_w for each distinct frequency w of ``sample``, in order of first appearance.
+
+        Both sanitizers condition on these.  Fails closed when the sample was
+        drawn with another scheme, on the first w outside 1..max_frequency
+        and on a w with q_w = 0.
+        """
+        if sample.scheme != self.scheme:
             raise ValueError(
-                f"frequency {i} outside table range 1..{self.max_frequency}; "
-                "recompute with a larger max_frequency"
+                f"table was built for {self.scheme}, sample drawn with {sample.scheme}"
             )
-        q_i = float(self.q[i])
-        if q_i <= 0.0:
-            raise ValueError(
-                f"q_{i} = 0 but a sampled key with frequency {i} exists; input is corrupt"
-            )
-        return float(self.pi[i]) / q_i
+        out = {}
+        for w in dict.fromkeys(sample.pairs.values()):
+            if not 1 <= w <= self.max_frequency:
+                raise ValueError(
+                    f"frequency {w} outside table range 1..{self.max_frequency}; "
+                    "rebuild the table with a larger max_frequency"
+                )
+            q_w = out[w] = float(self.q[w])
+            if q_w <= 0.0:
+                raise ValueError(
+                    f"q_{w} = 0 but a sampled key with frequency {w} exists; input is corrupt"
+                )
+        return out
 
 
 def compute_pi(
@@ -89,17 +100,9 @@ def sanitize_keys(sample: WeightedSample, rv: ReportingVector, seed: int) -> lis
     The output is a subset of the sampled keys (never introduces keys absent
     from the data) in input order; deterministic in the seed.
     """
-    if rv.scheme != sample.scheme:
-        raise ValueError(
-            f"reporting table was built for {rv.scheme}, sample drawn with {sample.scheme}"
-        )
-    keep_by_freq: dict[int, float] = {}
-    kept: list[str] = []
+    keep = {w: float(rv.pi[w]) / q_w for w, q_w in rv.sampled_q(sample).items()}
     pairs = sample.pairs
-    for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_KEEP)):
-        p = keep_by_freq.get(freq)
-        if p is None:
-            p = keep_by_freq[freq] = rv.keep_probability(freq)
-        if u < p:
-            kept.append(key)
-    return kept
+    return [
+        key for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_KEEP))
+        if u < keep[freq]
+    ]

@@ -108,16 +108,14 @@ class SamplingScheme:
 
 @dataclass(eq=False)
 class FrequencyHistogram:
-    """Aggregated key-frequency data.
+    """Key counts per frequency: the form exact expectation computations need.
 
     counts maps each frequency value (>= 1) to the number of distinct keys
-    with that frequency; by_key optionally retains the key -> frequency map
-    needed to actually draw samples.  Exact expectation computations only
-    need counts.
+    with that frequency.  Drawing a sample needs the keys themselves, the
+    key -> frequency mapping.
     """
 
     counts: dict[int, int]
-    by_key: dict[str, int] | None = None
 
     def __post_init__(self):
         for freq, count in self.counts.items():
@@ -128,8 +126,7 @@ class FrequencyHistogram:
 
     @classmethod
     def from_keys(cls, by_key: Mapping[str, int]) -> "FrequencyHistogram":
-        counts = Counter(by_key.values())
-        return cls(counts=dict(counts), by_key=dict(by_key))
+        return cls(counts=dict(Counter(by_key.values())))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "FrequencyHistogram":
@@ -151,11 +148,6 @@ class FrequencyHistogram:
         counts = np.array([self.counts[int(f)] for f in freqs], dtype=int)
         return freqs, counts
 
-    def require_keyed(self) -> dict[str, int]:
-        if self.by_key is None:
-            raise ValueError("this operation needs the keyed form (key -> frequency)")
-        return self.by_key
-
 
 @dataclass(eq=False)
 class WeightedSample:
@@ -165,19 +157,16 @@ class WeightedSample:
     scheme: SamplingScheme
 
 
-def aggregate_elements(elements: Iterable[str]) -> FrequencyHistogram:
-    """Single-pass aggregation of an element stream into a keyed histogram."""
-    by_key = Counter()
-    for key in elements:
-        by_key[key] += 1
-    return FrequencyHistogram.from_keys(by_key)
+def aggregate_elements(elements: Iterable[str]) -> dict[str, int]:
+    """Single-pass aggregation of an element stream into key -> frequency, in first-seen order."""
+    return dict(Counter(elements))
 
 
-def draw_sample(data: FrequencyHistogram, scheme: SamplingScheme, seed: int) -> WeightedSample:
-    """Threshold-sample a keyed histogram, deterministically in the seed.
+def draw_sample(by_key: Mapping[str, int], scheme: SamplingScheme, seed: int) -> WeightedSample:
+    """Threshold-sample key -> frequency data, deterministically in the seed.
 
     Each key is included independently by ``scheme.sampled``.  Decisions
     are per-key functions of (seed, key), so partitioning keys across
     workers cannot change the result.
     """
-    return WeightedSample(pairs=scheme.sampled(seed, data.require_keyed()), scheme=scheme)
+    return WeightedSample(pairs=scheme.sampled(seed, by_key), scheme=scheme)

@@ -147,7 +147,7 @@ def pi_marginals(table) -> np.ndarray:
 
 def verify_table(table, *, slack: float = 1e-12):
     """The DP oracle on a table's rows under the table's own parameters."""
-    return verify_dp(table.rows, table.params, slack=slack)
+    return verify_dp(table.rows, table.reporting.params, slack=slack)
 
 
 def pdf_mass(pdf) -> float:

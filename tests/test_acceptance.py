@@ -319,9 +319,8 @@ def test_criterion_09_zipf_reporting_dominance_and_gains():
             scheme = SamplingScheme.ppswor(tau)
             rv = compute_pi(params, scheme, int(freqs[-1]))
             pws = expected_reported_fraction(hist, rv.pi)
-            probs = {
-                int(f): sampled_sbh_report_prob(config, scheme, int(f)) for f in freqs
-            }
+            probs = np.zeros(int(freqs[-1]) + 1)
+            probs[freqs] = [sampled_sbh_report_prob(config, scheme, int(f)) for f in freqs]
             ssbh = expected_reported_fraction(hist, probs)
             dominance = dominance and pws >= ssbh - 1e-12
             if ssbh > 0:
@@ -374,9 +373,9 @@ def test_criterion_11_delta_one_sanity():
     rv = compute_pi(params, SamplingScheme.none(), int(freqs[-1]))
     pws_frac = expected_reported_fraction(hist, rv.pi)
     config = SbhConfig(params)
-    sbh_frac = expected_reported_fraction(
-        hist, {int(f): sbh_report_prob(config, int(f)) for f in freqs}
-    )
+    sbh_probs = np.zeros(int(freqs[-1]) + 1)
+    sbh_probs[freqs] = [sbh_report_prob(config, int(f)) for f in freqs]
+    sbh_frac = expected_reported_fraction(hist, sbh_probs)
     ok = pws_frac == 1.0 and sbh_frac < 1.0
     assert sw.done(
         11, ok, 1, f"pws fraction {pws_frac}, baseline fraction {sbh_frac:.6f}"

@@ -131,7 +131,7 @@ class TestVerifyRoundTrip:
                                ("-1,1,0.5,0.5\n", "negative index"),
                                ("2,1,0.03,0.03\n", "repeats entry i=2"),
                                ("-1,1,0.5,0.5\n2,1,0.03,0.03\n", "negative index"),
-                               ("3,1\n", "fewer than 3 columns")]:
+                               ("3,1\n", "invalid column index 2")]:
             path = tmp_path / "pi.csv"
             path.write_text(good + extra)
             with pytest.raises(ValueError, match=message):
@@ -535,6 +535,53 @@ class TestIgnoredFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pi", "--epsilon", "-1", "--delta", "0.05", "--max-freq", "6"],
+        ["analyze", "nrmse", "--epsilon", "-1", *PRIV[2:], "--grid", "0.5",
+         "--dist", "uniform", "--n-keys", "50"],
+        ["analyze", "nrmse", *PRIV, "--power", "3", "--grid", "0.5", "--dist", "uniform",
+         "--n-keys", "50"],
+        ["analyze", "nrmse", *PRIV, "--grid", "0.5,x", "--dist", "uniform", "--n-keys", "50"],
+        ["analyze", "sweep", *PRIV, "--grid", "-1", "--dist", "uniform", "--n-keys", "50"],
+        ["analyze", "sweep", *PRIV, "--power", "3", "--grid", "0.5", "--dist", "uniform",
+         "--n-keys", "50"],
+        ["analyze", "sweep", "--epsilon", "0.5", "--sweep", "delta", "--scheme", "none",
+         "--grid", "0.1,2", "--dist", "uniform", "--n-keys", "50"],
+        ["analyze", "sweep", "--epsilon", "-1", "--sweep", "delta", "--scheme", "none",
+         "--grid", "0.1", "--dist", "uniform", "--n-keys", "50"],
+    ])
+    def test_invalid_values_exit_two_without_output(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("dist, flag, value", [
+        ("zipf", "--freq-min", "5"), ("zipf", "--freq-max", "50"), ("zipf", "--input", "IN"),
+        ("uniform", "--alpha", "2"), ("uniform", "--w-max", "50"), ("uniform", "--input", "IN"),
+        ("file", "--n-keys", "50"), ("file", "--alpha", "2"), ("file", "--w-max", "50"),
+        ("file", "--freq-min", "2"), ("file", "--freq-max", "50"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["analyze", "sweep", *PRIV, "--grid", "0.5"],
+        ["analyze", "nrmse", *PRIV, "--grid", "0.5"],
+        ["analyze", "concordance", *PRIV, "--max-freq", "60", "--kendall"],
+    ], ids=["sweep", "nrmse", "concordance"])
+    def test_dist_flags_the_distribution_does_not_read(self, tmp_path, capsys, command, dist,
+                                                        flag, value):
+        out_path = tmp_path / "out.csv"
+        extra = ["--input", "IN"] if dist == "file" else []
+        argv = [*command, "--dist", dist, *extra, flag, value, "--out", str(out_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(tmp_path, argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} is meaningless with --dist {dist}" in captured.err
         assert not out_path.exists()
 
     def test_tau_sweep_requires_delta(self, capsys):

@@ -160,7 +160,7 @@ class TestPerKeyMoments:
         rows[0, 0] = 1.0
         rows[1, 0], rows[1, 1] = 0.9, 0.1
         rows[2, 0] = 1.0  # frequency 2 never reported
-        table = SanitizerTable(params=params_std, scheme=scheme_none, rows=rows)
+        table = SanitizerTable(reporting=compute_pi(params_std, scheme_none, 2), rows=rows)
         coeffs = EstimatorCoeffs(
             values=np.array([0.0, 10.0, 20.0]),
             defined=np.array([False, True, True]),

@@ -63,19 +63,19 @@ class TestUniform:
 class TestReportedFraction:
     def test_certain_reporting(self):
         hist = FrequencyHistogram.from_counts({1: 5, 9: 5})
-        assert expected_reported_fraction(hist, {1: 1.0, 9: 1.0}) == 1.0
+        assert expected_reported_fraction(hist, np.ones(10)) == 1.0
 
     def test_never_reporting(self):
         hist = FrequencyHistogram.from_counts({1: 5, 9: 5})
-        assert expected_reported_fraction(hist, {1: 0.0, 9: 0.0}) == 0.0
+        assert expected_reported_fraction(hist, np.zeros(10)) == 0.0
 
     def test_single_frequency(self):
         hist = FrequencyHistogram.from_counts({7: 123})
-        assert expected_reported_fraction(hist, {7: 0.25}) == 0.25
+        assert expected_reported_fraction(hist, np.full(8, 0.25)) == 0.25
 
     def test_weighted_average(self):
         hist = FrequencyHistogram.from_counts({1: 3, 2: 1})
-        assert expected_reported_fraction(hist, {1: 0.0, 2: 1.0}) == 0.25
+        assert expected_reported_fraction(hist, np.array([0.0, 0.0, 1.0])) == 0.25
 
 
 @pytest.fixture(scope="module")

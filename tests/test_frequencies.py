@@ -13,6 +13,7 @@ from privsample import (
     compute_pij,
     discretize_pdfs,
     sanitize_frequencies,
+    sanitize_keys,
 )
 
 CONFIGS = [
@@ -261,6 +262,21 @@ class TestSanitizeFrequencies:
         sample = WeightedSample(pairs={"k": 6}, scheme=scheme_none)
         with pytest.raises(ValueError, match="max_frequency"):
             sanitize_frequencies(sample, table, seed=1)
+
+    @pytest.mark.parametrize("pairs, scheme", [
+        ({"a": 2, "k": 6}, SamplingScheme.none()),
+        ({"a": 2, "k": 0}, SamplingScheme.none()),
+        ({"a": 2}, SamplingScheme.ppswor(0.5)),
+    ])
+    def test_fails_closed_as_sanitize_keys_does(self, params_std, scheme_none, pairs, scheme):
+        # one check serves both sanitizers, so they fail with one message
+        table = compute_pij(params_std, scheme_none, 5)
+        sample = WeightedSample(pairs=pairs, scheme=scheme)
+        with pytest.raises(ValueError) as keys_error:
+            sanitize_keys(sample, table.reporting, seed=1)
+        with pytest.raises(ValueError) as freqs_error:
+            sanitize_frequencies(sample, table, seed=1)
+        assert str(freqs_error.value) == str(keys_error.value)
 
     def test_tokens_at_most_frequency(self, params_std, scheme_none):
         table = compute_pij(params_std, scheme_none, 40)

@@ -4,7 +4,10 @@ Every command of a small corpus runs in process through
 ``privsample.cli.main``.  The sha256 of each output file, and of each
 command's stdout where it prints one, is compared with the digest recorded
 at commit def6c78; ``nrmse.csv`` was re-recorded when the baseline's
-adaptive quadrature gave way to a fixed rule (last digits moved).  A change
+adaptive quadrature gave way to a fixed rule (last digits moved).  The
+``sample --aggregate`` entry and the pps, delta and file-histogram sweeps
+were recorded at commit e05e90f; the pps sweep is the only corpus path
+through the quadrature of ``sampled_sbh_report_prob``.  A change
 that alters outputs on purpose re-records the digests by printing
 ``corpus_digests(tmp_dir)`` and says so in CHANGES.md.
 
@@ -80,6 +83,20 @@ def _corpus(d):
                                  "--kendall", "--dist", "uniform", "--n-keys", "500",
                                  "--freq-max", "50", "--out", str(d / "conc.csv")],
          [d / "conc.csv"]),
+        ("sample-aggregate", ["sample", "--aggregate", "--input", str(d / "elements.txt"),
+                              *PPSWOR, "--seed", "7", "--out", str(d / "agg.tsv")],
+         [d / "agg.tsv"]),
+        ("sweep-pps", ["analyze", "sweep", *PRIV, "--scheme", "pps", "--power", "0.5",
+                       "--grid", "0.5,0.05", "--dist", "zipf", "--n-keys", "2000",
+                       "--w-max", "60", "--out", str(d / "sweep_pps.csv")],
+         [d / "sweep_pps.csv"]),
+        ("sweep-delta", ["analyze", "sweep", "--epsilon", "0.5", "--sweep", "delta",
+                         "--scheme", "none", "--grid", "0.1,0.001", "--dist", "uniform",
+                         "--n-keys", "1000", "--freq-max", "60",
+                         "--out", str(d / "sweep_delta.csv")], [d / "sweep_delta.csv"]),
+        ("sweep-file", ["analyze", "sweep", *PRIV, "--grid", "0.5,0.05",
+                        "--dist", "file", "--input", str(hist),
+                        "--out", str(d / "sweep_file.csv")], [d / "sweep_file.csv"]),
     ]
 
 
@@ -92,6 +109,8 @@ def corpus_digests(d) -> dict:
     freqs = {f"k{j}": 1 + (j * j * 7919 + 3 * j) % 120 for j in range(3000)}
     (d / "hist.tsv").write_text("".join(f"{k}\t{w}\n" for k, w in freqs.items()))
     (d / "low.txt").write_text("".join(f"{k}\n" for k, w in freqs.items() if w <= 40))
+    (d / "elements.txt").write_text("".join(
+        f"e{k}\n" for r in range(17) for k in range(300) if k % 17 >= r))
     digests = {}
     for name, argv, outputs in _corpus(d):
         buf = io.StringIO()
@@ -129,6 +148,10 @@ GOLDEN = {
     "sweep:sweep.csv": "88f39fcb8e1cc9635b6c5e141231824ec57f86bb1318f602ad36935f486e55cc",
     "concordance-kendall:stdout": "53b7abeba48d8a2fd478e072eeb69f5da6e7e73e6b308e2f71f726fb16ce0bc4",
     "concordance-kendall:conc.csv": "f739a230ec04aecfd6d297b0db44ca9b1b9f0bf193bbfd3a178df89c88c3d727",
+    "sample-aggregate:agg.tsv": "f01575727bc73506fe5409b0a54fa546f39ca519be1a5779ff2ba3d75c726099",
+    "sweep-pps:sweep_pps.csv": "1246c769fdb6b498c5d86bd97bb183abb29654c0b5c01e7b0d2cd30133cd4469",
+    "sweep-delta:sweep_delta.csv": "bedc4ac78d7ddb7f709666dff1b3ad1383d9d2516fc83d55dba58107ffb92758",
+    "sweep-file:sweep_file.csv": "44c37a0f9754f5a633bcb7359b7f21ee254dde8d8f0653f81decb644325b357f",
 }
 
 

@@ -5,7 +5,6 @@ import pytest
 from oracles import binary_rows, inclusion_prob, pi_star_closed_form, ppswor_structure
 
 from privsample import (
-    FrequencyHistogram,
     PrivacyParams,
     SamplingScheme,
     WeightedSample,
@@ -90,6 +89,21 @@ class TestComputePi:
         alg5 = discretize_pdfs(compute_pdfs(params, scheme, 100))
         np.testing.assert_array_equal(alg5.rows[:, 0], 1.0 - pi)
         np.testing.assert_array_equal(compute_pi(params, scheme, 400).pi[:101], pi)
+
+    @pytest.mark.parametrize("params", [PrivacyParams(0.1, 0.01), PrivacyParams(0.5, 0.001)])
+    @pytest.mark.parametrize(
+        "scheme",
+        [SamplingScheme.none(), SamplingScheme.ppswor(0.05), SamplingScheme.pps(0.1, 0.5)],
+    )
+    def test_tables_carry_their_law(self, params, scheme):
+        # every table holds the very pi and q its rows were built from
+        rv = compute_pi(params, scheme, 60)
+        family = compute_pdfs(params, scheme, 60)
+        for table in (compute_pij(params, scheme, 60), family, discretize_pdfs(family)):
+            carried = table.reporting
+            assert (carried.params, carried.scheme) == (params, scheme)
+            assert carried.pi.tobytes() == rv.pi.tobytes()
+            assert carried.q.tobytes() == rv.q.tobytes()
 
 
 class TestClosedForm:
@@ -200,7 +214,7 @@ class TestSanitizeKeys:
         rv = compute_pi(params_std, scheme, 50)
         sample = WeightedSample(pairs={f"k{j}": i for j in range(n)}, scheme=scheme)
         kept = sanitize_keys(sample, rv, seed=5)
-        p = rv.keep_probability(i)
+        p = rv.pi[i] / rv.q[i]
         sd = math.sqrt(n * p * (1 - p))
         assert abs(len(kept) - n * p) <= 4 * sd
 
@@ -209,8 +223,7 @@ class TestSanitizeKeys:
         n = 200_000
         i = 10
         scheme = SamplingScheme.ppswor(0.1)
-        hist = FrequencyHistogram.from_keys({f"k{j}": i for j in range(n)})
-        sample = draw_sample(hist, scheme, seed=42)
+        sample = draw_sample({f"k{j}": i for j in range(n)}, scheme, seed=42)
         rv = compute_pi(params_std, scheme, 50)
         kept = sanitize_keys(sample, rv, seed=43)
         p = rv.pi[i]

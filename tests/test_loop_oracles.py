@@ -62,23 +62,17 @@ def write_pij_csv_loop(fp, table):
 
 
 def merged_loop(atom, bounds, densities):
+    # runs of exactly equal density merge; near-equal ones stay apart
     keep_bounds = [float(bounds[0])]
     out_dens = []
 
     def flush(start_idx, end_idx):
-        d0 = densities[start_idx]
-        if np.all(densities[start_idx:end_idx] == d0):
-            merged = float(d0)
-        else:
-            mass = float((densities[start_idx:end_idx] * np.diff(bounds)[start_idx:end_idx]).sum())
-            merged = mass / (bounds[end_idx] - bounds[start_idx])
-        out_dens.append(merged)
+        out_dens.append(float(densities[start_idx]))
         keep_bounds.append(float(bounds[end_idx]))
 
     run_start = 0
     for k in range(1, len(densities)):
-        d, d_prev = densities[k], densities[run_start]
-        if abs(d - d_prev) <= 1e-12 * max(abs(d), abs(d_prev)):
+        if densities[k] == densities[run_start]:
             continue
         flush(run_start, k)
         run_start = k
@@ -120,7 +114,7 @@ def verify_dp_loop(rows, params):
 
 
 def _table(rows):
-    return SanitizerTable(params=PARAMS, scheme=SCHEME, rows=rows)
+    return SanitizerTable(reporting=compute_pi(PARAMS, SCHEME, max(1, len(rows) - 1)), rows=rows)
 
 
 # mostly zeros, as in the banded tables
@@ -285,10 +279,26 @@ def draw_sample_loop(by_key, scheme, seed):
     return {key: freq for key, freq in by_key.items() if includes_loop(scheme, seed, key, freq)}
 
 
+def sampled_q_loop(rv, freq):
+    if not 1 <= freq <= rv.max_frequency:
+        raise ValueError(
+            f"frequency {freq} outside table range 1..{rv.max_frequency}; "
+            "rebuild the table with a larger max_frequency"
+        )
+    q_w = float(rv.q[freq])
+    if q_w <= 0.0:
+        raise ValueError(
+            f"q_{freq} = 0 but a sampled key with frequency {freq} exists; "
+            "input is corrupt"
+        )
+    return q_w
+
+
 def sanitize_keys_loop(pairs, rv, seed):
     kept = []
     for key, freq in pairs.items():
-        p = rv.keep_probability(freq)
+        q_w = sampled_q_loop(rv, freq)
+        p = float(rv.pi[freq]) / q_w
         if key_uniform_loop(seed, key, PURPOSE_KEEP) < p:
             kept.append(key)
     return kept
@@ -298,19 +308,9 @@ def sanitize_frequencies_loop(pairs, table, seed):
     cum_by_freq = {}
     out = []
     for key, freq in pairs.items():
-        if not 1 <= freq <= table.max_frequency:
-            raise ValueError(
-                f"frequency {freq} outside table range 1..{table.max_frequency}; "
-                "rebuild the table with a larger max_frequency"
-            )
+        q_w = sampled_q_loop(table.reporting, freq)
         cum = cum_by_freq.get(freq)
         if cum is None:
-            q_w = float(table.scheme.probs(table.max_frequency)[freq])
-            if q_w <= 0.0:
-                raise ValueError(
-                    f"q_{freq} = 0 but a sampled key with frequency {freq} exists; "
-                    "input is corrupt"
-                )
             cond = table.rows[freq] / q_w
             cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
             cum = np.cumsum(cond)
@@ -396,7 +396,7 @@ def _tables_for(scheme):
 
 def _assert_per_key_path_matches(by_key, scheme, seed):
     """Every per-key stage against its loop, in order and value."""
-    sample = draw_sample(FrequencyHistogram.from_keys(by_key), scheme, seed)
+    sample = draw_sample(by_key, scheme, seed)
     ref_pairs = draw_sample_loop(by_key, scheme, seed)
     assert list(sample.pairs.items()) == list(ref_pairs.items())
 

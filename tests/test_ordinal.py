@@ -10,6 +10,7 @@ from privsample import (
     PrivacyParams,
     SamplingScheme,
     compute_pdfs,
+    compute_pi,
     concordance_matrix,
     discretize_pdfs,
     expected_kendall_tau,
@@ -98,7 +99,7 @@ class TestKendallTau:
         rows[0, 0] = 1.0
         for i in range(1, 4):
             rows[i, i] = 1.0
-        perfect = SanitizerTable(params=params_std, scheme=scheme_none, rows=rows)
+        perfect = SanitizerTable(reporting=compute_pi(params_std, scheme_none, 3), rows=rows)
         hist = FrequencyHistogram.from_counts({1: 3, 2: 4, 3: 5})
         assert expected_kendall_tau(hist, perfect) == pytest.approx(1.0, abs=1e-15)
 

@@ -82,6 +82,13 @@ def test_module_all(module):
     (privsample.StatisticMoments, "nrmse_defined"),
     (privsample.DpReport, "__bool__"),
     (privsample.EstimatorCoeffs, "kind"),
+    (privsample.SanitizerTable, "params"),
+    (privsample.SanitizerTable, "scheme"),
+    (privsample.PdfFamily, "params"),
+    (privsample.PdfFamily, "scheme"),
+    (privsample.FrequencyHistogram, "by_key"),
+    (privsample.FrequencyHistogram, "require_keyed"),
+    (privsample.ReportingVector, "keep_probability"),
 ])
 def test_removed_methods_stay_out(owner, method):
     assert not hasattr(owner, method)

@@ -72,83 +72,74 @@ class TestScheme:
 
 class TestHistogram:
     def test_aggregate(self):
-        hist = aggregate_elements(["a", "b", "a"])
-        assert hist.by_key == {"a": 2, "b": 1}
-        assert hist.counts == {2: 1, 1: 1}
+        by_key = aggregate_elements(["a", "b", "a"])
+        assert list(by_key.items()) == [("a", 2), ("b", 1)]  # first-seen order
+        assert FrequencyHistogram.from_keys(by_key).counts == {2: 1, 1: 1}
 
     def test_aggregate_empty(self):
-        hist = aggregate_elements([])
-        assert hist.counts == {}
-        assert hist.n_keys == 0
+        by_key = aggregate_elements([])
+        assert by_key == {}
+        assert FrequencyHistogram.from_keys(by_key).n_keys == 0
 
     def test_aggregate_all_distinct(self):
-        hist = aggregate_elements(str(i) for i in range(100))
+        hist = FrequencyHistogram.from_keys(aggregate_elements(str(i) for i in range(100)))
         assert hist.counts == {1: 100}
 
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
             FrequencyHistogram.from_counts({0: 3})
 
-    def test_requires_keyed_form(self):
-        hist = FrequencyHistogram.from_counts({5: 2})
-        with pytest.raises(ValueError):
-            hist.require_keyed()
-
 
 class TestDrawSample:
     def test_scheme_none_keeps_everything(self):
-        hist = FrequencyHistogram.from_keys({"a": 1, "b": 7})
-        sample = draw_sample(hist, SamplingScheme.none(), seed=1)
+        sample = draw_sample({"a": 1, "b": 7}, SamplingScheme.none(), seed=1)
         assert sample.pairs == {"a": 1, "b": 7}
 
     def test_tau_zero_keeps_nothing(self):
-        hist = FrequencyHistogram.from_keys({f"k{i}": 3 for i in range(100)})
+        by_key = {f"k{i}": 3 for i in range(100)}
         for kind in ["ppswor", "pps"]:
-            sample = draw_sample(hist, SamplingScheme(kind=kind, tau=0.0), seed=1)
+            sample = draw_sample(by_key, SamplingScheme(kind=kind, tau=0.0), seed=1)
             assert sample.pairs == {}
 
     def test_reproducible_and_order_independent(self):
         keys = {f"k{i}": (i % 7) + 1 for i in range(2000)}
-        hist = FrequencyHistogram.from_keys(keys)
-        hist_rev = FrequencyHistogram.from_keys(dict(reversed(list(keys.items()))))
+        keys_rev = dict(reversed(list(keys.items())))
         scheme = SamplingScheme.ppswor(0.3)
-        s1 = draw_sample(hist, scheme, seed=11)
-        s2 = draw_sample(hist, scheme, seed=11)
-        s3 = draw_sample(hist_rev, scheme, seed=11)
+        s1 = draw_sample(keys, scheme, seed=11)
+        s2 = draw_sample(keys, scheme, seed=11)
+        s3 = draw_sample(keys_rev, scheme, seed=11)
         assert s1.pairs == s2.pairs
         assert s1.pairs == s3.pairs  # dict equality ignores insertion order
-        assert draw_sample(hist, scheme, seed=12).pairs != s1.pairs
+        assert draw_sample(keys, scheme, seed=12).pairs != s1.pairs
 
     def test_inclusion_rate_concentrates(self):
         # binomial check against the closed-form inclusion probability
         n = 100_000
-        hist = FrequencyHistogram.from_keys({f"k{i}": 5 for i in range(n)})
+        by_key = {f"k{i}": 5 for i in range(n)}
         scheme = SamplingScheme.ppswor(0.01)
-        sample = draw_sample(hist, scheme, seed=202)
+        sample = draw_sample(by_key, scheme, seed=202)
         q = inclusion_prob(scheme, 5)
         sd = math.sqrt(n * q * (1 - q))
         assert abs(len(sample.pairs) - n * q) <= 4 * sd
 
     def test_negative_seed_is_valid(self):
-        hist = FrequencyHistogram.from_keys({f"k{i}": 3 for i in range(100)})
+        by_key = {f"k{i}": 3 for i in range(100)}
         scheme = SamplingScheme.ppswor(0.5)
-        assert draw_sample(hist, scheme, seed=-1).pairs == draw_sample(
-            hist, scheme, seed=-1
+        assert draw_sample(by_key, scheme, seed=-1).pairs == draw_sample(
+            by_key, scheme, seed=-1
         ).pairs
         # -1 and its unsigned 64-bit alias address the same stream
         assert (
-            draw_sample(hist, scheme, seed=-1).pairs
-            == draw_sample(hist, scheme, seed=0xFFFFFFFFFFFFFFFF).pairs
+            draw_sample(by_key, scheme, seed=-1).pairs
+            == draw_sample(by_key, scheme, seed=0xFFFFFFFFFFFFFFFF).pairs
         )
 
     def test_pairwise_independence(self):
         # disjoint keys: inclusion indicators are uncorrelated within 4 sigma
         n = 100_000
         scheme = SamplingScheme.ppswor(0.2)
-        hist = FrequencyHistogram.from_keys(
-            {f"a{i}": 5 for i in range(n)} | {f"b{i}": 5 for i in range(n)}
-        )
-        sample = draw_sample(hist, scheme, seed=77)
+        by_key = {f"a{i}": 5 for i in range(n)} | {f"b{i}": 5 for i in range(n)}
+        sample = draw_sample(by_key, scheme, seed=77)
         x = np.array([f"a{i}" in sample.pairs for i in range(n)], dtype=float)
         y = np.array([f"b{i}" in sample.pairs for i in range(n)], dtype=float)
         corr = np.corrcoef(x, y)[0, 1]
