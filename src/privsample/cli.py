@@ -173,12 +173,13 @@ def cmd_pdfs(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    scheme = _scheme(args)
     with _open_in(args.input) as fp:
         if args.aggregate:
             by_key = aggregate_elements(formats.read_element_stream(fp))
         else:
             by_key = formats.read_keyed_tsv(fp)
-    sample = draw_sample(by_key, _scheme(args), args.seed)
+    sample = draw_sample(by_key, scheme, args.seed)
     with _open_out(args.out) as fp:
         formats.write_keyed_tsv(fp, sample.pairs)
     return 0
@@ -258,12 +259,13 @@ def cmd_baseline(args) -> int:
     config = SbhConfig(_params(args))
     if args.baseline == "sbh":
         _reject(args, "is meaningless with baseline sbh, which samples nothing", *_SCHEME_FLAGS)
+    scheme = None if args.baseline == "sbh" else _scheme(args)
     with _open_in(args.input) as fp:
         by_key = formats.read_keyed_tsv(fp)
     if args.baseline == "sbh":
         out = sbh_sanitize(by_key, config, args.seed)
     else:
-        out = sampled_sbh(by_key, config, _scheme(args), args.seed)
+        out = sampled_sbh(by_key, config, scheme, args.seed)
     with _open_out(args.out) as fp:
         formats.write_keyed_tsv(fp, out, float_values=True)
     return 0

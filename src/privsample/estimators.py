@@ -116,10 +116,14 @@ def mle_coeffs(
     toward the smaller frequency.  Nonnegative whenever g is.  The argmax
     searches the table's whole frequency range; size the table comfortably
     past the largest frequency you will estimate, because the most likely
-    frequency behind a top token lies above that token.
+    frequency behind a top token lies above that token.  ``rv`` must hold
+    the law the table was built from, pi_0..pi_m included.
     """
-    if rv.max_frequency < table.max_frequency:
-        raise ValueError("reporting vector must cover the table's frequency range")
+    law = table.reporting
+    if (rv.params, rv.scheme) != (law.params, law.scheme):
+        raise ValueError(f"reporting vector is for {rv.params}, {rv.scheme}, not the table's law")
+    if not np.array_equal(rv.pi[: table.max_frequency + 1], law.pi):
+        raise ValueError("reporting vector must cover the table's range with the table's pi")
     cols = table.rows[:, 1:]
     i_star = np.argmax(cols, axis=0)  # first occurrence = smallest frequency
     defined = np.concatenate([[False], cols.max(axis=0) > 0.0])

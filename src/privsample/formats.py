@@ -1,13 +1,15 @@
 """File formats: TSV for key data, CSV for tables and analysis output.
 
-Probabilities and other reals are serialized with 17 significant digits so
-that parsing them back reproduces the exact double.
+Reals are written as ``%.17g`` (17 significant digits), so parsing them back
+reproduces the exact double.  CSV lines end in ``\r\n``, TSV and key-list
+lines in ``\n``; no field is quoted.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from itertools import chain, islice, repeat
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -18,6 +20,17 @@ from .keys import ReportingVector
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+_BLOCK = 1024  # rows formatted and written per fp.write
+
+
+def _write_lines(fp: TextIO, header: str, line: str, rows: Iterable[tuple]) -> None:
+    """Write ``header``, then ``line % row`` per row: one template and write per block."""
+    fp.write(header)
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK)):
+        fp.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 # ---------------------------------------------------------------- key data
@@ -53,36 +66,32 @@ def read_keyed_tsv(fp: TextIO) -> dict[str, int]:
 
 def write_keyed_tsv(fp: TextIO, pairs, *, float_values: bool = False) -> None:
     items = pairs.items() if hasattr(pairs, "items") else pairs
-    for key, value in items:
-        fp.write(f"{key}\t{fmt(value) if float_values else value}\n")
+    _write_lines(fp, "", "%s\t%.17g\n" if float_values else "%s\t%s\n", items)
 
 
 def write_key_lines(fp: TextIO, keys: Iterable[str]) -> None:
-    for key in keys:
-        fp.write(f"{key}\n")
+    _write_lines(fp, "", "%s\n", zip(keys))
 
 
 # ---------------------------------------------------------------- tables
 
 
 def write_pi_csv(fp: TextIO, rv: ReportingVector) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["i", "q_i", "pi_i", "p_i"])
-    for i in range(1, rv.max_frequency + 1):
-        q_i = float(rv.q[i])
-        p_i = rv.pi[i] / q_i if q_i > 0 else 0.0
-        writer.writerow([i, fmt(q_i), fmt(rv.pi[i]), fmt(p_i)])
+    m = rv.max_frequency
+    q, pi = rv.q[1 : m + 1], rv.pi[1 : m + 1]
+    p = np.divide(pi, q, out=np.zeros(m), where=q > 0)
+    rows = zip(range(1, m + 1), q.tolist(), pi.tolist(), p.tolist())
+    _write_lines(fp, "i,q_i,pi_i,p_i\r\n", "%d,%.17g,%.17g,%.17g\r\n", rows)
 
 
 def write_pij_csv(fp: TextIO, table: SanitizerTable) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["i", "j", "pi_ij"])
     rows = table.rows
     # token 0 anchors the row; zero entries elsewhere are implicit
     exported = rows != 0.0
     exported[:, 0] = True
     i, j = np.nonzero(exported)
-    writer.writerows(zip(i.tolist(), j.tolist(), map(fmt, rows[i, j].tolist())))
+    cells = zip(i.tolist(), j.tolist(), rows[i, j].tolist())
+    _write_lines(fp, "i,j,pi_ij\r\n", "%d,%d,%.17g\r\n", cells)
 
 
 def _read_table(fp: TextIO, header: str, index: tuple[str, ...], usecols: tuple[int, ...]):
@@ -136,48 +145,33 @@ def read_pi_csv(fp: TextIO) -> np.ndarray:
 
 
 def write_pdf_segments_csv(fp: TextIO, family: PdfFamily) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["i", "left", "right", "density"])
-    for i, pdf in enumerate(family):
-        for k in range(len(pdf.densities)):
-            writer.writerow([i, fmt(pdf.bounds[k]), fmt(pdf.bounds[k + 1]), fmt(pdf.densities[k])])
+    segments = chain.from_iterable(
+        zip(repeat(i), pdf.bounds.tolist(), pdf.bounds[1:].tolist(), pdf.densities.tolist())
+        for i, pdf in enumerate(family)
+    )
+    _write_lines(fp, "i,left,right,density\r\n", "%d,%.17g,%.17g,%.17g\r\n", segments)
 
 
 def write_pdf_atoms_csv(fp: TextIO, family: PdfFamily) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["i", "atom0"])
-    for i, pdf in enumerate(family):
-        writer.writerow([i, fmt(pdf.atom0)])
+    atoms = ((i, pdf.atom0) for i, pdf in enumerate(family))
+    _write_lines(fp, "i,atom0\r\n", "%d,%.17g\r\n", atoms)
 
 
 # ---------------------------------------------------------------- analysis
 
 
 def write_sweep_csv(fp: TextIO, rows) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["sweep_var", "value", "method", "metric", "result"])
-    for r in rows:
-        writer.writerow([r.sweep_var, fmt(r.value), r.method, r.metric, fmt(r.result)])
+    fields = ((r.sweep_var, r.value, r.method, r.metric, r.result) for r in rows)
+    _write_lines(fp, "sweep_var,value,method,metric,result\r\n", "%s,%.17g,%s,%s,%.17g\r\n", fields)
 
 
 def write_concordance_csv(fp: TextIO, pairs) -> None:
     """pairs: iterable of (i1, i2, concordance)."""
-    writer = csv.writer(fp)
-    writer.writerow(["i1", "i2", "concordance"])
-    for i1, i2, c in pairs:
-        writer.writerow([i1, i2, fmt(c)])
+    _write_lines(fp, "i1,i2,concordance\r\n", "%d,%d,%.17g\r\n", pairs)
 
 
 def write_moments_csv(fp: TextIO, moment_table) -> None:
-    writer = csv.writer(fp)
-    writer.writerow(["i", "E_i", "Bias_i", "Var_i", "MSE_i"])
-    for i in range(1, moment_table.max_frequency + 1):
-        writer.writerow(
-            [
-                i,
-                fmt(moment_table.expectation[i]),
-                fmt(moment_table.bias[i]),
-                fmt(moment_table.variance[i]),
-                fmt(moment_table.mse[i]),
-            ]
-        )
+    m = moment_table.max_frequency
+    columns = (moment_table.expectation, moment_table.bias, moment_table.variance, moment_table.mse)
+    rows = zip(range(1, m + 1), *(c[1 : m + 1].tolist() for c in columns))
+    _write_lines(fp, "i,E_i,Bias_i,Var_i,MSE_i\r\n", "%d,%.17g,%.17g,%.17g,%.17g\r\n", rows)

@@ -4,9 +4,11 @@ The library keeps one implementation of each quantity, the one its CLI
 runs.  The twins below compute the same quantities another way (a closed
 form, one row at a time, or a scalar formula) and the tests compare the
 library against them.  ``test_loop_oracles.py`` keeps the loop versions
-of the vectorised table paths in the same spirit.
+of the vectorised table paths in the same spirit, and compares the file
+writers with the ``csv.writer`` versions kept at the end of this module.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -213,3 +215,81 @@ def concordance_prob(row_high, row_low) -> float:
         raise ValueError("rows must share one ordered token set")
     upper = 1.0 - np.cumsum(p)  # Pr[J_high > token j]
     return float(q @ upper + 0.5 * (p @ q))
+
+
+# ---------------------------------------------------------------- formats
+# The writers as they were before the library wrote preformatted blocks of
+# lines: one csv.writer row, or one f-string line, and one format() call per
+# value.  Their bytes are the reference for the library's writers.
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def write_keyed_tsv_ref(fp, pairs, *, float_values: bool = False) -> None:
+    items = pairs.items() if hasattr(pairs, "items") else pairs
+    for key, value in items:
+        fp.write(f"{key}\t{_fmt(value) if float_values else value}\n")
+
+
+def write_key_lines_ref(fp, keys) -> None:
+    for key in keys:
+        fp.write(f"{key}\n")
+
+
+def write_pi_csv_ref(fp, rv) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["i", "q_i", "pi_i", "p_i"])
+    for i in range(1, rv.max_frequency + 1):
+        q_i = float(rv.q[i])
+        p_i = rv.pi[i] / q_i if q_i > 0 else 0.0
+        writer.writerow([i, _fmt(q_i), _fmt(rv.pi[i]), _fmt(p_i)])
+
+
+def write_pij_csv_ref(fp, table) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["i", "j", "pi_ij"])
+    rows = table.rows
+    for i in range(rows.shape[0]):
+        for j in range(rows.shape[1]):
+            if j == 0 or rows[i, j] != 0.0:
+                writer.writerow([i, j, _fmt(rows[i, j])])
+
+
+def write_pdf_segments_csv_ref(fp, family) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["i", "left", "right", "density"])
+    for i, pdf in enumerate(family):
+        for k in range(len(pdf.densities)):
+            writer.writerow([i, _fmt(pdf.bounds[k]), _fmt(pdf.bounds[k + 1]),
+                             _fmt(pdf.densities[k])])
+
+
+def write_pdf_atoms_csv_ref(fp, family) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["i", "atom0"])
+    for i, pdf in enumerate(family):
+        writer.writerow([i, _fmt(pdf.atom0)])
+
+
+def write_sweep_csv_ref(fp, rows) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["sweep_var", "value", "method", "metric", "result"])
+    for r in rows:
+        writer.writerow([r.sweep_var, _fmt(r.value), r.method, r.metric, _fmt(r.result)])
+
+
+def write_concordance_csv_ref(fp, pairs) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["i1", "i2", "concordance"])
+    for i1, i2, c in pairs:
+        writer.writerow([i1, i2, _fmt(c)])
+
+
+def write_moments_csv_ref(fp, moment_table) -> None:
+    writer = csv.writer(fp)
+    writer.writerow(["i", "E_i", "Bias_i", "Var_i", "MSE_i"])
+    for i in range(1, moment_table.max_frequency + 1):
+        writer.writerow([i, _fmt(moment_table.expectation[i]), _fmt(moment_table.bias[i]),
+                         _fmt(moment_table.variance[i]), _fmt(moment_table.mse[i])])

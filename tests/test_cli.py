@@ -238,8 +238,13 @@ class TestSanitizePipeline:
 
     def test_invalid_flag_combinations_are_usage_errors(self, sample_file):
         # scheme needing a threshold, threshold on scheme none, bad epsilon,
-        # the removed --threads flag
+        # the removed --threads flag; the scheme flags are checked before an
+        # input that does not exist is opened
+        missing = str(sample_file.parent / "missing.tsv")
         for argv in (
+            ["sample", "--input", missing, "--scheme", "ppswor", "--seed", "1"],
+            ["baseline", "sampled-sbh", "--input", missing, "--epsilon", "0.1",
+             "--delta", "0.01", "--scheme", "ppswor", "--seed", "1"],
             ["sanitize", "--mode", "keys", "--input", str(sample_file),
              "--epsilon", "0.5", "--delta", "0.1", "--scheme", "ppswor",
              "--max-freq", "20", "--seed", "5"],

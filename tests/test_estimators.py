@@ -7,6 +7,7 @@ from oracles import inclusion_prob, inverse_prob_coeffs, per_key_moments
 from privsample import (
     FrequencyHistogram,
     PrivacyParams,
+    ReportingVector,
     SamplingScheme,
     compute_pdfs,
     compute_pi,
@@ -105,6 +106,26 @@ class TestMle:
     def test_nonnegative(self, std_table, std_rv):
         coeffs = mle_coeffs(std_table, std_rv, g_identity)
         assert coeffs.values.min() >= 0.0
+
+    def test_fails_closed_on_another_law(self):
+        params, scheme, m = PrivacyParams(0.1, 0.01), SamplingScheme.ppswor(0.05), 100
+        table = discretize_pdfs(compute_pdfs(params, scheme, m))
+        # a fresh vector of the same law, to the same or a wider range, is accepted
+        for reach in (m, m + 30):
+            got = mle_coeffs(table, compute_pi(params, scheme, reach), g_identity)
+            want = mle_coeffs(table, table.reporting, g_identity)
+            np.testing.assert_array_equal(got.values, want.values)
+        for other in (compute_pi(params, SamplingScheme.none(), m),
+                      compute_pi(PrivacyParams(0.5, 0.01), scheme, m)):
+            with pytest.raises(ValueError, match="reporting vector is for"):
+                mle_coeffs(table, other, g_identity)
+        with pytest.raises(ValueError, match="cover the table's range"):
+            mle_coeffs(table, compute_pi(params, scheme, m - 1), g_identity)
+        law = table.reporting
+        moved = law.pi.copy()
+        moved[m // 2] *= 1.0 + 1e-15
+        with pytest.raises(ValueError, match="with the table's pi"):
+            mle_coeffs(table, ReportingVector(law.params, law.scheme, moved, law.q), g_identity)
 
     def test_argmax_structure_at_integral_l(self, params_integral_l, scheme_none):
         # the law at frequency j + L puts the most mass on token j

@@ -7,7 +7,10 @@ at commit def6c78; ``nrmse.csv`` was re-recorded when the baseline's
 adaptive quadrature gave way to a fixed rule (last digits moved).  The
 ``sample --aggregate`` entry and the pps, delta and file-histogram sweeps
 were recorded at commit e05e90f; the pps sweep is the only corpus path
-through the quadrature of ``sampled_sbh_report_prob``.  A change
+through the quadrature of ``sampled_sbh_report_prob``.  The sbh
+concordance, plain ``baseline sbh``, alg4 moments and the ``pij --out -``
+export to stdout were recorded at commit c4a6b6d, before the writers moved
+from ``csv.writer`` to preformatted blocks of lines.  A change
 that alters outputs on purpose re-records the digests by printing
 ``corpus_digests(tmp_dir)`` and says so in CHANGES.md.
 
@@ -97,6 +100,15 @@ def _corpus(d):
         ("sweep-file", ["analyze", "sweep", *PRIV, "--grid", "0.5,0.05",
                         "--dist", "file", "--input", str(hist),
                         "--out", str(d / "sweep_file.csv")], [d / "sweep_file.csv"]),
+        ("concordance-sbh", ["analyze", "concordance", *PRIV, "--method", "sbh", "--max-freq", "40",
+                             "--out", str(d / "conc_sbh.csv")], [d / "conc_sbh.csv"]),
+        ("baseline-sbh", ["baseline", "sbh", "--input", str(hist), *PRIV, "--seed", "8",
+                          "--out", str(d / "sbh_plain.tsv")], [d / "sbh_plain.tsv"]),
+        ("moments-alg4-mle", ["analyze", "moments", *PRIV, *PPSWOR, "--max-freq", "120",
+                              "--table", "alg4", "--estimator", "mle",
+                              "--out", str(d / "moments4.csv")], [d / "moments4.csv"]),
+        ("pij-stdout", ["pij", "--epsilon", "0.1", "--delta", "0.01", "--max-freq", "60",
+                        "--out", "-"], []),
     ]
 
 
@@ -152,6 +164,10 @@ GOLDEN = {
     "sweep-pps:sweep_pps.csv": "1246c769fdb6b498c5d86bd97bb183abb29654c0b5c01e7b0d2cd30133cd4469",
     "sweep-delta:sweep_delta.csv": "bedc4ac78d7ddb7f709666dff1b3ad1383d9d2516fc83d55dba58107ffb92758",
     "sweep-file:sweep_file.csv": "44c37a0f9754f5a633bcb7359b7f21ee254dde8d8f0653f81decb644325b357f",
+    "concordance-sbh:conc_sbh.csv": "6819c52cea26a096ad4d6101f04068d475f52958617c0c80c534708290f564fe",
+    "baseline-sbh:sbh_plain.tsv": "1d989cb6cbc007b738ae03cab92ddf01ed4dd90341bab24a39e10b0310362459",
+    "moments-alg4-mle:moments4.csv": "80ff6762f1b4ef976674714f3e99c7461680bed63d752105c2068ebc0ab7a430",
+    "pij-stdout:stdout": "292e8ddcc2fc639c6e2d4a31f16fd0e50f9ae57193fe0a8498093813d661985d",
 }
 
 

@@ -1,10 +1,11 @@
-"""The vectorised table paths and the batched per-key draws against the loops they replaced.
+"""The vectorised table paths, the batched per-key draws and the block writers
+against the loops they replaced.
 
 Each oracle below is the earlier loop implementation, kept verbatim in
-spirit.  The arithmetic is unchanged, so results must agree bit for bit.
+spirit.  The arithmetic is unchanged, so results must agree bit for bit,
+and the file writers byte for byte.
 """
 
-import csv
 import hashlib
 import io
 import math
@@ -15,13 +16,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import check_distribution
+from oracles import (
+    check_distribution,
+    write_concordance_csv_ref,
+    write_key_lines_ref,
+    write_keyed_tsv_ref,
+    write_moments_csv_ref,
+    write_pdf_atoms_csv_ref,
+    write_pdf_segments_csv_ref,
+    write_pi_csv_ref,
+    write_pij_csv_ref,
+    write_sweep_csv_ref,
+)
 
 from privsample import (
     FrequencyHistogram,
+    MomentTable,
+    PdfFamily,
+    PiecewisePdf,
     PrivacyParams,
+    ReportingVector,
     SamplingScheme,
     SbhConfig,
+    SweepRow,
     WeightedSample,
     compute_pdfs,
     compute_pi,
@@ -42,23 +59,26 @@ from privsample._rng import (
     PURPOSE_TOKEN,
     key_uniforms,
 )
-from privsample.formats import fmt, read_pij_csv, write_pij_csv
+from privsample.experiments import NRMSE_METHODS, REPORTING_METHODS
+from privsample.formats import (
+    _BLOCK,
+    read_pij_csv,
+    write_concordance_csv,
+    write_key_lines,
+    write_keyed_tsv,
+    write_moments_csv,
+    write_pdf_atoms_csv,
+    write_pdf_segments_csv,
+    write_pi_csv,
+    write_pij_csv,
+    write_sweep_csv,
+)
 from privsample.frequencies import SanitizerTable, _merged, _split_at
 from privsample.ordinal import concordance_matrix, expected_kendall_tau
 
 PARAMS = PrivacyParams(0.1, 0.01)
 SCHEME = SamplingScheme.none()
 SETTINGS = settings(deadline=None, max_examples=150)
-
-
-def write_pij_csv_loop(fp, table):
-    writer = csv.writer(fp)
-    writer.writerow(["i", "j", "pi_ij"])
-    rows = table.rows
-    for i in range(rows.shape[0]):
-        for j in range(rows.shape[1]):
-            if j == 0 or rows[i, j] != 0.0:
-                writer.writerow([i, j, fmt(rows[i, j])])
 
 
 def merged_loop(atom, bounds, densities):
@@ -117,6 +137,42 @@ def _table(rows):
     return SanitizerTable(reporting=compute_pi(PARAMS, SCHEME, max(1, len(rows) - 1)), rows=rows)
 
 
+# Row counts at the edges of a block of lines, and a few small ones.
+N_ROWS = st.sampled_from([0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+SPECIAL_REALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308]
+reals = st.one_of(st.floats(), st.sampled_from(SPECIAL_REALS))
+real_scalars = st.one_of(reals, reals.map(np.float64))
+counts = st.one_of(st.integers(0, 2**62), st.integers(0, 2**62).map(np.int64))
+labels = st.text(max_size=6)
+
+
+@st.composite
+def columns(draw, *elements):
+    """One list per element strategy, each N_ROWS long.
+
+    Each column cycles through a few drawn values, so that bodies of a few
+    thousand rows stay cheap to draw.
+    """
+    n = draw(N_ROWS)
+    out = []
+    for elements_of in elements:
+        pool = draw(st.lists(elements_of, min_size=1, max_size=7))
+        out.append([pool[k % len(pool)] for k in range(n)])
+    return out
+
+
+def assert_same_bytes(write, write_ref, *args, **kwargs):
+    new, old = io.StringIO(), io.StringIO()
+    write(new, *args, **kwargs)
+    write_ref(old, *args, **kwargs)
+    got, want = new.getvalue().splitlines(True), old.getvalue().splitlines(True)
+    if got != want:
+        # name the first differing line: a full diff of thousands of lines takes minutes
+        k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                 min(len(got), len(want)))
+        pytest.fail(f"line {k}: wrote {got[k:k + 1]}, the reference wrote {want[k:k + 1]}")
+
+
 # mostly zeros, as in the banded tables
 sparse_cells = st.one_of(
     st.just(0.0),
@@ -128,19 +184,19 @@ sparse_tables = hnp.arrays(
 )
 
 
+pij_cells = st.one_of(st.just(0.0), st.just(-0.0), st.floats())
+
+
 @SETTINGS
 @given(
-    hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(1, 9), st.integers(1, 9)),
-        elements=st.one_of(st.just(0.0), st.just(-0.0), st.floats()),
+    st.one_of(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)), elements=pij_cells),
+        # one row of tokens, whose nonzero cells and token 0 fill 0 to 2B+1 lines
+        columns(pij_cells).map(lambda cols: np.array([cols[0] or [0.0]])),
     )
 )
 def test_write_pij_csv_matches_cell_loop(rows):
-    new, old = io.StringIO(), io.StringIO()
-    write_pij_csv(new, _table(rows))
-    write_pij_csv_loop(old, _table(rows))
-    assert new.getvalue() == old.getvalue()
+    assert_same_bytes(write_pij_csv, write_pij_csv_ref, _table(rows))
 
 
 @SETTINGS
@@ -153,6 +209,74 @@ def test_pij_csv_round_trip_is_exact(rows, corner):
     back = read_pij_csv(buf)
     assert back.shape == rows.shape
     assert back.tobytes() == rows.tobytes()
+
+
+@SETTINGS
+@given(columns(labels, st.one_of(counts, real_scalars)), columns(labels, real_scalars),
+       st.booleans())
+def test_write_keyed_tsv_matches_lines(int_cols, real_cols, as_dict):
+    for cols, float_values in ((int_cols, False), (real_cols, True)):
+        pairs = [(f"{key}{n}", value) for n, (key, value) in enumerate(zip(*cols))]
+        if as_dict:
+            pairs = dict(pairs)
+        assert_same_bytes(write_keyed_tsv, write_keyed_tsv_ref, pairs, float_values=float_values)
+
+
+@SETTINGS
+@given(columns(labels))
+def test_write_key_lines_matches_lines(cols):
+    assert_same_bytes(write_key_lines, write_key_lines_ref, cols[0])
+
+
+@SETTINGS
+@given(columns(reals, reals))
+def test_write_pi_csv_matches_csv_writer(cols):
+    q, pi = (np.array([1.0, *col]) for col in cols)
+    with np.errstate(all="ignore"):  # p_i = pi_i / q_i of drawn infinities and NaN
+        assert_same_bytes(write_pi_csv, write_pi_csv_ref, ReportingVector(PARAMS, SCHEME, pi, q))
+
+
+@SETTINGS
+@given(columns(reals, reals), st.data())
+def test_write_pdf_segments_csv_matches_csv_writer(cols, data):
+    bounds, densities = np.array([0.0, *cols[0]]), np.array(cols[1])
+    cut = data.draw(st.integers(0, len(densities)))
+    pdfs = (PiecewisePdf(1.0, bounds[: cut + 1], densities[:cut]),
+            PiecewisePdf(0.5, bounds[cut:], densities[cut:]))
+    family = PdfFamily(compute_pi(PARAMS, SCHEME, 1), pdfs)
+    assert_same_bytes(write_pdf_segments_csv, write_pdf_segments_csv_ref, family)
+
+
+@SETTINGS
+@given(columns(real_scalars))
+def test_write_pdf_atoms_csv_matches_csv_writer(cols):
+    empty = np.zeros(0)
+    pdfs = tuple(PiecewisePdf(atom0, empty, empty) for atom0 in cols[0])
+    family = PdfFamily(compute_pi(PARAMS, SCHEME, 1), pdfs)
+    assert_same_bytes(write_pdf_atoms_csv, write_pdf_atoms_csv_ref, family)
+
+
+@SETTINGS
+@given(columns(st.sampled_from(["tau", "delta"]), real_scalars,
+               st.sampled_from(sorted({*REPORTING_METHODS, *NRMSE_METHODS})),
+               st.sampled_from(["reported_fraction", "nrmse"]), real_scalars))
+def test_write_sweep_csv_matches_csv_writer(cols):
+    rows = [SweepRow(*fields) for fields in zip(*cols)]
+    assert_same_bytes(write_sweep_csv, write_sweep_csv_ref, rows)
+
+
+@SETTINGS
+@given(columns(counts, counts, real_scalars))
+def test_write_concordance_csv_matches_csv_writer(cols):
+    assert_same_bytes(write_concordance_csv, write_concordance_csv_ref, list(zip(*cols)))
+
+
+@SETTINGS
+@given(columns(reals, reals, reals, reals))
+def test_write_moments_csv_matches_csv_writer(cols):
+    g, *moments = (np.array([0.0, *col]) for col in [cols[0], *cols])
+    table = MomentTable(g, *moments)
+    assert_same_bytes(write_moments_csv, write_moments_csv_ref, table)
 
 
 @st.composite
