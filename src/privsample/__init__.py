@@ -40,7 +40,7 @@ from .frequencies import (
 )
 from .keys import ReportingVector, compute_pi, sanitize_keys
 from .ordinal import concordance_matrix, expected_kendall_tau
-from .privacy import DpReport, PrivacyParams, l_value, verify_dp
+from .privacy import DpReport, PrivacyParams, TokenBands, l_value, verify_dp
 from .sampling import (
     FrequencyHistogram,
     SamplingScheme,

@@ -9,7 +9,9 @@ noise) on separated streams.
 The draw for one key is the 8-byte blake2b digest of the key's UTF-8
 bytes, keyed by the seed (taken modulo 2**64, little-endian) and
 personalised by the purpose; its top 53 bits b give the uniform
-(b + 0.5) / 2**53.  ``key_uniforms`` draws a whole batch: it keys one
+(b + 0.5) / 2**53, held below 1.0: for b = 2**53 - 1 the sum b + 0.5
+rounds half to even up to 2**53, so that one draw takes the largest double
+below 1.0 instead.  ``key_uniforms`` draws a whole batch: it keys one
 blake2b state per (seed, purpose) and copies it for each key, so the key
 block is compressed once per batch rather than once per key.  Callers
 apply their own inverse CDF to each uniform in Python floats.
@@ -18,6 +20,7 @@ apply their own inverse CDF to each uniform in Python floats.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -28,6 +31,8 @@ PURPOSE_TOKEN = b"token"
 PURPOSE_LAPLACE = b"laplace"
 
 _TWO53 = float(1 << 53)
+# math, not numpy: np.nextafter at import raised the release peak RSS by 0.3 MB
+_TOP = math.nextafter(1.0, 0.0)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # digests converted per numpy call: bounds what a batch holds at once (4096
 # raised the release peak RSS by about 0.4 MB for no gain in speed)
@@ -51,6 +56,7 @@ def key_uniforms(seed: int, keys: Iterable[str], purpose: bytes) -> Iterator[flo
 
 
 def _uniforms(digests: list[bytes]) -> list[float]:
-    bits = np.frombuffer(b"".join(digests), "<u8") >> 11
-    # +0.5 keeps the draw strictly inside (0, 1) so inverse CDFs stay finite
-    return ((bits + 0.5) / _TWO53).tolist()
+    u = (np.frombuffer(b"".join(digests), "<u8") >> 11) + 0.5
+    # +0.5 keeps the draw above 0 and _TOP below 1, so inverse CDFs stay finite
+    u /= _TWO53
+    return np.minimum(u, _TOP, out=u).tolist()

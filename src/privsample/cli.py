@@ -35,7 +35,7 @@ from .experiments import (
 from .frequencies import compute_pdfs, compute_pij, discretize_pdfs, sanitize_frequencies
 from .keys import compute_pi, sanitize_keys
 from .ordinal import concordance_matrix, expected_kendall_tau
-from .privacy import PrivacyParams, verify_dp
+from .privacy import PrivacyParams, TokenBands, verify_dp
 from .sampling import FrequencyHistogram, SamplingScheme, WeightedSample, aggregate_elements, draw_sample
 from .sbh import SbhConfig, sampled_sbh, sbh_concordance_prob, sbh_sanitize
 
@@ -228,7 +228,7 @@ def _warn_if_noise(table, coeffs, g) -> None:
     variance explodes.
     """
     freqs = np.arange(1, table.max_frequency + 1)
-    expectation = table.rows[1:, 1:] @ coeffs.values[1:]
+    expectation = table.weighted_sums(coeffs.values)[1:]
     target = g(freqs)
     # written as `not <=` so that NaN and inf count as misses
     misses = ~(np.abs(expectation - target) <= 1e-6 * np.maximum(1.0, np.abs(target)))
@@ -331,7 +331,7 @@ def cmd_analyze_concordance(args) -> int:
         _reject(args, "is only read with --kendall", *_DIST_FLAGS)
     if args.method == "pws":
         table = discretize_pdfs(compute_pdfs(params, _scheme(args), m))
-        conc = concordance_matrix(table.rows)
+        conc = concordance_matrix(table)
         i1, i2 = np.tril_indices(m + 1, -1)  # row-major: i1 ascending, then i2
         i1, i2 = i1[i2 >= 1], i2[i2 >= 1]
         triples = zip(i1.tolist(), i2.tolist(), conc[i1, i2].tolist())
@@ -365,10 +365,11 @@ def cmd_verify_dp(args) -> int:
     with _open_in(args.table) as fp:
         if args.kind == "pi":
             pi = formats.read_pi_csv(fp)
-            rows = np.stack([1.0 - pi, pi], axis=1)
+            bands = TokenBands(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
+                               rows=pi[:, None], n_tokens=1)
         else:
-            rows = formats.read_pij_csv(fp)
-    report = verify_dp(rows, params)
+            bands = formats.read_pij_csv(fp)
+    report = verify_dp(bands, params)
     status = "pass" if report.ok else "FAIL"
     print(
         f"verify-dp {status} worst_divergence={formats.fmt(report.worst_divergence)} "

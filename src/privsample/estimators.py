@@ -94,14 +94,20 @@ def unbiased_coeffs(table: SanitizerTable, g: FrequencyFunc) -> EstimatorCoeffs:
     if table.token_edges is not None or table.n_tokens != table.max_frequency:
         raise ValueError("unbiased coefficients need the square integer-token table")
     m = table.max_frequency
-    rows = table.rows
     gv = _g_values(g, m)
     a = np.zeros(m + 1)
+    # Each row is expanded into one reused dense buffer, so every dot product
+    # runs over tokens 1..i-1 exactly as on a dense row: the substitution
+    # amplifies any change in summation order.
+    row = np.zeros(m + 1)
+    tokens = table.tokens()
     for i in range(1, m + 1):
-        diag = rows[i, i]
+        row[tokens[i]] = table.rows[i]
+        diag = row[i]
         if diag <= 0.0:
             raise ValueError(f"zero diagonal at frequency {i}: system is singular there")
-        a[i] = (gv[i] - float(rows[i, 1:i] @ a[1:i])) / diag
+        a[i] = (gv[i] - float(row[1:i] @ a[1:i])) / diag
+        row[tokens[i]] = 0.0
     defined = np.ones(m + 1, dtype=bool)
     defined[0] = False
     return EstimatorCoeffs(values=a, defined=defined)
@@ -124,9 +130,17 @@ def mle_coeffs(
         raise ValueError(f"reporting vector is for {rv.params}, {rv.scheme}, not the table's law")
     if not np.array_equal(rv.pi[: table.max_frequency + 1], law.pi):
         raise ValueError("reporting vector must cover the table's range with the table's pi")
-    cols = table.rows[:, 1:]
-    i_star = np.argmax(cols, axis=0)  # first occurrence = smallest frequency
-    defined = np.concatenate([[False], cols.max(axis=0) > 0.0])
+    # per token, its largest entry, and the smallest frequency holding it
+    tokens, rows = table.tokens().ravel(), table.rows.ravel()
+    freqs = np.repeat(np.arange(len(table)), table.width)
+    best = np.zeros(table.n_tokens + 1)
+    np.maximum.at(best, tokens, rows)
+    defined = best > 0.0
+    defined[0] = False
+    held = (rows == best[tokens]) & defined[tokens]
+    i_star = np.full(table.n_tokens + 1, len(table))
+    np.minimum.at(i_star, tokens[held], freqs[held])
+    i_star = np.where(defined, i_star, 0)[1:]
     values = np.zeros(table.n_tokens + 1)
     gv = g(i_star.astype(float))
     pi_star = rv.pi[i_star]
@@ -157,13 +171,12 @@ def moments_by_frequency(
     if len(coeffs.values) != table.n_tokens + 1:
         raise ValueError("coefficients do not match the table's token set")
     gv = _g_values(g, table.max_frequency)
-    a = coeffs.values[1:]
-    reported = table.rows[:, 1:]
-    pi_m = reported.sum(axis=1)
-    expectation = reported @ a
+    a = coeffs.values
+    pi_m = table.rows.sum(axis=1)
+    expectation = table.weighted_sums(a)
     bias = expectation - gv
     # MSE_i = (1 - pi_i) g^2 + sum_j pi_ij (a_j - g)^2, expanded
-    mse = table.rows[:, 0] * gv**2 + reported @ a**2 - 2.0 * gv * expectation + pi_m * gv**2
+    mse = table.atom0 * gv**2 + table.weighted_sums(a**2) - 2.0 * gv * expectation + pi_m * gv**2
     variance = np.maximum(0.0, mse - bias**2)
     return MomentTable(
         g_values=gv, expectation=expectation, bias=bias, variance=variance, mse=mse

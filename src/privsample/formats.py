@@ -14,8 +14,9 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .frequencies import PdfFamily, SanitizerTable
+from .frequencies import PdfFamily
 from .keys import ReportingVector
+from .privacy import TokenBands
 
 
 def fmt(x: float) -> str:
@@ -84,18 +85,30 @@ def write_pi_csv(fp: TextIO, rv: ReportingVector) -> None:
     _write_lines(fp, "i,q_i,pi_i,p_i\r\n", "%d,%.17g,%.17g,%.17g\r\n", rows)
 
 
-def write_pij_csv(fp: TextIO, table: SanitizerTable) -> None:
-    rows = table.rows
+def write_pij_csv(fp: TextIO, table: TokenBands) -> None:
+    """One `i,j,pi_ij` line per token 0 and per nonzero entry, row by row.
+
+    Cells are formatted one block of rows at a time, so the text never
+    exists whole in memory.
+    """
+    _write_lines(fp, "i,j,pi_ij\r\n", "%d,%d,%.17g\r\n", _pij_cells(table))
+
+
+def _pij_cells(table: TokenBands):
     # token 0 anchors the row; zero entries elsewhere are implicit
-    exported = rows != 0.0
-    exported[:, 0] = True
-    i, j = np.nonzero(exported)
-    cells = zip(i.tolist(), j.tolist(), rows[i, j].tolist())
-    _write_lines(fp, "i,j,pi_ij\r\n", "%d,%d,%.17g\r\n", cells)
+    for start in range(0, len(table), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        first = table.first[block, None]
+        values = np.column_stack((table.atom0[block], table.rows[block]))
+        tokens = np.column_stack((0 * first, first + np.arange(table.width)))
+        exported = values != 0.0
+        exported[:, 0] = True
+        i, c = np.nonzero(exported)
+        yield from zip((i + start).tolist(), tokens[i, c].tolist(), values[i, c].tolist())
 
 
-def _read_table(fp: TextIO, header: str, index: tuple[str, ...], usecols: tuple[int, ...]):
-    """Rebuild the array a table export describes, zero where it holds no entry.
+def _read_entries(fp: TextIO, header: str, index: tuple[str, ...], usecols: tuple[int, ...]):
+    """The index columns and the values of a table export.
 
     ``usecols`` picks the index columns, then the value column.  Fails closed
     on a wrong header, an empty body, a negative index and a repeated index.
@@ -123,17 +136,21 @@ def _read_table(fp: TextIO, header: str, index: tuple[str, ...], usecols: tuple[
         where = np.unravel_index(int(repeated[0]), shape)
         named = ", ".join(f"{name}={int(k)}" for name, k in zip(index, where))
         raise ValueError(f"table file repeats entry {named}")
-    out = np.zeros(shape)
-    out[at] = entries["v"]
-    return out
+    return at, entries["v"], shape
 
 
-def read_pij_csv(fp: TextIO) -> np.ndarray:
-    """Rebuild the row matrix from an `i,j,pi_ij` export.
+def read_pij_csv(fp: TextIO) -> TokenBands:
+    """Rebuild the banded rows from an `i,j,pi_ij` export.
 
-    Fails closed on negative indices and on a repeated (i, j) entry.
+    Row i spans 0..max i; tokens run to the largest j in the file.  A cell
+    the file does not list holds 0, token 0 included.  Fails closed on
+    negative indices and on a repeated (i, j) entry.
     """
-    return _read_table(fp, "i,j,pi_ij", ("i", "j"), (0, 1, 2))
+    (i, j), v, (n_rows, n_cols) = _read_entries(fp, "i,j,pi_ij", ("i", "j"), (0, 1, 2))
+    atom0 = np.zeros(n_rows)
+    at0 = j == 0
+    atom0[i[at0]] = v[at0]
+    return TokenBands.from_entries(atom0, i[~at0], j[~at0], v[~at0], n_cols - 1)
 
 
 def read_pi_csv(fp: TextIO) -> np.ndarray:
@@ -141,7 +158,10 @@ def read_pi_csv(fp: TextIO) -> np.ndarray:
 
     Fails closed on negative indices and on a repeated i.
     """
-    return _read_table(fp, "i,q_i,pi_i,p_i", ("i",), (0, 2))
+    (i,), v, shape = _read_entries(fp, "i,q_i,pi_i,p_i", ("i",), (0, 2))
+    out = np.zeros(shape)
+    out[i] = v
+    return out
 
 
 def write_pdf_segments_csv(fp: TextIO, family: PdfFamily) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._rng import PURPOSE_TOKEN, key_uniforms
 from .keys import ReportingVector, compute_pi
-from .privacy import PrivacyParams
+from .privacy import PrivacyParams, TokenBands
 from .sampling import SamplingScheme, WeightedSample
 
 __all__ = [
@@ -46,28 +46,21 @@ _SOLVE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class SanitizerTable:
-    """End-to-end token laws per frequency: rows[i, j] = Pr[report token j].
+class SanitizerTable(TokenBands):
+    """End-to-end token laws per frequency, stored as bands (``TokenBands``).
 
-    Token 0 means "not reported"; tokens are ordered and only their order
-    carries meaning downstream.  For integer-token tables token j stands for
-    the value j itself; for discretized density tables ``token_edges[j - 1]``
+    Row i holds Pr[report token j] for a key of frequency i: ``atom0[i]``
+    for token 0 and ``rows[i, c]`` for token ``first[i] + c``.  Token 0
+    means "not reported"; tokens are ordered and only their order carries
+    meaning downstream.  For integer-token tables token j stands for the
+    value j itself; for discretized density tables ``token_edges[j - 1]``
     is the right edge of token j's interval.  ``reporting`` is the law the
     rows were built from: row i reports with mass pi_i, and a sampled key
     with frequency i draws from row i divided by q_i.
     """
 
     reporting: ReportingVector
-    rows: np.ndarray
     token_edges: np.ndarray | None = None
-
-    @property
-    def max_frequency(self) -> int:
-        return self.rows.shape[0] - 1
-
-    @property
-    def n_tokens(self) -> int:
-        return self.rows.shape[1] - 1
 
 
 def compute_pij(
@@ -78,32 +71,31 @@ def compute_pij(
     Per row, first set the forced lower bounds implied by the previous row
     (privacy in the shrinking direction), then assign the remaining mass
     from token i downward, capping each entry by the budget the previous
-    row leaves in the growing direction.
+    row leaves in the growing direction.  Both steps run over the row's
+    band only: below the previous row's first nonzero token its running sum
+    is exactly 0, so there every forced bound is one and the same value.
     """
     rv = compute_pi(params, scheme, max_frequency)
     eps, delta = params.epsilon, params.delta
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
     m = max_frequency
 
-    rows = np.zeros((m + 1, m + 1))
-    rows[0, 0] = 1.0
+    atom0 = 1.0 - rv.pi
+    at_i, at_j, at_v = [], [], []  # the table's nonzero entries
+    prev_lo, prev = 1, []  # the previous row on tokens prev_lo..i-1; row 0 has none
     for i in range(1, m + 1):
         pi_i = float(rv.pi[i])
-        prev = rows[i - 1]
-        row = rows[i]
-        row[0] = 1.0 - pi_i
-        gap = max(0.0, e_neg * prev[0] - row[0])
+        gap = max(0.0, e_neg * float(atom0[i - 1]) - float(atom0[i]))
 
-        if i > 1:
-            # Forced minimum on tokens 1..i-1.  The running sum of the
-            # clamped increments telescopes to max(0, target_j), because the
-            # targets are non-decreasing in j.
-            targets = e_neg * (np.cumsum(prev[1:i]) - delta) + gap
-            cum = np.maximum(targets, 0.0)
-            row[1:i] = np.diff(cum, prepend=0.0)
-            assigned = float(cum[-1])
-        else:
-            assigned = 0.0
+        # Forced minimum on tokens lo..i-1.  The running sum of the clamped
+        # increments telescopes to max(0, target_j), because the targets are
+        # non-decreasing in j.  Below prev_lo every target is `floor`, so
+        # the band reaches down to token 1 only if that is > 0.
+        floor = e_neg * (0.0 - delta) + gap
+        lo = prev_lo if floor <= 0.0 else 1
+        cum = np.maximum(e_neg * (np.cumsum([0.0] * (prev_lo - lo) + prev) - delta) + gap, 0.0)
+        row = [*np.diff(cum, prepend=0.0).tolist(), 0.0]  # tokens lo..i
+        assigned = float(cum[-1]) if cum.size else 0.0
 
         # The forced mass never exceeds pi_i; clamp float dust only.
         remaining = max(0.0, pi_i - assigned)
@@ -112,17 +104,28 @@ def compute_pij(
         for j in range(i, 0, -1):
             if remaining == 0.0:
                 break
+            if j < lo:
+                row.insert(0, 0.0)
+                lo = j
+            k = j - lo
             cap = e_eps * suffix_prev + delta - suffix_cur
-            room = cap - row[j]
+            room = cap - row[k]
             if room <= remaining:
                 remaining -= room
-                row[j] = cap
+                row[k] = cap
             else:
-                row[j] += remaining
+                row[k] += remaining
                 remaining = 0.0
-            suffix_prev += prev[j - 1]
-            suffix_cur += row[j]
-    return SanitizerTable(reporting=rv, rows=rows)
+            if j - 1 >= prev_lo:
+                suffix_prev += prev[j - 1 - prev_lo]
+            suffix_cur += row[k]
+
+        lead = next((k for k, x in enumerate(row) if x != 0.0), len(row))
+        prev_lo, prev = lo + lead, row[lead:]
+        at_i += [i] * len(prev)
+        at_j += range(prev_lo, prev_lo + len(prev))
+        at_v += prev
+    return SanitizerTable.from_entries(atom0, at_i, at_j, at_v, m, reporting=rv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,22 +324,37 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
     Tokens are the maximal intervals between consecutive breakpoints of any
     density in the family, in increasing position order; every density is
     constant on each token interval, so masses and all pairwise divergences
-    are preserved exactly.
+    are preserved exactly.  Only segments of nonzero density give entries,
+    so each row's band runs from its first such segment to its top.
     """
-    all_bounds = np.unique(np.concatenate([pdf.bounds for pdf in family]))
+    bounds = np.concatenate([pdf.bounds for pdf in family])
+    all_bounds = np.unique(bounds)
     edges = all_bounds[1:]
     widths = np.diff(all_bounds)
-    n_tokens = len(edges)
 
-    rows = np.zeros((len(family), n_tokens + 1))
-    rows[0, 0] = 1.0
-    for i in range(1, len(family)):
-        pdf = family[i]
-        rows[i, 0] = pdf.atom0
-        cover = int(np.searchsorted(edges, pdf.top, side="right"))
-        seg = np.searchsorted(pdf.bounds, edges[:cover], side="left") - 1
-        rows[i, 1 : cover + 1] = pdf.densities[seg] * widths[:cover]
-    return SanitizerTable(reporting=family.reporting, rows=rows, token_edges=edges)
+    # Token k+1 is (all_bounds[k], all_bounds[k+1]].  A segment between
+    # all_bounds[lo] and all_bounds[hi] covers tokens lo+1..hi, and only
+    # segments of nonzero density give entries.
+    n_bounds = np.array([len(pdf.bounds) for pdf in family])
+    at = np.searchsorted(all_bounds, bounds)
+    left = np.ones(len(bounds), dtype=bool)
+    left[np.cumsum(n_bounds) - 1] = False
+    lo = at[left]
+    hi = at[np.flatnonzero(left) + 1]
+    density = np.concatenate([pdf.densities for pdf in family])
+    freq = np.repeat(np.arange(len(family)), n_bounds - 1)
+    nonzero = density != 0.0
+    lo, hi, density, freq = lo[nonzero], hi[nonzero], density[nonzero], freq[nonzero]
+    span = hi - lo
+    seg = np.repeat(np.arange(len(span)), span)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span - lo, span)
+
+    atom0 = np.array([pdf.atom0 for pdf in family])
+    atom0[0] = 1.0
+    return SanitizerTable.from_entries(
+        atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
+        reporting=family.reporting, token_edges=edges,
+    )
 
 
 def sanitize_frequencies(
@@ -346,19 +364,22 @@ def sanitize_frequencies(
 
     The conditional row for a sampled key with frequency w is the table row
     divided by q_w, with the leftover mass on token 0, so the end-to-end law
-    over sampling and sanitization is exactly the table row.  Deterministic
-    in the seed; output preserves input order.
+    over sampling and sanitization is exactly the table row.  A draw above
+    the row's float total goes to the row's highest nonzero token.
+    Deterministic in the seed; output preserves input order.
     """
-    cum_by_freq = {}
+    draws = {}
     for w, q_w in table.reporting.sampled_q(sample).items():
         cond = table.rows[w] / q_w
-        cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
-        cum_by_freq[w] = np.cumsum(cond).tolist()
-    last = table.n_tokens
+        cum = np.cumsum(np.concatenate(([max(0.0, 1.0 - float(cond.sum()))], cond)))
+        nonzero = np.flatnonzero(cond)
+        top = int(table.first[w] + nonzero[-1]) if nonzero.size else 0
+        draws[w] = (cum.tolist(), [0, *range(table.first[w], table.first[w] + len(cond)), top])
     out: list[tuple[str, int]] = []
     pairs = sample.pairs
     for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_TOKEN)):
-        token = min(bisect_right(cum_by_freq[freq], u), last)
+        cum, tokens = draws[freq]
+        token = tokens[bisect_right(cum, u)]
         if token > 0:
             out.append((key, token))
     return out

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .frequencies import SanitizerTable
+from .privacy import TokenBands
 from .sampling import FrequencyHistogram
 
 __all__ = [
@@ -22,15 +23,21 @@ __all__ = [
 ]
 
 
-def concordance_matrix(rows: np.ndarray) -> np.ndarray:
+def concordance_matrix(table: TokenBands) -> np.ndarray:
     """Concordance probabilities C[i1, i2] for all row pairs at once.
 
     C[i1, i2] treats i1 as the larger true frequency; C + C^T = 1 on
-    off-diagonal pairs and the diagonal is 0.5.
+    off-diagonal pairs and the diagonal is 0.5.  The rows are expanded over
+    all tokens for the duration of the call.
     """
-    mat = np.asarray(rows, dtype=float)
-    cum = np.cumsum(mat, axis=1)
-    return (1.0 - cum) @ mat.T + 0.5 * (mat @ mat.T)
+    return _concordance(table.dense())
+
+
+def _concordance(mat: np.ndarray) -> np.ndarray:
+    """``concordance_matrix`` of dense rows; the running totals reuse one buffer."""
+    upper = np.cumsum(mat, axis=1)
+    np.subtract(1.0, upper, out=upper)
+    return upper @ mat.T + 0.5 * (mat @ mat.T)
 
 
 def expected_kendall_tau(histogram: FrequencyHistogram, table: SanitizerTable) -> float:
@@ -49,8 +56,7 @@ def expected_kendall_tau(histogram: FrequencyHistogram, table: SanitizerTable) -
     if freqs.size < 2:
         return math.nan
 
-    rows = table.rows[freqs]
-    conc = concordance_matrix(rows)
+    conc = _concordance(table.dense(freqs))
     c = counts.astype(float)
 
     # Pairs (hi, lo) with lo < hi in row-major order; cumsum adds them one

@@ -1,9 +1,10 @@
 """Privacy parameters and divergence checks for discrete output laws.
 
 The verification oracle treats a mechanism as a family of per-frequency
-output distributions and checks the (epsilon, delta) inequality between
-every pair of adjacent frequencies, which is exactly the element-level
-privacy requirement (neighboring datasets move one key's frequency by 1).
+output distributions, stored as bands (``TokenBands``), and checks the
+(epsilon, delta) inequality between every pair of adjacent frequencies,
+which is exactly the element-level privacy requirement (neighboring
+datasets move one key's frequency by 1).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "PrivacyParams",
     "DpReport",
+    "TokenBands",
     "l_value",
     "verify_dp",
 ]
@@ -51,6 +53,87 @@ def l_value(params: PrivacyParams) -> float:
     return math.log(ratio) / eps
 
 
+@dataclass(frozen=True, eq=False)
+class TokenBands:
+    """Per-frequency token laws stored as one fixed-width band per row.
+
+    Row i is the law of the token reported for frequency i over tokens
+    0..n_tokens: ``atom0[i]`` is the mass on token 0 ("not reported") and
+    ``rows[i, c]`` the mass on token ``first[i] + c``, for c below the
+    common ``width``.  Every other token of row i has mass 0.  Each band
+    lies inside 1..n_tokens, so a row may store zeros at either end of its
+    band.  Time and memory are O(rows x width), not O(rows x n_tokens).
+    """
+
+    atom0: np.ndarray
+    first: np.ndarray
+    rows: np.ndarray
+    n_tokens: int
+
+    def __post_init__(self):
+        n = len(self.atom0)
+        if self.rows.ndim != 2 or self.rows.shape[0] != n or self.first.shape != (n,):
+            raise ValueError("atom0, first and rows must hold one entry per frequency row")
+        if n and (self.first.min() < 1 or self.first.max() + self.width - 1 > max(self.n_tokens, 0)):
+            raise ValueError(f"every band must lie inside tokens 1..{self.n_tokens}")
+
+    def __len__(self) -> int:
+        return len(self.atom0)
+
+    @property
+    def max_frequency(self) -> int:
+        return len(self.atom0) - 1
+
+    @property
+    def width(self) -> int:
+        return self.rows.shape[1]
+
+    def tokens(self) -> np.ndarray:
+        """The token each stored entry stands for: ``first[:, None] + arange(width)``."""
+        return self.first[:, None] + np.arange(self.width)
+
+    def weighted_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per row, sum over tokens j >= 1 of Pr[token j] * values[j]."""
+        return np.einsum("ij,ij->i", self.rows, values[self.tokens()])
+
+    def dense(self, freqs=None) -> np.ndarray:
+        """The rows ``freqs`` (default: all) expanded over tokens 0..n_tokens."""
+        sel = slice(None) if freqs is None else np.asarray(freqs)
+        first = self.first[sel]
+        out = np.zeros((len(first), self.n_tokens + 1))
+        out[:, 0] = self.atom0[sel]
+        np.put_along_axis(out, first[:, None] + np.arange(self.width), self.rows[sel], axis=1)
+        return out
+
+    @classmethod
+    def from_entries(cls, atom0, i, j, v, n_tokens: int, **fields):
+        """Pack the entries ``v`` at (row ``i``, token ``j`` >= 1) into bands.
+
+        Entries equal to 0 are left out, so each band spans its row's first
+        to last nonzero token; ``width`` is the widest span.  A row without
+        entries takes the start of the nearest earlier row that has some,
+        which keeps adjacent starts close.  ``fields`` go to the constructor
+        of ``cls`` unchanged.
+        """
+        atom0 = np.asarray(atom0, dtype=float)
+        i, j, v = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(v, dtype=float)
+        keep = v != 0.0
+        i, j, v = i[keep], j[keep], v[keep]
+        n = len(atom0)
+        lo = np.full(n, n_tokens + 1, dtype=np.int64)
+        hi = np.zeros(n, dtype=np.int64)
+        np.minimum.at(lo, i, j)
+        np.maximum.at(hi, i, j)
+        has = hi > 0
+        width = int((hi - lo + 1)[has].max(initial=0))
+        held = np.maximum.accumulate(np.where(has, np.arange(n), -1))
+        start = np.where(held >= 0, lo[np.maximum(held, 0)], 1)
+        first = np.clip(start, 1, max(1, n_tokens - width + 1))
+        rows = np.zeros((n, width))
+        rows[i, j - first[i]] = v
+        return cls(atom0=atom0, first=first, rows=rows, n_tokens=int(n_tokens), **fields)
+
+
 @dataclass(frozen=True)
 class DpReport:
     """Outcome of a privacy check over adjacent frequency pairs."""
@@ -62,34 +145,49 @@ class DpReport:
     direction: str  # "up": higher row against lower; "down": the reverse
 
 
-def verify_dp(rows, params: PrivacyParams, *, slack: float = DELTA_SLACK) -> DpReport:
+def verify_dp(bands: TokenBands, params: PrivacyParams, *, slack: float = DELTA_SLACK) -> DpReport:
     """Check the privacy inequality in both directions for adjacent rows.
 
-    rows[i] is the output law for frequency i over a shared token set, with
-    rows[0] the law of an absent key (all mass on token 0).  Passes iff every
-    adjacent pair has hockey-stick divergence <= delta + slack both ways.
+    ``bands`` holds the output law of every frequency over one shared token
+    set, row 0 being the law of an absent key (all mass on token 0).  Each
+    row must be a probability vector.  Passes iff every adjacent pair has
+    hockey-stick divergence <= delta + slack both ways.  A pair is compared
+    over token 0 and a window one band plus the shift between the two
+    bands' starts wide; the tokens outside both bands carry no mass in
+    either row and add nothing.  The sums run over that window only, so
+    they may differ from a sum over all tokens in the last digits.
     """
-    mat = np.asarray(rows, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError("rows must form a matrix over one shared token set")
-    if mat.shape[0] < 2:
+    n = len(bands)
+    if n < 2:
         raise ValueError("need at least the frequency-0 row and one more")
-    # every row a probability vector, entries in [0, 1] summing to 1; NaN fails
+    atom0, first, rows = bands.atom0, bands.first, bands.rows
+    # every row a probability vector, entries in [0, 1] summing to 1; NaN
+    # fails.  The band's zeros and the tokens outside it count as entries 0.
     tol = 1e-9
+    total = atom0 + rows.sum(axis=1)
     ok = (
-        (mat.min(axis=1) >= -tol)
-        & (mat.max(axis=1) <= 1.0 + tol)
-        & (np.abs(mat.sum(axis=1) - 1.0) <= tol)
+        (np.minimum(atom0, rows.min(axis=1, initial=0.0)) >= -tol)
+        & (np.maximum(atom0, rows.max(axis=1, initial=0.0)) <= 1.0 + tol)
+        & (np.abs(total - 1.0) <= tol)
     )
     if not ok.all():
         i = int(np.argmin(ok))
         raise ValueError(
             f"row {i} is not a probability vector: entries must lie in [0, 1] "
-            f"and sum to 1 within {tol}, got sum {float(mat[i].sum())!r}"
+            f"and sum to 1 within {tol}, got sum {float(total[i])!r}"
         )
 
+    # pair k (rows k, k+1) in columns: token 0, then tokens base_k, base_k + 1, ...
+    base = np.minimum(first[:-1], first[1:])
+    span = bands.width + int(np.abs(first[1:] - first[:-1]).max())
+    cols = 1 + np.arange(bands.width)
+    lower, upper = np.zeros((n - 1, span + 1)), np.zeros((n - 1, span + 1))
+    lower[:, 0], upper[:, 0] = atom0[:-1], atom0[1:]
+    np.put_along_axis(lower, (first[:-1] - base)[:, None] + cols, rows[:-1], axis=1)
+    np.put_along_axis(upper, (first[1:] - base)[:, None] + cols, rows[1:], axis=1)
+
     factor = math.exp(params.epsilon)
-    tmp = np.empty((mat.shape[0] - 1, mat.shape[1]))
+    tmp = np.empty_like(lower)
 
     def divergences(p, q):
         # max(p - e^eps * q, 0) summed per row, in one reused temporary
@@ -97,8 +195,8 @@ def verify_dp(rows, params: PrivacyParams, *, slack: float = DELTA_SLACK) -> DpR
         np.subtract(p, tmp, out=tmp)
         return np.maximum(tmp, 0.0, out=tmp).sum(axis=1)
 
-    div_up = divergences(mat[1:], mat[:-1])
-    div_down = divergences(mat[:-1], mat[1:])
+    div_up = divergences(upper, lower)
+    div_down = divergences(lower, upper)
 
     i_up = int(np.argmax(div_up))
     i_down = int(np.argmax(div_down))

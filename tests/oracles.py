@@ -2,8 +2,8 @@
 
 The library keeps one implementation of each quantity, the one its CLI
 runs.  The twins below compute the same quantities another way (a closed
-form, one row at a time, or a scalar formula) and the tests compare the
-library against them.  ``test_loop_oracles.py`` keeps the loop versions
+form, one row at a time, a scalar formula, or over dense rows where the
+library stores bands) and the tests compare the library against them.  ``test_loop_oracles.py`` keeps the loop versions
 of the vectorised table paths in the same spirit, and compares the file
 writers with the ``csv.writer`` versions kept at the end of this module.
 """
@@ -15,14 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from privsample import (
+    DpReport,
     EstimatorCoeffs,
+    MomentTable,
     PrivacyParams,
     SamplingScheme,
+    SanitizerTable,
+    TokenBands,
     compute_pi,
     l_value,
     verify_dp,
 )
-from privsample.estimators import _estimable
+from privsample.estimators import _estimable, _g_values
 
 # ---------------------------------------------------------------- sampling
 
@@ -45,9 +49,9 @@ def inclusion_prob(scheme: SamplingScheme, w: float) -> float:
 # ---------------------------------------------------------------- keys
 
 
-def binary_rows(rv):
+def binary_rows(rv) -> TokenBands:
     """Per-frequency output laws over (not reported, reported) tokens."""
-    return np.stack([1.0 - rv.pi, rv.pi], axis=1)
+    return bands(np.stack([1.0 - rv.pi, rv.pi], axis=1))
 
 
 def pi_star_closed_form(params: PrivacyParams, i: int) -> float:
@@ -140,16 +144,109 @@ def hockey_stick(p, q, epsilon: float) -> float:
 
 
 # ---------------------------------------------------------------- tables
+# The library stores every token table as bands.  The dense forms below,
+# one full row of tokens 0..n_tokens per frequency, are what it built and
+# checked before; they are the reference for the bands.
+
+
+def bands(rows) -> TokenBands:
+    """The bands of dense rows: column 0 is token 0, column j token j."""
+    return _from_dense(TokenBands, rows)
+
+
+def table_from_dense(rows, reporting, token_edges=None) -> SanitizerTable:
+    """A table over dense rows, for hand-built laws."""
+    return _from_dense(SanitizerTable, rows, reporting=reporting, token_edges=token_edges)
+
+
+def _from_dense(cls, rows, **fields):
+    mat = np.asarray(rows, dtype=float)
+    i, j = np.nonzero(mat[:, 1:])
+    return cls.from_entries(mat[:, 0], i, j + 1, mat[i, j + 1], mat.shape[1] - 1, **fields)
+
+
+def compute_pij_dense(params: PrivacyParams, scheme: SamplingScheme, max_frequency: int):
+    """The integer-token table over dense rows: forced minimum, then the suffix loop."""
+    rv = compute_pi(params, scheme, max_frequency)
+    eps, delta = params.epsilon, params.delta
+    e_eps, e_neg = math.exp(eps), math.exp(-eps)
+    m = max_frequency
+
+    rows = np.zeros((m + 1, m + 1))
+    rows[0, 0] = 1.0
+    for i in range(1, m + 1):
+        pi_i = float(rv.pi[i])
+        prev = rows[i - 1]
+        row = rows[i]
+        row[0] = 1.0 - pi_i
+        gap = max(0.0, e_neg * prev[0] - row[0])
+        if i > 1:
+            targets = e_neg * (np.cumsum(prev[1:i]) - delta) + gap
+            cum = np.maximum(targets, 0.0)
+            row[1:i] = np.diff(cum, prepend=0.0)
+            assigned = float(cum[-1])
+        else:
+            assigned = 0.0
+        remaining = max(0.0, pi_i - assigned)
+        suffix_prev = 0.0
+        suffix_cur = 0.0
+        for j in range(i, 0, -1):
+            if remaining == 0.0:
+                break
+            cap = e_eps * suffix_prev + delta - suffix_cur
+            room = cap - row[j]
+            if room <= remaining:
+                remaining -= room
+                row[j] = cap
+            else:
+                row[j] += remaining
+                remaining = 0.0
+            suffix_prev += prev[j - 1]
+            suffix_cur += row[j]
+    return rows
+
+
+def discretize_pdfs_dense(family):
+    """The density table over dense rows: every token of every row filled in."""
+    all_bounds = np.unique(np.concatenate([pdf.bounds for pdf in family]))
+    edges = all_bounds[1:]
+    widths = np.diff(all_bounds)
+    rows = np.zeros((len(family), len(edges) + 1))
+    rows[0, 0] = 1.0
+    for i in range(1, len(family)):
+        pdf = family[i]
+        rows[i, 0] = pdf.atom0
+        cover = int(np.searchsorted(edges, pdf.top, side="right"))
+        seg = np.searchsorted(pdf.bounds, edges[:cover], side="left") - 1
+        rows[i, 1 : cover + 1] = pdf.densities[seg] * widths[:cover]
+    return rows
+
+
+def verify_dp_dense(rows, params: PrivacyParams, *, slack: float = 1e-12) -> DpReport:
+    """The DP oracle over dense rows: every pair compared over all tokens."""
+    mat = np.asarray(rows, dtype=float)
+    for row in mat:
+        check_distribution(row, tol=1e-9)
+    factor = math.exp(params.epsilon)
+    div_up = np.maximum(mat[1:] - factor * mat[:-1], 0.0).sum(axis=1)
+    div_down = np.maximum(mat[:-1] - factor * mat[1:], 0.0).sum(axis=1)
+    i_up = int(np.argmax(div_up))
+    i_down = int(np.argmax(div_down))
+    if div_up[i_up] >= div_down[i_down]:
+        worst, pair, direction = float(div_up[i_up]), (i_up, i_up + 1), "up"
+    else:
+        worst, pair, direction = float(div_down[i_down]), (i_down, i_down + 1), "down"
+    return DpReport(worst <= params.delta + slack, pair, worst, params.delta, direction)
 
 
 def pi_marginals(table) -> np.ndarray:
     """Total reporting mass per row; matches the key-reporting solution."""
-    return table.rows[:, 1:].sum(axis=1)
+    return table.dense()[:, 1:].sum(axis=1)
 
 
 def verify_table(table, *, slack: float = 1e-12):
     """The DP oracle on a table's rows under the table's own parameters."""
-    return verify_dp(table.rows, table.reporting.params, slack=slack)
+    return verify_dp(table, table.reporting.params, slack=slack)
 
 
 def pdf_mass(pdf) -> float:
@@ -174,6 +271,41 @@ def inverse_prob_coeffs(scheme: SamplingScheme, g, max_frequency: int) -> Estima
     return EstimatorCoeffs(values=values, defined=defined)
 
 
+def unbiased_coeffs_dense(rows, g) -> EstimatorCoeffs:
+    """Forward substitution over dense rows of a square integer-token table."""
+    m = rows.shape[0] - 1
+    gv = _g_values(g, m)
+    a = np.zeros(m + 1)
+    for i in range(1, m + 1):
+        a[i] = (gv[i] - float(rows[i, 1:i] @ a[1:i])) / rows[i, i]
+    defined = np.ones(m + 1, dtype=bool)
+    defined[0] = False
+    return EstimatorCoeffs(values=a, defined=defined)
+
+
+def mle_coeffs_dense(rows, rv, g) -> EstimatorCoeffs:
+    """Most-likely-frequency coefficients by an argmax down each dense column."""
+    cols = rows[:, 1:]
+    i_star = np.argmax(cols, axis=0)
+    defined = np.concatenate([[False], cols.max(axis=0) > 0.0])
+    values = np.zeros(rows.shape[1])
+    gv = g(i_star.astype(float))
+    ok = defined[1:]
+    values[1:][ok] = gv[ok] / rv.pi[i_star][ok]
+    return EstimatorCoeffs(values=values, defined=defined)
+
+
+def moments_dense(rows, coeffs: EstimatorCoeffs, g) -> MomentTable:
+    """Per-frequency moments by matrix products over dense rows."""
+    gv = _g_values(g, rows.shape[0] - 1)
+    a = coeffs.values[1:]
+    reported = rows[:, 1:]
+    expectation = reported @ a
+    bias = expectation - gv
+    mse = rows[:, 0] * gv**2 + reported @ a**2 - 2.0 * gv * expectation + reported.sum(axis=1) * gv**2
+    return MomentTable(gv, expectation, bias, np.maximum(0.0, mse - bias**2), mse)
+
+
 @dataclass(frozen=True)
 class PerKeyMoments:
     """Exact moments of the per-key estimate for one true frequency."""
@@ -190,7 +322,7 @@ def per_key_moments(table, coeffs: EstimatorCoeffs, g, i: int) -> PerKeyMoments:
         raise ValueError(f"frequency {i} outside table range 0..{table.max_frequency}")
     if len(coeffs.values) != table.n_tokens + 1:
         raise ValueError("coefficients do not match the table's token set")
-    row = table.rows[i]
+    row = table.dense([i])[0]
     a = coeffs.values
     gi = float(g(np.array([i]))[0]) if i > 0 else 0.0
     expectation = float(row[1:] @ a[1:])
@@ -247,10 +379,10 @@ def write_pi_csv_ref(fp, rv) -> None:
         writer.writerow([i, _fmt(q_i), _fmt(rv.pi[i]), _fmt(p_i)])
 
 
-def write_pij_csv_ref(fp, table) -> None:
+def write_pij_csv_ref(fp, rows) -> None:
+    """The export of dense rows, one cell at a time."""
     writer = csv.writer(fp)
     writer.writerow(["i", "j", "pi_ij"])
-    rows = table.rows
     for i in range(rows.shape[0]):
         for j in range(rows.shape[1]):
             if j == 0 or rows[i, j] != 0.0:

@@ -108,8 +108,8 @@ def test_criterion_03_dp_oracle(tables_500):
     for (params, scheme), (rv, t4, t5) in tables_500.items():
         for label, rows in [
             ("keys", binary_rows(rv)),
-            ("freq-table", t4.rows),
-            ("freq-densities", t5.rows),
+            ("freq-table", t4),
+            ("freq-densities", t5),
         ]:
             report = verify_dp(rows, params, slack=1e-12)
             ok = ok and report.ok
@@ -148,7 +148,7 @@ def test_criterion_05_marginals_and_dominance(tables_500):
     for (params, scheme), (rv, t4, t5) in tables_500.items():
         for table in (t4, t5):
             worst_marg = max(worst_marg, float(np.abs(pi_marginals(table) - rv.pi).max()))
-            cum = np.cumsum(table.rows, axis=1)
+            cum = np.cumsum(table.dense(), axis=1)
             worst_dom = max(worst_dom, float((cum[1:] - cum[:-1]).max()))
     ok = worst_marg <= 1e-12 and worst_dom <= 1e-12
     assert sw.done(
@@ -225,12 +225,12 @@ def test_criterion_06_maximum_separation_oracle():
     for scheme in (SamplingScheme.none(), SamplingScheme.ppswor(0.5)):
         table = discretize_pdfs(compute_pdfs(params, scheme, 10))
         edges = np.concatenate([[0.0], table.token_edges[:-1]])
-        gaps[scheme.kind] = _max_separation_gap(table.rows, edges, params)
+        gaps[scheme.kind] = _max_separation_gap(table.dense(), edges, params)
         # recorded, not asserted: the integer-token table against the same
         # oracle on its own (coarser) token grid
         t4 = compute_pij(params, scheme, 10)
         recorded[scheme.kind] = _max_separation_gap(
-            t4.rows, np.arange(t4.n_tokens, dtype=float), params
+            t4.dense(), np.arange(t4.n_tokens, dtype=float), params
         )
     ok = all(g <= 1e-6 for g in gaps.values())
     detail = ", ".join(f"{k}: gap {v:.2e}" for k, v in gaps.items())
@@ -245,8 +245,9 @@ def test_criterion_07_estimator_correctness():
     table = compute_pij(PARAMS_A, SamplingScheme.none(), 200)
     rv = compute_pi(PARAMS_A, SamplingScheme.none(), 200)
     unb = unbiased_coeffs(table, g_identity)
+    rows = table.dense()
     worst_resid = max(
-        abs(float(table.rows[i, 1:] @ unb.values[1:]) - i) / i for i in range(1, 201)
+        abs(float(rows[i, 1:] @ unb.values[1:]) - i) / i for i in range(1, 201)
     )
     has_negative = bool(unb.values.min() < 0.0)
     mle = mle_coeffs(table, rv, g_identity)
@@ -261,10 +262,10 @@ def test_criterion_07_estimator_correctness():
     values = mle.values.copy()
     values[0] = 0.0
     for i in (1, ceil_l, 4 * ceil_l):
-        draws = rng.choice(table.n_tokens + 1, size=n, p=table.rows[i])
+        draws = rng.choice(table.n_tokens + 1, size=n, p=rows[i])
         est = values[draws]
         mean_sd = math.sqrt(moments.variance[i] / n)
-        mu4 = float(table.rows[i] @ (values - moments.expectation[i]) ** 4)
+        mu4 = float(rows[i] @ (values - moments.expectation[i]) ** 4)
         var_sd = math.sqrt(max(mu4 - moments.variance[i] ** 2, 0.0) / n)
         mc_ok = mc_ok and abs(est.mean() - moments.expectation[i]) <= 4 * mean_sd
         mc_ok = mc_ok and abs(est.var() - moments.variance[i]) <= 4 * var_sd
@@ -387,7 +388,7 @@ def test_criterion_12_ordinal_comparison():
     params = PARAMS_A
     m = 100
     table = discretize_pdfs(compute_pdfs(params, SamplingScheme.none(), m))
-    conc = concordance_matrix(table.rows)
+    conc = concordance_matrix(table)
     config = SbhConfig(params)
 
     dominance_ok = True

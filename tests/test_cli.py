@@ -56,8 +56,8 @@ class TestVerifyRoundTrip:
         with open(path, "w") as fp:
             write_pij_csv(fp, table)
         with open(path) as fp:
-            rows = read_pij_csv(fp)
-        np.testing.assert_array_equal(rows, table.rows)
+            back = read_pij_csv(fp)
+        np.testing.assert_array_equal(back.dense(), table.dense())
 
     def test_verify_dp_passes_on_export(self, tmp_path, capsys):
         code, out, _ = run(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import inclusion_prob, inverse_prob_coeffs, per_key_moments
+from oracles import inclusion_prob, inverse_prob_coeffs, per_key_moments, table_from_dense
 
 from privsample import (
     FrequencyHistogram,
@@ -74,7 +74,7 @@ class TestUnbiased:
 
     def test_residuals_vanish(self, std_table):
         coeffs = unbiased_coeffs(std_table, g_identity)
-        rows = std_table.rows
+        rows = std_table.dense()
         for i in range(1, 201):
             resid = float(rows[i, 1:] @ coeffs.values[1:]) - float(i)
             assert abs(resid) <= 1e-9 * i
@@ -86,7 +86,7 @@ class TestUnbiased:
 
     def test_uniqueness_via_perturbation(self, std_table):
         coeffs = unbiased_coeffs(std_table, g_identity)
-        rows = std_table.rows
+        rows = std_table.dense()
         rng = np.random.default_rng(5)
         for j in rng.integers(1, 201, size=12):
             perturbed = coeffs.values.copy()
@@ -140,10 +140,12 @@ class TestMle:
             assert coeffs.values[j] == pytest.approx(i_star / rv.pi[i_star], rel=1e-12)
 
     def test_argmax_scale_invariance(self, std_table, std_rv):
-        scaled_rows = std_table.rows * 0.37
-        i_star_orig = np.argmax(std_table.rows[:, 1:], axis=0)
-        i_star_scaled = np.argmax(scaled_rows[:, 1:], axis=0)
-        np.testing.assert_array_equal(i_star_orig, i_star_scaled)
+        # the most likely frequency of each token survives scaling every row
+        scaled = table_from_dense(std_table.dense() * 0.37, std_table.reporting)
+        np.testing.assert_array_equal(
+            mle_coeffs(scaled, std_rv, g_identity).values,
+            mle_coeffs(std_table, std_rv, g_identity).values,
+        )
 
     def test_undefined_token_errors(self, std_table, std_rv):
         coeffs = mle_coeffs(std_table, std_rv, g_identity)
@@ -175,13 +177,12 @@ class TestPerKeyMoments:
         # a row with no reporting mass: the estimate is always 0, so the
         # error is deterministic: bias -g(i), MSE g(i)^2, variance 0
         from privsample.estimators import EstimatorCoeffs
-        from privsample.frequencies import SanitizerTable
 
         rows = np.zeros((3, 3))
         rows[0, 0] = 1.0
         rows[1, 0], rows[1, 1] = 0.9, 0.1
         rows[2, 0] = 1.0  # frequency 2 never reported
-        table = SanitizerTable(reporting=compute_pi(params_std, scheme_none, 2), rows=rows)
+        table = table_from_dense(rows, compute_pi(params_std, scheme_none, 2))
         coeffs = EstimatorCoeffs(
             values=np.array([0.0, 10.0, 20.0]),
             defined=np.array([False, True, True]),
@@ -207,7 +208,7 @@ class TestPerKeyMoments:
         rng = np.random.default_rng(2024)
         n = 1_000_000
         for i in [1, 18, 72]:
-            row = std_table.rows[i]
+            row = std_table.dense([i])[0]
             values = np.concatenate([[0.0], coeffs.values[1:]])
             draws = rng.choice(len(row), size=n, p=row)
             est = values[draws]

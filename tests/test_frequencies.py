@@ -47,14 +47,14 @@ class TestComputePij:
     def test_first_row_single_token(self, params_std, scheme_none):
         table = compute_pij(params_std, scheme_none, 5)
         pi_1 = compute_pi(params_std, scheme_none, 5).pi[1]
-        assert table.rows[1, 1] == pytest.approx(pi_1, rel=1e-15)
-        assert table.rows[1, 0] == pytest.approx(1.0 - pi_1, rel=1e-15)
-        assert np.all(table.rows[1, 2:] == 0.0)
+        assert table.dense()[1, 1] == pytest.approx(pi_1, rel=1e-15)
+        assert table.dense()[1, 0] == pytest.approx(1.0 - pi_1, rel=1e-15)
+        assert np.all(table.dense()[1, 2:] == 0.0)
 
     def test_support_is_lower_triangular(self, params_std, scheme_none):
-        table = compute_pij(params_std, scheme_none, 30)
+        rows = compute_pij(params_std, scheme_none, 30).dense()
         for i in range(31):
-            assert np.all(table.rows[i, i + 1 :] == 0.0)
+            assert np.all(rows[i, i + 1 :] == 0.0)
 
     @pytest.mark.parametrize("params,scheme", CONFIGS)
     def test_marginals_match_key_solution(self, params, scheme):
@@ -68,7 +68,7 @@ class TestComputePij:
 
     @pytest.mark.parametrize("params,scheme", CONFIGS)
     def test_stochastic_dominance(self, params, scheme):
-        rows = compute_pij(params, scheme, 120).rows
+        rows = compute_pij(params, scheme, 120).dense()
         cum = np.cumsum(rows, axis=1)
         # higher frequency -> cumulative mass pointwise no larger
         assert float((cum[1:] - cum[:-1]).max()) <= 1e-12
@@ -78,7 +78,7 @@ class TestComputePij:
         params = params_integral_l
         eps, delta = params.epsilon, params.delta
         L = 4
-        table = compute_pij(params, scheme_none, 25)
+        rows = compute_pij(params, scheme_none, 25).dense()
         for i in range(1, 26):
             for j in range(1, i + 1):
                 k = i - j
@@ -88,7 +88,7 @@ class TestComputePij:
                     want = delta * math.exp((2 * L - k) * eps)
                 else:
                     want = 0.0
-                assert table.rows[i, j] == pytest.approx(want, rel=1e-9, abs=1e-15)
+                assert rows[i, j] == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 class TestComputePdfs:
@@ -130,7 +130,7 @@ class TestDiscretize:
         fam = compute_pdfs(params_std, scheme_none, 1)
         table = discretize_pdfs(fam)
         assert table.n_tokens == 1
-        assert table.rows.shape == (2, 2)
+        assert table.dense().shape == (2, 2)
 
     @pytest.mark.parametrize("params,scheme", CONFIGS)
     def test_token_budget(self, params, scheme):
@@ -156,7 +156,7 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("params,scheme", CONFIGS)
     def test_stochastic_dominance(self, params, scheme):
-        rows = discretize_pdfs(compute_pdfs(params, scheme, 120)).rows
+        rows = discretize_pdfs(compute_pdfs(params, scheme, 120)).dense()
         cum = np.cumsum(rows, axis=1)
         assert float((cum[1:] - cum[:-1]).max()) <= 1e-12
 
@@ -165,17 +165,17 @@ class TestDiscretize:
         # continuous pdfs vs the discretized rows
         scheme = SamplingScheme.ppswor(0.3)
         fam = compute_pdfs(params_std, scheme, 40)
-        table = discretize_pdfs(fam)
+        rows = discretize_pdfs(fam).dense()
         factor = math.exp(params_std.epsilon)
         for i in range(1, 41):
             want_up = continuous_hockey_stick(fam[i], fam[i - 1], params_std.epsilon)
             got_up = float(
-                np.maximum(table.rows[i] - factor * table.rows[i - 1], 0.0).sum()
+                np.maximum(rows[i] - factor * rows[i - 1], 0.0).sum()
             )
             assert got_up == pytest.approx(want_up, abs=1e-13)
             want_down = continuous_hockey_stick(fam[i - 1], fam[i], params_std.epsilon)
             got_down = float(
-                np.maximum(table.rows[i - 1] - factor * table.rows[i], 0.0).sum()
+                np.maximum(rows[i - 1] - factor * rows[i], 0.0).sum()
             )
             assert got_down == pytest.approx(want_down, abs=1e-13)
 
@@ -193,9 +193,10 @@ class TestDiscretize:
         t4 = compute_pij(params, scheme, m)
         t5 = discretize_pdfs(compute_pdfs(params, scheme, m))
         edges = t5.token_edges
+        rows4, rows5 = t4.dense(), t5.dense()
         for i in range(m + 1):
-            cum4 = np.concatenate([[0.0], np.cumsum(t4.rows[i, 1:])])
-            cum5 = np.cumsum(t5.rows[i, 1:])
+            cum4 = np.concatenate([[0.0], np.cumsum(rows4[i, 1:])])
+            cum5 = np.cumsum(rows5[i, 1:])
             for z in range(m + 1):
                 k = int(np.searchsorted(edges, z, side="right"))
                 c5 = cum5[k - 1] if k > 0 else 0.0
@@ -205,8 +206,9 @@ class TestDiscretize:
         # row i never reports a token whose interval lies above position i
         table = discretize_pdfs(compute_pdfs(params_std, scheme_none, 50))
         edges = table.token_edges
+        rows = table.dense()
         for i in range(1, 51):
-            support = np.nonzero(table.rows[i, 1:])[0]
+            support = np.nonzero(rows[i, 1:])[0]
             assert edges[support].max() <= i + 1e-12
 
 
@@ -240,7 +242,7 @@ class TestRandomizedConfigurations:
             assert float(np.abs(pi_marginals(t4) - rv.pi).max()) <= 1e-11, label
             assert verify_table(t5).ok and verify_table(t4).ok, label
             assert t5.n_tokens <= 3 * m, label
-            cum = np.cumsum(t5.rows, axis=1)
+            cum = np.cumsum(t5.dense(), axis=1)
             assert float((cum[1:] - cum[:-1]).max()) <= 1e-12, label
 
 
@@ -301,7 +303,7 @@ class TestSanitizeFrequencies:
         for _, token in out:
             counts[token] += 1
         # conditional law given sampled; token 0 is the complement
-        cond = table.rows[i] / q_i
+        cond = table.dense([i])[0] / q_i
         cond[0] = 1.0 - cond[1:].sum()
         counts[0] = n - len(out)
         for j in range(table.n_tokens + 1):

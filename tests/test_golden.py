@@ -10,7 +10,13 @@ were recorded at commit e05e90f; the pps sweep is the only corpus path
 through the quadrature of ``sampled_sbh_report_prob``.  The sbh
 concordance, plain ``baseline sbh``, alg4 moments and the ``pij --out -``
 export to stdout were recorded at commit c4a6b6d, before the writers moved
-from ``csv.writer`` to preformatted blocks of lines.  A change
+from ``csv.writer`` to preformatted blocks of lines.  When the tables
+came to be stored as bands, four printed reductions were re-recorded,
+because their sums now run over each row's band instead of over every
+token, in another order: ``verify-dp-alg5`` (the worst divergence moved
+by 1.7e-16 of itself), ``moments-mle`` and ``moments-alg4-mle`` (at most
+1.6e-13 of a value, on ``Var_i``, which is MSE less bias squared) and
+``nrmse`` (6.2e-16 of a value).  No table entry moved.  A change
 that alters outputs on purpose re-records the digests by printing
 ``corpus_digests(tmp_dir)`` and says so in CHANGES.md.
 
@@ -153,10 +159,10 @@ GOLDEN = {
     "pdfs:seg.csv": "9664d2ec058205dfa11aae95c5ca697426ef4e919d880310e1536bee1b71be45",
     "pdfs:atoms.csv": "14f6ec466a4d2c0ffffd7ecbfbee29df311829b23f4f5c7230d214c54b1a9475",
     "verify-dp-alg4:stdout": "6c4ac2d4d1c029109d4ca5b711a2e193955860138a959539cff503ae03b802ea",
-    "verify-dp-alg5:stdout": "6cf48b52cadc62c015a530914ec9d9e4fb8fb3e49c77d48565066f3db8ee681a",
+    "verify-dp-alg5:stdout": "7fa3ceed47e495401552b542dbec65a4898e5f59748605344ec301051471a624",
     "verify-dp-pi:stdout": "f85ac4508e511642963c07a92b39abf5b81ed74a6729c1591c39de16868b012a",
-    "moments-mle:moments.csv": "75f806ac099c4ea6a35d8c663556f39d61524386b850b7e7b5465e6f1eaca682",
-    "nrmse:nrmse.csv": "ca12eeff01ae40f7aef0440ceed3387b9294aa58344e5a27703891adcdbade3c",
+    "moments-mle:moments.csv": "42cd8b1c990e60e00aa80f5c3057321dabfbdd73ab488aa06905d5b4e70504d9",
+    "nrmse:nrmse.csv": "8826ea44380668d663d71f7ebb7cfdcb1b2e65fc74704a47f824ff8e30cb3b4e",
     "sweep:sweep.csv": "88f39fcb8e1cc9635b6c5e141231824ec57f86bb1318f602ad36935f486e55cc",
     "concordance-kendall:stdout": "53b7abeba48d8a2fd478e072eeb69f5da6e7e73e6b308e2f71f726fb16ce0bc4",
     "concordance-kendall:conc.csv": "f739a230ec04aecfd6d297b0db44ca9b1b9f0bf193bbfd3a178df89c88c3d727",
@@ -166,7 +172,7 @@ GOLDEN = {
     "sweep-file:sweep_file.csv": "44c37a0f9754f5a633bcb7359b7f21ee254dde8d8f0653f81decb644325b357f",
     "concordance-sbh:conc_sbh.csv": "6819c52cea26a096ad4d6101f04068d475f52958617c0c80c534708290f564fe",
     "baseline-sbh:sbh_plain.tsv": "1d989cb6cbc007b738ae03cab92ddf01ed4dd90341bab24a39e10b0310362459",
-    "moments-alg4-mle:moments4.csv": "80ff6762f1b4ef976674714f3e99c7461680bed63d752105c2068ebc0ab7a430",
+    "moments-alg4-mle:moments4.csv": "4de67864f8cd8552122379e64b39060fae7ba040bb11b88c7ca987b020a0d12c",
     "pij-stdout:stdout": "292e8ddcc2fc639c6e2d4a31f16fd0e50f9ae57193fe0a8498093813d661985d",
 }
 

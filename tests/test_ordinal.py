@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import concordance_prob
+from oracles import concordance_prob, table_from_dense
 
 from privsample import (
     FrequencyHistogram,
@@ -66,17 +66,17 @@ class TestConcordanceProb:
     def test_dominance_implies_majority(self, params_std):
         # strictly dominating rows win at least half the comparisons
         table = discretize_pdfs(compute_pdfs(params_std, SamplingScheme.none(), 40))
-        conc = concordance_matrix(table.rows)
+        conc = concordance_matrix(table)
         for hi in range(1, 41):
             for lo in range(hi):
                 assert conc[hi, lo] >= 0.5 - 1e-12
 
     def test_matrix_matches_scalar(self, params_std):
         table = discretize_pdfs(compute_pdfs(params_std, SamplingScheme.ppswor(0.4), 15))
-        conc = concordance_matrix(table.rows)
+        conc = concordance_matrix(table)
         for i1, i2 in [(3, 1), (10, 2), (15, 14), (4, 4)]:
             assert conc[i1, i2] == pytest.approx(
-                concordance_prob(table.rows[i1], table.rows[i2]), abs=1e-12
+                concordance_prob(*table.dense([i1, i2])), abs=1e-12
             )
 
 
@@ -93,19 +93,17 @@ class TestKendallTau:
 
     def test_perfect_order(self, params_std, scheme_none):
         # point-mass tokens in frequency order give expected tau of 1
-        from privsample.frequencies import SanitizerTable
-
         rows = np.zeros((4, 4))
         rows[0, 0] = 1.0
         for i in range(1, 4):
             rows[i, i] = 1.0
-        perfect = SanitizerTable(reporting=compute_pi(params_std, scheme_none, 3), rows=rows)
+        perfect = table_from_dense(rows, compute_pi(params_std, scheme_none, 3))
         hist = FrequencyHistogram.from_counts({1: 3, 2: 4, 3: 5})
         assert expected_kendall_tau(hist, perfect) == pytest.approx(1.0, abs=1e-15)
 
     def test_single_pair_identity(self, table):
         hist = FrequencyHistogram.from_counts({10: 1, 30: 1})
-        want = 2.0 * concordance_prob(table.rows[30], table.rows[10]) - 1.0
+        want = 2.0 * concordance_prob(*table.dense([30, 10])) - 1.0
         assert expected_kendall_tau(hist, table) == pytest.approx(want, rel=1e-12)
 
     def test_matches_direct_enumeration(self, table):
@@ -117,7 +115,7 @@ class TestKendallTau:
         den = 0.0
         for hi, lo in itertools.combinations(reversed(freqs), 2):
             w = counts[hi] * counts[lo]
-            num += w * (2 * concordance_prob(table.rows[hi], table.rows[lo]) - 1)
+            num += w * (2 * concordance_prob(*table.dense([hi, lo])) - 1)
             den += w
         assert expected_kendall_tau(hist, table) == pytest.approx(num / den, rel=1e-12)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import binary_rows, check_distribution, hockey_stick, l_value_approx
+from oracles import bands, binary_rows, check_distribution, hockey_stick, l_value_approx
 
 from privsample import PrivacyParams, l_value, verify_dp
 
@@ -121,14 +121,14 @@ class TestVerifyDp:
         rows = np.tile([0.4, 0.6], (5, 1))
         rows[0] = [1.0, 0.0]
         # rows 0 -> 1 jump from a point mass; use delta large enough
-        report = verify_dp(rows, PrivacyParams(0.1, 1.0))
+        report = verify_dp(bands(rows), PrivacyParams(0.1, 1.0))
         assert report.ok
 
     def test_first_step_violation(self):
         # pi_1 = 2 delta against pi_0 = 0 diverges by 2 delta > delta
         delta = 0.01
         rows = np.array([[1.0, 0.0], [1.0 - 2 * delta, 2 * delta]])
-        report = verify_dp(rows, PrivacyParams(0.5, delta))
+        report = verify_dp(bands(rows), PrivacyParams(0.5, delta))
         assert not report.ok
         assert report.worst_pair == (0, 1)
         assert report.worst_divergence == pytest.approx(2 * delta, abs=1e-15)
@@ -142,7 +142,7 @@ class TestVerifyDp:
                 [1.0 - 0.5, 0.5],
             ]
         )
-        report = verify_dp(rows, params_std)
+        report = verify_dp(bands(rows), params_std)
         assert not report.ok
         assert report.worst_pair == (1, 2)
         assert report.direction == "up"
@@ -159,4 +159,4 @@ class TestVerifyDp:
         # the error names the first offending row
         rows = np.array([[1.0, 0.0], [0.5, 0.5], bad_row, [0.3, 0.3]])
         with pytest.raises(ValueError, match="row 2 "):
-            verify_dp(rows, params_std)
+            verify_dp(bands(rows), params_std)

@@ -15,7 +15,7 @@ import privsample
 PACKAGE = [
     "DpReport", "EstimatorCoeffs", "FrequencyHistogram", "MomentTable", "PdfFamily",
     "PiecewisePdf", "PrivacyParams", "ReportingVector", "SamplingScheme",
-    "SanitizerTable", "SbhConfig", "StatisticMoments", "SweepRow",
+    "SanitizerTable", "SbhConfig", "StatisticMoments", "SweepRow", "TokenBands",
     "WeightedSample", "aggregate_elements", "compute_pdfs", "compute_pi", "compute_pij",
     "concordance_matrix", "discretize_pdfs", "draw_sample", "estimate_statistic",
     "expected_kendall_tau", "expected_reported_fraction", "g_identity", "g_power", "l_value",
@@ -43,7 +43,7 @@ MODULES = {
     ],
     "keys": ["ReportingVector", "compute_pi", "sanitize_keys"],
     "ordinal": ["concordance_matrix", "expected_kendall_tau"],
-    "privacy": ["DpReport", "PrivacyParams", "l_value", "verify_dp"],
+    "privacy": ["DpReport", "PrivacyParams", "TokenBands", "l_value", "verify_dp"],
     "sampling": [
         "FrequencyHistogram", "SamplingScheme", "WeightedSample", "aggregate_elements",
         "draw_sample",
@@ -93,3 +93,11 @@ def test_module_all(module):
 def test_removed_methods_stay_out(owner, method):
     assert not hasattr(owner, method)
     assert method not in {field.name for field in dataclasses.fields(owner)}
+
+
+def test_tables_hold_bands_only():
+    # one table representation: the bands, and no dense matrix beside them
+    fields = [field.name for field in dataclasses.fields(privsample.SanitizerTable)]
+    assert fields == ["atom0", "first", "rows", "n_tokens", "reporting", "token_edges"]
+    assert [field.name for field in dataclasses.fields(privsample.TokenBands)] == fields[:4]
+    assert issubclass(privsample.SanitizerTable, privsample.TokenBands)
