@@ -38,8 +38,11 @@ def _write_lines(fp: TextIO, header: str, line: str, rows: Iterable[tuple]) -> N
 
 
 def read_element_stream(fp: TextIO) -> Iterable[str]:
-    for line in fp:
+    """Yield each nonempty line as a key; fails closed on a tab, which no keyed TSV can hold."""
+    for lineno, line in enumerate(fp, 1):
         key = line.rstrip("\n")
+        if "\t" in key:
+            raise ValueError(f"line {lineno}: key contains a tab")
         if key:
             yield key
 

@@ -40,11 +40,6 @@ __all__ = [
     "sanitize_frequencies",
 ]
 
-# Forgiveness for float rounding when locating breakpoints; the piecewise
-# integrals themselves are exact segment arithmetic.
-_SOLVE_SLACK = 1e-9
-
-
 @dataclass(frozen=True, eq=False)
 class SanitizerTable(TokenBands):
     """End-to-end token laws per frequency, stored as bands (``TokenBands``).
@@ -178,39 +173,31 @@ class PdfFamily:
 
 
 def _split_at(bounds: np.ndarray, densities: np.ndarray, z: float):
-    """Insert breakpoint z into a segmentation; no-op if already a node."""
+    """Insert breakpoint z, which lies in [bounds[0], bounds[-1]]; no-op if already a node."""
     k = int(np.searchsorted(bounds, z))
-    if k < len(bounds) and bounds[k] == z:
+    if bounds[k] == z:
         return bounds, densities
-    if k == 0 or k == len(bounds):
-        raise ValueError(f"split point {z} outside support [{bounds[0]}, {bounds[-1]}]")
     return (
         np.concatenate((bounds[:k], [z], bounds[k:])),
         np.concatenate((densities[:k], densities[k - 1:k], densities[k:])),
     )
 
 
-def _smallest_crossing(bounds: np.ndarray, node_values: np.ndarray, slopes, target: float,
-                       *, increasing: bool) -> float:
+def _smallest_crossing(bounds: np.ndarray, node_values: np.ndarray, slopes, target: float):
     """Smallest z with a piecewise-linear node function equal to target.
 
-    ``node_values`` holds the function at the breakpoints; within segment k
-    it is linear with slope ``slopes[k]``.  Assumes the function is monotone
-    (non-decreasing if ``increasing`` else non-increasing) and that the
-    target is within its range.
+    ``node_values`` holds the non-decreasing function at the breakpoints;
+    within segment k it is linear with slope ``slopes[k]``.  A target
+    outside the function's range is clamped to the nearer end of ``bounds``,
+    and so is an interpolated point that rounds past the last breakpoint.
     """
-    values = node_values if increasing else -node_values
-    goal = target if increasing else -target
-    k = int(np.searchsorted(values, goal, side="left"))
+    k = int(np.searchsorted(node_values, target, side="left"))
     if k == 0:
         return float(bounds[0])
     if k == len(bounds):
-        raise ValueError("target outside the function's range")
-    v_lo = node_values[k - 1]
-    if v_lo == target:
-        return float(bounds[k - 1])
-    slope = slopes[k - 1]
-    return float(bounds[k - 1] + (target - v_lo) / slope)
+        return float(bounds[-1])
+    z = bounds[k - 1] + (target - node_values[k - 1]) / slopes[k - 1]  # slope > 0 here
+    return min(float(z), float(bounds[-1]))
 
 
 def compute_pdfs(
@@ -224,6 +211,15 @@ def compute_pdfs(
     crossover is the point where the remaining mass balances exactly; all
     integrals are exact segment arithmetic and any tie in the crossover
     equation is broken toward the smallest solution.
+
+    Every row, f_1 included, takes the same step.  The pi recurrence puts
+    the crossover target target_c = pi_i - min(pi_i, delta) inside the
+    balance function's range [balance[-1], balance[0]], so the solver's
+    clamp only absorbs rounding:
+
+    * pi_i <= e^eps pi_{i-1} + delta gives target_c <= e^eps pi_{i-1} = balance[0];
+    * pi_i <= 1 + e^-eps (pi_{i-1} + delta - 1), with pi non-decreasing,
+      gives target_c >= balance[-1], the forced lower-bound mass.
     """
     rv = compute_pi(params, scheme, max_frequency)
     eps, delta = params.epsilon, params.delta
@@ -235,16 +231,6 @@ def compute_pdfs(
         atom = 1.0 - pi_i
         top_density = min(pi_i, delta)
         prev = pdfs[-1]
-
-        if i == 1:
-            pdfs.append(
-                PiecewisePdf(
-                    atom0=atom,
-                    bounds=np.array([0.0, 1.0]),
-                    densities=np.array([top_density]),
-                )
-            )
-            continue
 
         gap = max(0.0, e_neg * prev.atom0 - atom)
         prev_cum = prev.node_cumulative()
@@ -261,48 +247,25 @@ def compute_pdfs(
             dens_lower = np.zeros_like(dens_prev)
         else:
             target_b = max(0.0, delta - atom_spend)
-            b = _smallest_crossing(
-                prev.bounds, prev_cum, prev.densities, target_b, increasing=True
-            )
+            b = _smallest_crossing(prev.bounds, prev_cum, prev.densities, target_b)
             grid, dens_prev = _split_at(prev.bounds, prev.densities, b)
             dens_lower = np.where(grid[1:] <= b, 0.0, e_neg * dens_prev)
 
         # Crossover c: mass below c follows the lower bound, mass above c is
         # e^eps times the previous density, and the total on (0, i-1] must be
-        # pi_i - top_density.
+        # pi_i - top_density.  The balance is non-increasing in c, so solve
+        # on its negation.
         target_c = pi_i - top_density
         cum_prev_grid = np.zeros(len(grid))
         np.cumsum(dens_prev * np.diff(grid), out=cum_prev_grid[1:])
         cum_lower_grid = np.zeros(len(grid))
         np.cumsum(dens_lower * np.diff(grid), out=cum_lower_grid[1:])
         balance = cum_lower_grid + e_eps * (total_prev - cum_prev_grid)
+        c = _smallest_crossing(grid, -balance, e_eps * dens_prev - dens_lower, -target_c)
 
-        if target_c > balance[0]:
-            if target_c - balance[0] > _SOLVE_SLACK:
-                raise RuntimeError(
-                    f"no crossover solution at frequency {i}: need {target_c}, "
-                    f"maximum attainable {balance[0]}"
-                )
-            c = 0.0
-        elif target_c < balance[-1]:
-            if balance[-1] - target_c > _SOLVE_SLACK:
-                raise RuntimeError(
-                    f"no crossover solution at frequency {i}: need {target_c}, "
-                    f"minimum attainable {balance[-1]}"
-                )
-            c = float(grid[-1])
-        else:
-            c = _smallest_crossing(
-                grid, balance, dens_lower - e_eps * dens_prev, target_c, increasing=False
-            )
-
-        grid_i, dens_prev_i = _split_at(grid, dens_prev, c) if 0.0 < c < grid[-1] else (grid, dens_prev)
-        dens_lower_i = dens_lower if grid_i is grid else _split_at(grid, dens_lower, c)[1]
-        dens_i = np.where(grid_i[1:] <= c, dens_lower_i, e_eps * dens_prev_i)
-
-        bounds_i = np.append(grid_i, float(i))
-        dens_i = np.append(dens_i, top_density)
-        pdfs.append(_merged(atom, bounds_i, dens_i))
+        grid_i, dens_prev_i = _split_at(grid, dens_prev, c)
+        dens_i = np.where(grid_i[1:] <= c, _split_at(grid, dens_lower, c)[1], e_eps * dens_prev_i)
+        pdfs.append(_merged(atom, np.append(grid_i, float(i)), np.append(dens_i, top_density)))
     return PdfFamily(reporting=rv, pdfs=tuple(pdfs))
 
 

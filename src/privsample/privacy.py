@@ -136,7 +136,13 @@ class TokenBands:
 
 @dataclass(frozen=True)
 class DpReport:
-    """Outcome of a privacy check over adjacent frequency pairs."""
+    """Outcome of a privacy check over adjacent frequency pairs.
+
+    ``worst_pair`` is the adjacent pair with the largest float divergence
+    (on an exact tie the lowest pair, "up" before "down").  Pairs tied at
+    the maximum up to rounding differ only in their last bits, so which of
+    them it names depends on the order the sums run in.
+    """
 
     ok: bool
     worst_pair: tuple[int, int]
@@ -145,15 +151,15 @@ class DpReport:
     direction: str  # "up": higher row against lower; "down": the reverse
 
 
-def verify_dp(bands: TokenBands, params: PrivacyParams, *, slack: float = DELTA_SLACK) -> DpReport:
+def verify_dp(bands: TokenBands, params: PrivacyParams) -> DpReport:
     """Check the privacy inequality in both directions for adjacent rows.
 
     ``bands`` holds the output law of every frequency over one shared token
     set, row 0 being the law of an absent key (all mass on token 0).  Each
     row must be a probability vector.  Passes iff every adjacent pair has
-    hockey-stick divergence <= delta + slack both ways.  A pair is compared
-    over token 0 and a window one band plus the shift between the two
-    bands' starts wide; the tokens outside both bands carry no mass in
+    hockey-stick divergence <= delta + DELTA_SLACK both ways.  A pair is
+    compared over token 0 and a window one band plus the shift between the
+    two bands' starts wide; the tokens outside both bands carry no mass in
     either row and add nothing.  The sums run over that window only, so
     they may differ from a sum over all tokens in the last digits.
     """
@@ -205,7 +211,7 @@ def verify_dp(bands: TokenBands, params: PrivacyParams, *, slack: float = DELTA_
     else:
         worst, pair, direction = float(div_down[i_down]), (i_down, i_down + 1), "down"
     return DpReport(
-        ok=worst <= params.delta + slack,
+        ok=worst <= params.delta + DELTA_SLACK,
         worst_pair=pair,
         worst_divergence=worst,
         delta=params.delta,

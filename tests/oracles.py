@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from privsample import (
     DpReport,
@@ -27,8 +28,28 @@ from privsample import (
     verify_dp,
 )
 from privsample.estimators import _estimable, _g_values
+from privsample.privacy import DELTA_SLACK
 
 # ---------------------------------------------------------------- sampling
+
+
+@st.composite
+def table_laws(draw, min_epsilon=0.01, max_delta=0.5):
+    """(params, scheme, m) over the ranges the tables are built for.
+
+    epsilon runs from ``min_epsilon`` to 10 and delta (log-uniform) from
+    1e-12 to ``max_delta``; the scheme is none, or ppswor or pps with tau
+    from 1e-4 to 1 and power 0 to 2; m runs from 1 to 150.
+    """
+    epsilon = draw(st.floats(min_epsilon, 10.0))
+    delta = 10.0 ** draw(st.floats(-12.0, math.log10(max_delta)))
+    kind = draw(st.sampled_from(["none", "ppswor", "pps"]))
+    if kind == "none":
+        scheme = SamplingScheme.none()
+    else:
+        tau = 10.0 ** draw(st.floats(-4.0, 0.0))
+        scheme = getattr(SamplingScheme, kind)(tau, draw(st.floats(0.0, 2.0)))
+    return PrivacyParams(epsilon, delta), scheme, draw(st.integers(1, 150))
 
 
 def inclusion_prob(scheme: SamplingScheme, w: float) -> float:
@@ -222,7 +243,7 @@ def discretize_pdfs_dense(family):
     return rows
 
 
-def verify_dp_dense(rows, params: PrivacyParams, *, slack: float = 1e-12) -> DpReport:
+def verify_dp_dense(rows, params: PrivacyParams) -> DpReport:
     """The DP oracle over dense rows: every pair compared over all tokens."""
     mat = np.asarray(rows, dtype=float)
     for row in mat:
@@ -236,7 +257,7 @@ def verify_dp_dense(rows, params: PrivacyParams, *, slack: float = 1e-12) -> DpR
         worst, pair, direction = float(div_up[i_up]), (i_up, i_up + 1), "up"
     else:
         worst, pair, direction = float(div_down[i_down]), (i_down, i_down + 1), "down"
-    return DpReport(worst <= params.delta + slack, pair, worst, params.delta, direction)
+    return DpReport(worst <= params.delta + DELTA_SLACK, pair, worst, params.delta, direction)
 
 
 def pi_marginals(table) -> np.ndarray:
@@ -244,9 +265,9 @@ def pi_marginals(table) -> np.ndarray:
     return table.dense()[:, 1:].sum(axis=1)
 
 
-def verify_table(table, *, slack: float = 1e-12):
+def verify_table(table):
     """The DP oracle on a table's rows under the table's own parameters."""
-    return verify_dp(table, table.reporting.params, slack=slack)
+    return verify_dp(table, table.reporting.params)
 
 
 def pdf_mass(pdf) -> float:

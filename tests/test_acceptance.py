@@ -39,6 +39,7 @@ from privsample import (
     zipf_histogram,
 )
 from privsample.experiments import TAU_GRID_DEFAULT
+from privsample.privacy import DELTA_SLACK
 
 PARAMS_A = PrivacyParams(0.1, 0.01)
 PARAMS_B = PrivacyParams(0.01, 1e-6)
@@ -111,12 +112,13 @@ def test_criterion_03_dp_oracle(tables_500):
             ("freq-table", t4),
             ("freq-densities", t5),
         ]:
-            report = verify_dp(rows, params, slack=1e-12)
+            report = verify_dp(rows, params)
             ok = ok and report.ok
             margin = report.worst_divergence - params.delta
             if margin > worst[1]:
                 worst = (f"{label} eps={params.epsilon} {scheme.kind}", margin)
-    assert sw.done(3, ok, 30, f"worst divergence excess {worst[1]:.2e} at {worst[0]} (slack 1e-12)")
+    detail = f"worst divergence excess {worst[1]:.2e} at {worst[0]} (slack {DELTA_SLACK:g})"
+    assert sw.done(3, ok, 30, detail)
 
 
 def test_criterion_04_structural_shape():

@@ -9,14 +9,12 @@ divergence, the moments) must match them within 1e-12.
 """
 
 import io
-import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import (
     bands,
     compute_pij_dense,
@@ -24,6 +22,7 @@ from oracles import (
     mle_coeffs_dense,
     moments_dense,
     table_from_dense,
+    table_laws,
     unbiased_coeffs_dense,
     verify_dp_dense,
     write_pij_csv_ref,
@@ -48,20 +47,6 @@ from privsample import (
 )
 from privsample._rng import _uniforms
 from privsample.formats import read_pij_csv, write_pij_csv
-
-
-@st.composite
-def table_laws(draw):
-    """(params, scheme, m) over the ranges the tables are built for."""
-    epsilon = draw(st.floats(0.01, 10.0))
-    delta = 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
-    kind = draw(st.sampled_from(["none", "ppswor", "pps"]))
-    if kind == "none":
-        scheme = SamplingScheme.none()
-    else:
-        tau = 10.0 ** draw(st.floats(-4.0, 0.0))
-        scheme = getattr(SamplingScheme, kind)(tau, draw(st.floats(0.0, 2.0)))
-    return PrivacyParams(epsilon, delta), scheme, draw(st.integers(1, 150))
 
 
 def _csv(write, table):

@@ -413,6 +413,38 @@ class TestRepeatedKey:
         assert read_keyed_tsv(Pipe("a\t1\n\nb\t2\n")) == {"a": 1, "b": 2}
 
 
+class TestTabInElementKey:
+    # a key with a tab would come out as a line no keyed reader accepts
+    TEXT = "a\tb\nc\nc\n"
+
+    def test_sample_aggregate_fails_closed(self, tmp_path, capsys):
+        stream = tmp_path / "elements.txt"
+        stream.write_text(self.TEXT)
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run(
+            ["sample", "--aggregate", "--input", str(stream), "--scheme", "none", "--seed", "1",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: line 1: key contains a tab\n"
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_estimate_select_fails_closed(self, tmp_path, capsys):
+        sanitized, select = tmp_path / "sanitized.tsv", tmp_path / "select.txt"
+        sanitized.write_text("c\t3\n")
+        select.write_text("c\n" + self.TEXT)
+        code, out, err = run(
+            ["estimate", "--input", str(sanitized), "--epsilon", "0.5", "--delta", "0.01",
+             "--max-freq", "20", "--select", str(select)],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: line 2: key contains a tab\n"
+        assert out == ""
+
+
 def test_cli_import_leaves_scipy_integrate_out():
     # the library's only runtime dependency is numpy; scipy is for the tests
     code = "import privsample.cli, sys; print('scipy.integrate' in sys.modules)"

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import inclusion_prob, pdf_mass, pi_marginals, verify_table
+from hypothesis import given, settings
+from oracles import inclusion_prob, pdf_mass, pi_marginals, table_laws, verify_table
 
 from privsample import (
     PrivacyParams,
@@ -123,6 +124,30 @@ class TestComputePdfs:
         for pdf in fam[1:]:
             assert np.all(np.diff(pdf.bounds) > 0)
             assert pdf.bounds[0] == 0.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(table_laws(min_epsilon=0.003, max_delta=0.8))
+def test_density_family_shape(law):
+    # what the crossover solve promises for every row, f_1 included; a
+    # crossover clamped to the wrong end of its range breaks the mass check.
+    # The mass below i - 1 carries rounding scaled by the e^eps densities:
+    # up to 28 ulps of e^eps over 3,000 random laws, so 256 are allowed.
+    params, scheme, m = law
+    family = compute_pdfs(params, scheme, m)
+    pi = family.reporting.pi
+    tol = 1e-12 + 2.0 ** -44 * math.exp(params.epsilon)
+    for i in range(1, m + 1):
+        pdf = family[i]
+        top = min(float(pi[i]), params.delta)
+        assert pdf.atom0 == 1.0 - pi[i]
+        assert pdf.bounds[0] == 0.0 and pdf.bounds[-1] == i
+        assert np.all(np.diff(pdf.bounds) > 0)
+        assert np.all(pdf.densities >= 0.0)
+        # equal neighbours merge, so the top segment may start below i - 1
+        assert pdf.bounds[-2] <= i - 1 and pdf.densities[-1] == top
+        below = np.clip(np.minimum(pdf.bounds[1:], i - 1) - pdf.bounds[:-1], 0.0, None)
+        assert abs(float(pdf.densities @ below) - (pi[i] - top)) <= tol
 
 
 class TestDiscretize:

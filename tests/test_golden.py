@@ -16,8 +16,10 @@ because their sums now run over each row's band instead of over every
 token, in another order: ``verify-dp-alg5`` (the worst divergence moved
 by 1.7e-16 of itself), ``moments-mle`` and ``moments-alg4-mle`` (at most
 1.6e-13 of a value, on ``Var_i``, which is MSE less bias squared) and
-``nrmse`` (6.2e-16 of a value).  No table entry moved.  A change
-that alters outputs on purpose re-records the digests by printing
+``nrmse`` (6.2e-16 of a value).  No table entry moved.  ``pdfs-pps``,
+the densities under pps sampling, was recorded at commit 1f5985d, before
+``compute_pdfs`` came to solve every row with one clamped crossover step.
+A change that alters outputs on purpose re-records the digests by printing
 ``corpus_digests(tmp_dir)`` and says so in CHANGES.md.
 
 Unbiased coefficients stay at frequencies <= 40: further out the exact
@@ -115,6 +117,10 @@ def _corpus(d):
                               "--out", str(d / "moments4.csv")], [d / "moments4.csv"]),
         ("pij-stdout", ["pij", "--epsilon", "0.1", "--delta", "0.01", "--max-freq", "60",
                         "--out", "-"], []),
+        ("pdfs-pps", ["pdfs", *PRIV, *PPS, "--max-freq", "60",
+                      "--segments-out", str(d / "seg_pps.csv"),
+                      "--atoms-out", str(d / "atoms_pps.csv")],
+         [d / "seg_pps.csv", d / "atoms_pps.csv"]),
     ]
 
 
@@ -174,6 +180,8 @@ GOLDEN = {
     "baseline-sbh:sbh_plain.tsv": "1d989cb6cbc007b738ae03cab92ddf01ed4dd90341bab24a39e10b0310362459",
     "moments-alg4-mle:moments4.csv": "4de67864f8cd8552122379e64b39060fae7ba040bb11b88c7ca987b020a0d12c",
     "pij-stdout:stdout": "292e8ddcc2fc639c6e2d4a31f16fd0e50f9ae57193fe0a8498093813d661985d",
+    "pdfs-pps:seg_pps.csv": "71b2c43cc1c6a5fcf5668784e2bf825a07a0fd29a25a24dcc9969689294f5231",
+    "pdfs-pps:atoms_pps.csv": "f8c6df73dec73197fd33473429781618716df8eeb0a915d08686d1a1b5907e38",
 }
 
 

@@ -6,6 +6,7 @@ only the tests use live in ``tests/oracles.py``.
 
 import dataclasses
 import importlib
+import inspect
 import types
 
 import pytest
@@ -101,3 +102,8 @@ def test_tables_hold_bands_only():
     assert fields == ["atom0", "first", "rows", "n_tokens", "reporting", "token_edges"]
     assert [field.name for field in dataclasses.fields(privsample.TokenBands)] == fields[:4]
     assert issubclass(privsample.SanitizerTable, privsample.TokenBands)
+
+
+def test_verify_dp_takes_bands_and_params_only():
+    # the gate compares with delta + DELTA_SLACK; no caller picks its own slack
+    assert list(inspect.signature(privsample.verify_dp).parameters) == ["bands", "params"]
