@@ -14,7 +14,8 @@ rounds half to even up to 2**53, so that one draw takes the largest double
 below 1.0 instead.  ``key_uniforms`` draws a whole batch: it keys one
 blake2b state per (seed, purpose) and copies it for each key, so the key
 block is compressed once per batch rather than once per key.  Callers
-apply their own inverse CDF to each uniform in Python floats.
+compare each uniform with a probability; only the Laplace baseline applies
+an inverse CDF to it, in Python floats.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ def key_uniforms(seed: int, keys: Iterable[str], purpose: bytes) -> Iterator[flo
 
 def _uniforms(digests: list[bytes]) -> list[float]:
     u = (np.frombuffer(b"".join(digests), "<u8") >> 11) + 0.5
-    # +0.5 keeps the draw above 0 and _TOP below 1, so inverse CDFs stay finite
+    # +0.5 keeps the draw above 0 and _TOP below 1: u < q holds at q = 1, and the
+    # Laplace inverse CDF stays finite
     u /= _TWO53
     return np.minimum(u, _TOP, out=u).tolist()

@@ -330,8 +330,9 @@ def cmd_analyze_concordance(args) -> int:
     else:
         _reject(args, "is only read with --kendall", *_DIST_FLAGS)
     if args.method == "pws":
-        table = discretize_pdfs(compute_pdfs(params, _scheme(args), m))
-        conc = concordance_matrix(table)
+        conc = concordance_matrix(discretize_pdfs(compute_pdfs(params, _scheme(args), m)))
+        if args.kendall:
+            tau = expected_kendall_tau(hist, conc)
         i1, i2 = np.tril_indices(m + 1, -1)  # row-major: i1 ascending, then i2
         i1, i2 = i1[i2 >= 1], i2[i2 >= 1]
         triples = zip(i1.tolist(), i2.tolist(), conc[i1, i2].tolist())
@@ -345,9 +346,7 @@ def cmd_analyze_concordance(args) -> int:
         ]
     with _open_out(args.out) as fp:
         formats.write_concordance_csv(fp, triples)
-    del triples  # the pair lists are not needed by --kendall
     if args.kendall:
-        tau = expected_kendall_tau(hist, table)
         print(f"kendall_tau,{formats.fmt(tau)}")
     return 0
 

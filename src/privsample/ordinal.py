@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .frequencies import SanitizerTable
 from .privacy import TokenBands
 from .sampling import FrequencyHistogram
 
@@ -28,35 +27,32 @@ def concordance_matrix(table: TokenBands) -> np.ndarray:
 
     C[i1, i2] treats i1 as the larger true frequency; C + C^T = 1 on
     off-diagonal pairs and the diagonal is 0.5.  The rows are expanded over
-    all tokens for the duration of the call.
+    all tokens for the duration of the call; the running totals reuse one
+    buffer.
     """
-    return _concordance(table.dense())
-
-
-def _concordance(mat: np.ndarray) -> np.ndarray:
-    """``concordance_matrix`` of dense rows; the running totals reuse one buffer."""
+    mat = table.dense()
     upper = np.cumsum(mat, axis=1)
     np.subtract(1.0, upper, out=upper)
     return upper @ mat.T + 0.5 * (mat @ mat.T)
 
 
-def expected_kendall_tau(histogram: FrequencyHistogram, table: SanitizerTable) -> float:
+def expected_kendall_tau(histogram: FrequencyHistogram, conc: np.ndarray) -> float:
     """Expected rank correlation between true and sanitized key orders.
 
+    ``conc`` is the ``concordance_matrix`` of the sanitizer's table.
     Averages the pair sign E[sign] = 2 * concordance - 1 over all key pairs
     with distinct true frequencies; pairs tied in truth are excluded from
     the normalizer (they carry no order information).  Returns NaN when no
     truth-distinct pair exists.  Exact in O(#distinct frequencies^2).
     """
     freqs, counts = histogram.frequencies_and_counts()
-    if freqs.size and freqs[-1] > table.max_frequency:
+    if freqs.size and freqs[-1] >= len(conc):
         raise ValueError(
             f"histogram contains frequency {int(freqs[-1])} beyond the table"
         )
     if freqs.size < 2:
         return math.nan
 
-    conc = _concordance(table.dense(freqs))
     c = counts.astype(float)
 
     # Pairs (hi, lo) with lo < hi in row-major order; cumsum adds them one
@@ -66,5 +62,5 @@ def expected_kendall_tau(histogram: FrequencyHistogram, table: SanitizerTable) -
     total_pairs = float(np.cumsum(n_pairs)[-1])
     if total_pairs == 0.0:
         return math.nan
-    total_sign = float(np.cumsum(n_pairs * (2.0 * conc[hi, lo] - 1.0))[-1])
+    total_sign = float(np.cumsum(n_pairs * (2.0 * conc[freqs[hi], freqs[lo]] - 1.0))[-1])
     return total_sign / total_pairs

@@ -96,13 +96,11 @@ class TokenBands:
         """Per row, sum over tokens j >= 1 of Pr[token j] * values[j]."""
         return np.einsum("ij,ij->i", self.rows, values[self.tokens()])
 
-    def dense(self, freqs=None) -> np.ndarray:
-        """The rows ``freqs`` (default: all) expanded over tokens 0..n_tokens."""
-        sel = slice(None) if freqs is None else np.asarray(freqs)
-        first = self.first[sel]
-        out = np.zeros((len(first), self.n_tokens + 1))
-        out[:, 0] = self.atom0[sel]
-        np.put_along_axis(out, first[:, None] + np.arange(self.width), self.rows[sel], axis=1)
+    def dense(self) -> np.ndarray:
+        """The rows expanded over tokens 0..n_tokens."""
+        out = np.zeros((len(self), self.n_tokens + 1))
+        out[:, 0] = self.atom0
+        np.put_along_axis(out, self.tokens(), self.rows, axis=1)
         return out
 
     @classmethod

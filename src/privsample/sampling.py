@@ -1,9 +1,10 @@
 """Threshold weighted sampling of key-frequency data.
 
-A scheme is defined by a per-key random draw u compared against
-f(frequency) * tau: Exp(1) draws give probability-proportional-to-size
-without replacement (ppswor), uniform draws give Poisson PPS.  Inclusion
-probabilities q_i are non-decreasing in the frequency i, with q_0 = 0.
+A scheme keeps a key of frequency w iff its score is below w**power * tau:
+an Exp(1) score gives probability-proportional-to-size without replacement
+(ppswor), a uniform score Poisson PPS.  Both are drawn as one uniform u per
+key and decided as u < q_w, the inclusion probability every token table
+conditions on.  q_i is non-decreasing in the frequency i, with q_0 = 0.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ SCHEME_KINDS = ("ppswor", "pps", "none")
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """Threshold sampling spec: keep a key iff its random score u < w**power * tau.
+    """Threshold sampling spec: keep a key iff its random score < w**power * tau.
 
-    kind "ppswor" draws u from Exp(1), "pps" from Uniform(0,1) and "none"
-    keeps every key (q_i = 1 for i >= 1, no threshold).  power is restricted
-    to [0, 2], the range for which the weight w**power is sketchable.
+    kind "ppswor" scores by Exp(1), "pps" by Uniform(0,1) and "none" keeps
+    every key (q_i = 1 for i >= 1, no threshold).  power is restricted to
+    [0, 2], the range for which the weight w**power is sketchable.
     """
 
     kind: str
@@ -66,25 +67,20 @@ class SamplingScheme:
         return cls(kind="pps", tau=tau, power=power)
 
     def sampled(self, seed: int, pairs: Mapping[str, float]) -> dict[str, float]:
-        """The sampling rule: the keys of ``pairs`` whose score u < w**power * tau.
+        """The sampling rule: the keys of ``pairs`` whose uniform draw u < q_w.
 
         pairs maps each key to its frequency w, which may be real-valued
-        (already-noised data); the result keeps their order.
+        (already-noised data); the result keeps their order.  q_w is
+        ``inclusion_probs`` at w, the float every table conditions on, and
+        u < q_w is the event that the key's Exp(1) or uniform score is below
+        w**power * tau.
         """
         if self.kind == "none":
             return dict(pairs)
-        exponential = self.kind == "ppswor"
-        thresholds: dict[float, float] = {}
-        out = {}
-        for (key, w), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_SAMPLE)):
-            threshold = thresholds.get(w)
-            if threshold is None:
-                threshold = thresholds[w] = float(w) ** self.power * self.tau
-            if exponential:
-                u = -math.log1p(-u)  # Exp(1) by the inverse CDF
-            if u < threshold:
-                out[key] = w
-        return out
+        distinct = list(dict.fromkeys(pairs.values()))
+        q = dict(zip(distinct, self.inclusion_probs(distinct).tolist()))
+        uniforms = key_uniforms(seed, pairs, PURPOSE_SAMPLE)
+        return {key: w for (key, w), u in zip(pairs.items(), uniforms) if u < q[w]}
 
     def inclusion_probs(self, w) -> np.ndarray:
         """Array of q_w over frequencies w >= 0, which may be real-valued (noised data)."""
@@ -167,6 +163,10 @@ def draw_sample(by_key: Mapping[str, int], scheme: SamplingScheme, seed: int) ->
 
     Each key is included independently by ``scheme.sampled``.  Decisions
     are per-key functions of (seed, key), so partitioning keys across
-    workers cannot change the result.
+    workers cannot change the result.  Fails closed on a frequency that is
+    not positive.
     """
+    if by_key and min(by_key.values()) <= 0:
+        key, freq = next((k, w) for k, w in by_key.items() if w <= 0)
+        raise ValueError(f"frequencies must be positive, got {freq} for key {key!r}")
     return WeightedSample(pairs=scheme.sampled(seed, by_key), scheme=scheme)

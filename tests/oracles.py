@@ -343,7 +343,7 @@ def per_key_moments(table, coeffs: EstimatorCoeffs, g, i: int) -> PerKeyMoments:
         raise ValueError(f"frequency {i} outside table range 0..{table.max_frequency}")
     if len(coeffs.values) != table.n_tokens + 1:
         raise ValueError("coefficients do not match the table's token set")
-    row = table.dense([i])[0]
+    row = table.dense()[i]
     a = coeffs.values
     gi = float(g(np.array([i]))[0]) if i > 0 else 0.0
     expectation = float(row[1:] @ a[1:])

@@ -124,7 +124,6 @@ def test_from_entries_layout():
         [1.0, 0, 0, 0, 0, 0, 0],
         [0.25, 0, 0, 0, 0, 0.25, 0.5],
     ])
-    np.testing.assert_array_equal(got.dense([3, 1]), got.dense()[[3, 1]])
     np.testing.assert_allclose(got.weighted_sums(np.arange(7.0)), [0.0, 1.6, 0.0, 4.25])
 
 

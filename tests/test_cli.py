@@ -413,6 +413,25 @@ class TestRepeatedKey:
         assert read_keyed_tsv(Pipe("a\t1\n\nb\t2\n")) == {"a": 1, "b": 2}
 
 
+class TestSampleBadFrequency:
+    @pytest.mark.parametrize("freq", [-3, 0])
+    @pytest.mark.parametrize("scheme", [
+        ["--scheme", "pps", "--tau", "0.1", "--power", "0.5"],
+        ["--scheme", "none"],
+        ["--scheme", "ppswor", "--tau", "0.1"],
+    ])
+    def test_fails_closed(self, tmp_path, capsys, scheme, freq):
+        data = tmp_path / "in.tsv"
+        data.write_text(f"b\t2\na\t{freq}\n")
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run(["sample", "--input", str(data), *scheme, "--seed", "1",
+                              "--out", str(out_path)], capsys)
+        assert code == 1
+        assert err == f"error: frequencies must be positive, got {freq} for key 'a'\n"
+        assert out == ""
+        assert not out_path.exists()
+
+
 class TestTabInElementKey:
     # a key with a tab would come out as a line no keyed reader accepts
     TEXT = "a\tb\nc\nc\n"

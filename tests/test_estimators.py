@@ -208,7 +208,7 @@ class TestPerKeyMoments:
         rng = np.random.default_rng(2024)
         n = 1_000_000
         for i in [1, 18, 72]:
-            row = std_table.dense([i])[0]
+            row = std_table.dense()[i]
             values = np.concatenate([[0.0], coeffs.values[1:]])
             draws = rng.choice(len(row), size=n, p=row)
             est = values[draws]

@@ -328,7 +328,7 @@ class TestSanitizeFrequencies:
         for _, token in out:
             counts[token] += 1
         # conditional law given sampled; token 0 is the complement
-        cond = table.dense([i])[0] / q_i
+        cond = table.dense()[i] / q_i
         cond[0] = 1.0 - cond[1:].sum()
         counts[0] = n - len(out)
         for j in range(table.n_tokens + 1):

@@ -19,6 +19,10 @@ by 1.7e-16 of itself), ``moments-mle`` and ``moments-alg4-mle`` (at most
 ``nrmse`` (6.2e-16 of a value).  No table entry moved.  ``pdfs-pps``,
 the densities under pps sampling, was recorded at commit 1f5985d, before
 ``compute_pdfs`` came to solve every row with one clamped crossover step.
+``sample-ppswor-power`` (ppswor with power 1.5, where a float pow can round
+either way) and ``baseline-sampled-sbh-ppswor`` (ppswor on real-valued
+noised frequencies) were recorded at commit 32706eb, before the sampler came
+to compare each key's uniform with the q_w its tables condition on.
 A change that alters outputs on purpose re-records the digests by printing
 ``corpus_digests(tmp_dir)`` and says so in CHANGES.md.
 
@@ -121,6 +125,12 @@ def _corpus(d):
                       "--segments-out", str(d / "seg_pps.csv"),
                       "--atoms-out", str(d / "atoms_pps.csv")],
          [d / "seg_pps.csv", d / "atoms_pps.csv"]),
+        ("sample-ppswor-power", ["sample", "--input", str(hist), "--scheme", "ppswor",
+                                 "--tau", "0.1", "--power", "1.5", "--seed", "9",
+                                 "--out", str(d / "sample_power.tsv")], [d / "sample_power.tsv"]),
+        ("baseline-sampled-sbh-ppswor", ["baseline", "sampled-sbh", "--input", str(hist), *PRIV,
+                                         *PPSWOR, "--seed", "10", "--out", str(d / "sbh_ppswor.tsv")],
+         [d / "sbh_ppswor.tsv"]),
     ]
 
 
@@ -182,6 +192,8 @@ GOLDEN = {
     "pij-stdout:stdout": "292e8ddcc2fc639c6e2d4a31f16fd0e50f9ae57193fe0a8498093813d661985d",
     "pdfs-pps:seg_pps.csv": "71b2c43cc1c6a5fcf5668784e2bf825a07a0fd29a25a24dcc9969689294f5231",
     "pdfs-pps:atoms_pps.csv": "f8c6df73dec73197fd33473429781618716df8eeb0a915d08686d1a1b5907e38",
+    "sample-ppswor-power:sample_power.tsv": "cbab38c5f4923f879725bc0670dc31c1e6bff5cc797b57d7296bfe3adea851c5",
+    "baseline-sampled-sbh-ppswor:sbh_ppswor.tsv": "e0c4ffc9185be45c5790c0af8eb16aa4e9cd3638ca853a8c7680f94cd5ef2289",
 }
 
 

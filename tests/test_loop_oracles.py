@@ -106,7 +106,7 @@ def kendall_tau_loop(histogram, table):
     freqs, counts = histogram.frequencies_and_counts()
     if freqs.size < 2:
         return math.nan
-    conc = concordance_matrix(bands(table.dense(freqs)))
+    conc = concordance_matrix(table)[np.ix_(freqs, freqs)]
     c = counts.astype(float)
     pair_counts = np.outer(c, c)
     total_sign = 0.0
@@ -313,7 +313,7 @@ def test_expected_kendall_tau_matches_loop(rows, data):
     freqs = data.draw(st.lists(st.integers(1, m), unique=True, max_size=m))
     counts = {f: data.draw(st.integers(1, 10_000)) for f in freqs}
     hist = FrequencyHistogram.from_counts(counts)
-    got = expected_kendall_tau(hist, _table(rows))
+    got = expected_kendall_tau(hist, concordance_matrix(_table(rows)))
     want = kendall_tau_loop(hist, _table(rows))
     assert got == want or (math.isnan(got) and math.isnan(want))
 
@@ -372,23 +372,13 @@ def key_uniform_loop(seed, key, purpose):
     return min((bits + 0.5) / float(1 << 53), math.nextafter(1.0, 0.0))
 
 
-def key_exponential_loop(seed, key, purpose):
-    return -math.log1p(-key_uniform_loop(seed, key, purpose))
-
-
 def key_laplace_loop(seed, key, purpose, scale):
     u = key_uniform_loop(seed, key, purpose) - 0.5
     return -scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
 
 
 def includes_loop(scheme, seed, key, w):
-    if scheme.kind == "ppswor":
-        u = key_exponential_loop(seed, key, PURPOSE_SAMPLE)
-    elif scheme.kind == "pps":
-        u = key_uniform_loop(seed, key, PURPOSE_SAMPLE)
-    else:
-        return True
-    return u < float(w) ** scheme.power * scheme.tau
+    return key_uniform_loop(seed, key, PURPOSE_SAMPLE) < scheme.inclusion_probs([w])[0]
 
 
 def draw_sample_loop(by_key, scheme, seed):
@@ -429,7 +419,7 @@ def sanitize_frequencies_loop(pairs, table, seed):
         q_w = sampled_q_loop(table.reporting, freq)
         cum = cum_by_freq.get(freq)
         if cum is None:
-            cond = table.dense([freq])[0] / q_w
+            cond = table.dense()[freq] / q_w
             cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
             cum = np.cumsum(cond)
             cum_by_freq[freq] = cum

@@ -104,6 +104,14 @@ def test_tables_hold_bands_only():
     assert issubclass(privsample.SanitizerTable, privsample.TokenBands)
 
 
+def test_concordance_is_expanded_once():
+    # Kendall tau reads the concordance matrix; no caller expands chosen rows
+    assert list(inspect.signature(privsample.TokenBands.dense).parameters) == ["self"]
+    assert list(inspect.signature(privsample.expected_kendall_tau).parameters) == [
+        "histogram", "conc"]
+    assert not hasattr(importlib.import_module("privsample.ordinal"), "_concordance")
+
+
 def test_verify_dp_takes_bands_and_params_only():
     # the gate compares with delta + DELTA_SLACK; no caller picks its own slack
     assert list(inspect.signature(privsample.verify_dp).parameters) == ["bands", "params"]

@@ -2,7 +2,8 @@
 
 The digest whose top 53 bits are all ones gives b = 2**53 - 1, and
 b + 0.5 rounds half to even up to 2**53; that draw is held at the largest
-double below 1.0.  Each caller of ``key_uniforms`` is fed that draw.
+double below 1.0.  Each caller of ``key_uniforms`` is fed that draw.  The
+sampling rule is also fed the two grid values on either side of one q_w.
 """
 
 import math
@@ -15,6 +16,7 @@ from privsample import (
     SbhConfig,
     WeightedSample,
     compute_pi,
+    draw_sample,
     sanitize_keys,
     sbh_sanitize,
 )
@@ -38,8 +40,19 @@ def test_grid_ends_inside_the_open_interval():
 def test_sampling_inverse_cdf_at_the_top(monkeypatch, kind):
     monkeypatch.setattr("privsample.sampling.key_uniforms", _top_draws)
     scheme = getattr(SamplingScheme, kind)(1e3)
-    # Exp(1) by -log1p(-u) is 36.7 at the top, below the threshold 1e3
+    # u = TOP is below q = 1, the inclusion probability at threshold 1e3
     assert scheme.sampled(0, {"a": 1, "b": 2}) == {"a": 1, "b": 2}
+
+
+def test_sampling_keeps_a_key_iff_its_uniform_is_below_q(monkeypatch):
+    # the rule is u < q_w on the float q_w the tables condition on; an
+    # Exp(1) score compared with w * tau = 4 kept the key at u = q_8 too
+    scheme = SamplingScheme.ppswor(0.5)
+    q8 = scheme.probs(8)[8]
+    below = q8 - 2.0**-52  # the grid steps by 2**-52 above 0.5
+    assert (q8, below) == (0.9816843611112658, 0.9816843611112656)
+    monkeypatch.setattr("privsample.sampling.key_uniforms", lambda seed, keys, purpose: [q8, below])
+    assert draw_sample({"at": 8, "below": 8}, scheme, 0).pairs == {"below": 8}
 
 
 def test_laplace_inverse_cdf_at_the_top(monkeypatch):
