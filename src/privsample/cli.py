@@ -287,7 +287,17 @@ def _tau_points(args, kind: str) -> list:
             for tau in _grid(args, TAU_GRID_DEFAULT)]
 
 
+def _methods(args, known: tuple) -> tuple:
+    """The --methods names, each one of ``known`` and none repeated."""
+    names = tuple(args.methods.split(","))
+    if not set(names) <= set(known) or len(set(names)) < len(names):
+        raise UsageError(f"--methods takes distinct names from {','.join(known)}, "
+                         f"got {args.methods!r}")
+    return names
+
+
 def cmd_analyze_sweep(args) -> int:
+    methods = _methods(args, REPORTING_METHODS)
     if args.sweep == "tau":
         if args.scheme == "none":
             raise UsageError("--sweep tau needs --scheme ppswor or pps")
@@ -302,15 +312,16 @@ def cmd_analyze_sweep(args) -> int:
         scheme = _scheme(args)
         points = [(delta, _usage(PrivacyParams, args.epsilon, delta), scheme)
                   for delta in _grid(args, DELTA_GRID_DEFAULT)]
-    rows = run_sweep(_dist_histogram(args), args.sweep, points, tuple(args.methods.split(",")))
+    rows = run_sweep(_dist_histogram(args), args.sweep, points, methods)
     with _open_out(args.out) as fp:
         formats.write_sweep_csv(fp, rows)
     return 0
 
 
 def cmd_analyze_nrmse(args) -> int:
+    methods = _methods(args, NRMSE_METHODS)
     points = _tau_points(args, args.scheme_kind)
-    rows = nrmse_experiment(_dist_histogram(args), points, tuple(args.methods.split(",")))
+    rows = nrmse_experiment(_dist_histogram(args), points, methods)
     with _open_out(args.out) as fp:
         formats.write_sweep_csv(fp, rows)
     return 0
@@ -333,19 +344,15 @@ def cmd_analyze_concordance(args) -> int:
         conc = concordance_matrix(discretize_pdfs(compute_pdfs(params, _scheme(args), m)))
         if args.kendall:
             tau = expected_kendall_tau(hist, conc)
-        i1, i2 = np.tril_indices(m + 1, -1)  # row-major: i1 ascending, then i2
-        i1, i2 = i1[i2 >= 1], i2[i2 >= 1]
-        triples = zip(i1.tolist(), i2.tolist(), conc[i1, i2].tolist())
-        del conc, i1, i2
     else:
+        if m < 1:
+            raise ValueError("max_frequency must be >= 1")
         config = SbhConfig(params)
-        triples = [
-            (i1, i2, sbh_concordance_prob(config, i1, i2))
-            for i1 in range(1, m + 1)
-            for i2 in range(1, i1)
-        ]
+        conc = np.full((m + 1, m + 1), np.nan)  # only the pairs i2 < i1 are written
+        for i1 in range(2, m + 1):
+            conc[i1, 1:i1] = [sbh_concordance_prob(config, i1, i2) for i2 in range(1, i1)]
     with _open_out(args.out) as fp:
-        formats.write_concordance_csv(fp, triples)
+        formats.write_concordance_csv(fp, conc)
     if args.kendall:
         print(f"kendall_tau,{formats.fmt(tau)}")
     return 0

@@ -107,10 +107,8 @@ def _reported_fraction(hist: FrequencyHistogram, max_f: int, method: str,
     config_sbh = SbhConfig(params)
     if method == "sbh":
         report_prob = functools.partial(sbh_report_prob, config_sbh)
-    elif method == "sampled-sbh":
-        report_prob = functools.partial(sampled_sbh_report_prob, config_sbh, scheme)
     else:
-        raise ValueError(f"unknown reporting method {method!r}")
+        report_prob = functools.partial(sampled_sbh_report_prob, config_sbh, scheme)
     freqs, _ = hist.frequencies_and_counts()
     probs = np.zeros(max_f + 1)
     probs[freqs] = [report_prob(int(f)) for f in freqs]
@@ -125,6 +123,10 @@ def run_sweep(histogram: FrequencyHistogram, sweep_var: str, points,
     the swept quantity named ``sweep_var`` that labels the point's rows.
     """
     max_f = _max_frequency(histogram)
+    for method in methods:
+        if method not in REPORTING_METHODS:
+            raise ValueError(f"unknown reporting method {method!r}")
+
     rows: list[SweepRow] = []
     for value, params, scheme in points:
         for method in methods:

@@ -188,8 +188,15 @@ def write_sweep_csv(fp: TextIO, rows) -> None:
     _write_lines(fp, "sweep_var,value,method,metric,result\r\n", "%s,%.17g,%s,%s,%.17g\r\n", fields)
 
 
-def write_concordance_csv(fp: TextIO, pairs) -> None:
-    """pairs: iterable of (i1, i2, concordance)."""
+def write_concordance_csv(fp: TextIO, conc: np.ndarray) -> None:
+    """One `i1,i2,concordance` line per pair 1 <= i2 < i1 < len(conc), by i1 then i2.
+
+    ``conc[i1, i2]`` is the pair's concordance; only the strict lower
+    triangle past column 0 is read, one row slice at a time.
+    """
+    pairs = chain.from_iterable(
+        zip(repeat(i1), range(1, i1), conc[i1, 1:i1].tolist()) for i1 in range(2, len(conc))
+    )
     _write_lines(fp, "i1,i2,concordance\r\n", "%d,%d,%.17g\r\n", pairs)
 
 

@@ -167,10 +167,6 @@ class PdfFamily:
     def __iter__(self):
         return iter(self.pdfs)
 
-    @property
-    def max_frequency(self) -> int:
-        return len(self.pdfs) - 1
-
 
 def _split_at(bounds: np.ndarray, densities: np.ndarray, z: float):
     """Insert breakpoint z, which lies in [bounds[0], bounds[-1]]; no-op if already a node."""

@@ -197,23 +197,6 @@ def sampled_sbh_report_prob(config: SbhConfig, scheme: SamplingScheme, i: int) -
     return float(kept[0])
 
 
-def _moment_rows(config: SbhConfig, scheme: SamplingScheme, g: FrequencyFunc, freqs):
-    """Expectation, bias, variance and MSE of g(w*) / q(w*) at each true frequency."""
-    if scheme.kind != "none" and scheme.tau == 0.0:
-        raise ValueError("tau = 0 keeps nothing; the estimate is undefined")
-
-    def integrands(w, q):
-        gw = g(w)
-        return gw, gw * gw / q
-
-    first, second = _kept_integrals(config, scheme, freqs, integrands)
-    gi = g(freqs)
-    bias = first - gi
-    mse = second - 2.0 * gi * first + gi * gi
-    variance = np.maximum(0.0, mse - bias * bias)
-    return first, bias, variance, mse
-
-
 def sbh_moment_table(
     config: SbhConfig, scheme: SamplingScheme, g: FrequencyFunc, max_frequency: int
 ) -> MomentTable:
@@ -224,8 +207,22 @@ def sbh_moment_table(
     probability cancels in the expectation, so the bias depends only on the
     noise and threshold, while the variance grows as sampling thins out.
     """
-    rows = _moment_rows(config, scheme, g, np.arange(1, max_frequency + 1, dtype=float))
-    expectation, bias, variance, mse = (np.concatenate([[0.0], r]) for r in rows)
+    if scheme.kind != "none" and scheme.tau == 0.0:
+        raise ValueError("tau = 0 keeps nothing; the estimate is undefined")
+
+    def integrands(w, q):
+        gw = g(w)
+        return gw, gw * gw / q
+
+    freqs = np.arange(1, max_frequency + 1, dtype=float)
+    first, second = _kept_integrals(config, scheme, freqs, integrands)
+    gi = g(freqs)
+    bias = first - gi
+    mse = second - 2.0 * gi * first + gi * gi
+    variance = np.maximum(0.0, mse - bias * bias)
+    expectation, bias, variance, mse = (
+        np.concatenate([[0.0], r]) for r in (first, bias, variance, mse)
+    )
     return MomentTable(
         g_values=_g_values(g, max_frequency), expectation=expectation, bias=bias,
         variance=variance, mse=mse,
@@ -244,35 +241,22 @@ def _exp_segments_integral(eps: float, T: float, i_hi: float, i_lo: float) -> fl
     edges = [T, *cuts, math.inf]
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        below2 = hi <= i_lo  # density side of the lower-frequency law
-        below1 = hi <= i_hi  # survival side of the higher-frequency law
-        r2 = eps if below2 else -eps
-        # terms: (coef, rate, exponent base at point b)
-        terms = []
-        if below1:
-            terms.append((0.5 * eps, r2, lambda b, r2=r2: r2 * (b - i_lo)))
-            terms.append(
-                (
-                    -0.25 * eps,
-                    r2 + eps,
-                    lambda b, r2=r2: r2 * (b - i_lo) + eps * (b - i_hi),
-                )
-            )
+        # density side of the lower-frequency law
+        r2 = eps if hi <= i_lo else -eps
+        # survival side of the higher-frequency law; each term is
+        # (coef, rate, s) with exponent r2 * (b - i_lo) + s * (b - i_hi) at b
+        if hi <= i_hi:
+            terms = ((0.5 * eps, r2, 0.0), (-0.25 * eps, r2 + eps, eps))
         else:
-            terms.append(
-                (
-                    0.25 * eps,
-                    r2 - eps,
-                    lambda b, r2=r2: r2 * (b - i_lo) - eps * (b - i_hi),
-                )
-            )
-        for coef, rate, expo in terms:
+            terms = ((0.25 * eps, r2 - eps, -eps),)
+        for coef, rate, s in terms:
+            at_lo = math.exp(r2 * (lo - i_lo) + s * (lo - i_hi))
             if math.isinf(hi):
-                total += -coef * math.exp(expo(lo)) / rate
+                total += -coef * at_lo / rate
             elif rate == 0.0:
-                total += coef * math.exp(expo(lo)) * (hi - lo)
+                total += coef * at_lo * (hi - lo)
             else:
-                total += coef * (math.exp(expo(hi)) - math.exp(expo(lo))) / rate
+                total += coef * (math.exp(r2 * (hi - i_lo) + s * (hi - i_hi)) - at_lo) / rate
     return total
 
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from privsample import compute_pij
+from privsample import PrivacyParams, SbhConfig, compute_pij, sbh_concordance_prob
 from privsample.cli import main
 from privsample.formats import fmt, read_keyed_tsv, read_pi_csv, read_pij_csv, write_pij_csv
 
@@ -122,6 +122,16 @@ class TestVerifyRoundTrip:
             assert code == 1
             assert out == ""
             assert message in err
+
+    def test_verify_dp_rejects_a_wrong_header(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("i,j,p\r\n0,0,1\r\n1,0,0.5\r\n1,1,0.5\r\n")
+        code, out, err = run(
+            ["verify-dp", "--epsilon", "0.1", "--delta", "0.5", "--table", str(path)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: expected a CSV with header i,j,pi_ij\n"
 
     def test_verify_dp_rejects_bad_pi_indices(self, tmp_path, capsys):
         # as for pij: -1 would wrap onto the last frequency and a repeated i
@@ -520,6 +530,18 @@ class TestEstimatePipeline:
         assert code == 0
         assert 0 <= float(out.strip()) <= estimate
 
+    def test_token_above_the_table_fails_closed(self, tmp_path, capsys):
+        sanitized = tmp_path / "private.tsv"
+        sanitized.write_text("a\t3\nb\t999\n")
+        code, out, err = run(
+            ["estimate", "--input", str(sanitized), "--epsilon", "0.5", "--delta", "0.05",
+             "--max-freq", "6"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: token 999 outside coefficient range\n"
+
     def test_readme_pipeline_with_default_tables(self, tmp_path, capsys):
         # sample -> sanitize -> estimate as the README shows it, no --table:
         # both commands must use the same table, the one an explicit
@@ -640,6 +662,24 @@ class TestIgnoredFlags:
         assert f"{flag} is meaningless with --dist {dist}" in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command, methods", [
+        ("sweep", "pws-keys,bogus"), ("sweep", ""), ("sweep", "pws-keys,pws-keys"),
+        ("nrmse", "pws-freq-mle,bogus"), ("nrmse", ""), ("nrmse", "nonprivate,nonprivate"),
+    ])
+    def test_bad_methods_exit_two_before_the_histogram(self, tmp_path, capsys, command,
+                                                       methods):
+        # the histogram file does not exist, so reading it first would exit 1
+        out_path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", command, *self.PRIV, "--grid", "0.5", "--dist", "file",
+                  "--input", str(tmp_path / "missing.tsv"), "--methods", methods,
+                  "--out", str(out_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--methods" in captured.err
+        assert not out_path.exists()
+
     def test_tau_sweep_requires_delta(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "sweep", "--epsilon", "0.1", "--sweep", "tau", "--grid", "0.5",
@@ -719,6 +759,34 @@ class TestAnalyzeCommands:
         assert len(rows) == 15  # all ordered pairs below 6
         assert all(0.0 <= float(r["concordance"]) <= 1.0 for r in rows)
 
+    @pytest.mark.parametrize("method", ["pws", "sbh"])
+    def test_concordance_pairs_by_row(self, capsys, method):
+        code, out, _ = run(
+            ["analyze", "concordance", "--epsilon", "0.5", "--delta", "0.05",
+             "--max-freq", "7", "--method", method],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        pairs = [(int(r["i1"]), int(r["i2"])) for r in rows]
+        assert pairs == [(i1, i2) for i1 in range(2, 8) for i2 in range(1, i1)]
+        if method == "sbh":
+            config = SbhConfig(PrivacyParams(0.5, 0.05))
+            for (i1, i2), r in zip(pairs, rows):
+                assert float(r["concordance"]) == sbh_concordance_prob(config, i1, i2)
+
+    @pytest.mark.parametrize("method", ["pws", "sbh"])
+    def test_concordance_needs_a_positive_range(self, tmp_path, capsys, method):
+        out_path = tmp_path / "conc.csv"
+        code, out, err = run(
+            ["analyze", "concordance", "--epsilon", "0.5", "--delta", "0.05",
+             "--max-freq", "0", "--method", method, "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: max_frequency must be >= 1\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("flags, status", [
         (["--method", "sbh", "--max-freq", "6"], 2),
         (["--method", "pws", "--max-freq", "6", "--freq-max", "7"], 1),
@@ -762,6 +830,31 @@ class TestAnalyzeCommands:
         for r in rows[:5]:
             assert float(r["E_i"]) == pytest.approx(float(r["i"]), rel=1e-9)
             assert float(r["MSE_i"]) >= float(r["Bias_i"]) ** 2
+
+    def test_unbiased_moments_need_alg4(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "moments", "--epsilon", "0.1", "--delta", "0.01",
+                  "--max-freq", "30", "--table", "alg5", "--estimator", "unbiased"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--estimator unbiased needs the integer-token table" in captured.err
+
+    def test_nrmse_is_nan_where_undefined(self, capsys):
+        # pps tau 0 keeps nothing: the baseline and the non-private estimate
+        # are undefined there, and the sweep still writes every row
+        code, out, _ = run(
+            ["analyze", "nrmse", "--epsilon", "0.5", "--delta", "0.05", "--grid", "0,0.5",
+             "--dist", "uniform", "--n-keys", "50", "--freq-max", "20"],
+            capsys,
+        )
+        assert code == 0
+        rows = {(float(r["value"]), r["method"]): float(r["result"])
+                for r in csv.DictReader(io.StringIO(out))}
+        assert len(rows) == 6
+        assert math.isnan(rows[0.0, "sampled-sbh"])
+        assert math.isnan(rows[0.0, "nonprivate"])
+        assert not any(math.isnan(v) for (tau, _), v in rows.items() if tau == 0.5)
 
     def test_pdfs_export(self, tmp_path, capsys):
         seg, atoms = tmp_path / "seg.csv", tmp_path / "atoms.csv"

@@ -124,6 +124,15 @@ class TestRunSweep:
             assert np.all(pi >= prev - 1e-15)
             prev = pi
 
+    def test_rejects_unknown_method_before_any_row(self, monkeypatch):
+        def compute(*args):
+            raise AssertionError("a row was computed before the methods were checked")
+
+        monkeypatch.setattr("privsample.experiments._reported_fraction", compute)
+        points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
+        with pytest.raises(ValueError, match="unknown reporting method 'bogus'"):
+            run_sweep(uniform_histogram(100, 1, 5), "tau", points, ("pws-keys", "bogus"))
+
 
 @pytest.fixture(scope="module")
 def rows_by_method():

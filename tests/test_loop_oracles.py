@@ -77,6 +77,7 @@ from privsample.formats import (
 )
 from privsample.frequencies import _merged, _split_at
 from privsample.ordinal import concordance_matrix, expected_kendall_tau
+from privsample.sbh import _exp_segments_integral
 
 PARAMS = PrivacyParams(0.1, 0.01)
 SCHEME = SamplingScheme.none()
@@ -253,10 +254,20 @@ def test_write_sweep_csv_matches_csv_writer(cols):
     assert_same_bytes(write_sweep_csv, write_sweep_csv_ref, rows)
 
 
+@st.composite
+def concordance_matrices(draw):
+    """Square matrices whose strict lower triangle past column 0 fills 0 to 2B+1 lines."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 9, 46, 47, 48]))  # 47 rows hold 1035 pairs
+    pool = draw(st.lists(reals, min_size=1, max_size=7))
+    return np.array([pool[k % len(pool)] for k in range(n * n)], dtype=float).reshape(n, n)
+
+
 @SETTINGS
-@given(columns(counts, counts, real_scalars))
-def test_write_concordance_csv_matches_csv_writer(cols):
-    assert_same_bytes(write_concordance_csv, write_concordance_csv_ref, list(zip(*cols)))
+@given(concordance_matrices())
+def test_write_concordance_csv_matches_csv_writer(conc):
+    pairs = [(i1, i2, conc[i1, i2]) for i1 in range(len(conc)) for i2 in range(1, i1)]
+    assert_same_bytes(lambda fp, _: write_concordance_csv(fp, conc), write_concordance_csv_ref,
+                      pairs)
 
 
 @SETTINGS
@@ -555,3 +566,73 @@ def test_per_key_errors_match_loops(freq):
             sanitize_frequencies_loop(pairs, table, 1)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
             sanitize_frequencies(sample, table, 1)
+
+
+# The baseline's pair integral as it was written with one closure per term.
+def exp_segments_integral_closures(eps: float, T: float, i_hi: float, i_lo: float) -> float:
+    """P[noised(i_hi) > noised(i_lo), both kept] by piecewise closed form.
+
+    Integrates density(i_lo at b) * survival(i_hi above b) over b in [T, inf).
+    On each segment between the cutpoints {i_lo, i_hi} every factor is a
+    single exponential with non-positive exponent at the endpoints, so each
+    term integrates in closed form without overflow.
+    """
+    cuts = sorted({c for c in (i_lo, i_hi) if c > T})
+    edges = [T, *cuts, math.inf]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        below2 = hi <= i_lo  # density side of the lower-frequency law
+        below1 = hi <= i_hi  # survival side of the higher-frequency law
+        r2 = eps if below2 else -eps
+        # terms: (coef, rate, exponent base at point b)
+        terms = []
+        if below1:
+            terms.append((0.5 * eps, r2, lambda b, r2=r2: r2 * (b - i_lo)))
+            terms.append(
+                (
+                    -0.25 * eps,
+                    r2 + eps,
+                    lambda b, r2=r2: r2 * (b - i_lo) + eps * (b - i_hi),
+                )
+            )
+        else:
+            terms.append(
+                (
+                    0.25 * eps,
+                    r2 - eps,
+                    lambda b, r2=r2: r2 * (b - i_lo) - eps * (b - i_hi),
+                )
+            )
+        for coef, rate, expo in terms:
+            if math.isinf(hi):
+                total += -coef * math.exp(expo(lo)) / rate
+            elif rate == 0.0:
+                total += coef * math.exp(expo(lo)) * (hi - lo)
+            else:
+                total += coef * (math.exp(expo(hi)) - math.exp(expo(lo))) / rate
+    return total
+
+
+@st.composite
+def integral_args(draw):
+    """(eps, T, i_hi, i_lo) over frequencies 1..3000, ties and values near T."""
+    eps = draw(st.floats(1e-3, 10.0))
+    T = SbhConfig(PrivacyParams(eps, draw(st.floats(1e-12, 0.8)))).threshold
+    freqs = st.one_of(st.integers(1, 3000),
+                      st.integers(-3, 3).map(lambda d: max(1, math.floor(T) + d)))
+    i_hi = draw(freqs)
+    i_lo = draw(st.one_of(freqs, st.just(i_hi)))
+    return eps, T, float(i_hi), float(i_lo)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(integral_args())
+@example((0.5, BASELINE.threshold, 7.0, 7.0))  # a tie below T
+@example((0.5, BASELINE.threshold, 40.0, 40.0))  # a tie above T
+@example((0.5, BASELINE.threshold, 40.0, 3.0))  # one on each side of T
+def test_exp_segments_integral_matches_closures(args):
+    eps, T, a, b = args
+    for i_hi, i_lo in ((a, b), (b, a)):
+        got = _exp_segments_integral(eps, T, i_hi, i_lo)
+        want = exp_segments_integral_closures(eps, T, i_hi, i_lo)
+        assert got.hex() == want.hex()

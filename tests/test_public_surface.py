@@ -87,6 +87,7 @@ def test_module_all(module):
     (privsample.SanitizerTable, "scheme"),
     (privsample.PdfFamily, "params"),
     (privsample.PdfFamily, "scheme"),
+    (privsample.PdfFamily, "max_frequency"),
     (privsample.FrequencyHistogram, "by_key"),
     (privsample.FrequencyHistogram, "require_keyed"),
     (privsample.ReportingVector, "keep_probability"),
@@ -110,6 +111,9 @@ def test_concordance_is_expanded_once():
     assert list(inspect.signature(privsample.expected_kendall_tau).parameters) == [
         "histogram", "conc"]
     assert not hasattr(importlib.import_module("privsample.ordinal"), "_concordance")
+    # the writer, not its caller, picks the exported pairs of the matrix
+    write = importlib.import_module("privsample.formats").write_concordance_csv
+    assert list(inspect.signature(write).parameters) == ["fp", "conc"]
 
 
 def test_verify_dp_takes_bands_and_params_only():
