@@ -132,9 +132,9 @@ _DIST_UNREAD = {
 def _dist_histogram(args) -> FrequencyHistogram:
     _reject(args, f"is meaningless with --dist {args.dist}", *_DIST_UNREAD[args.dist])
     if args.dist == "zipf":
-        return zipf_histogram(args.n_keys, args.alpha, args.w_max)
+        return _usage(zipf_histogram, args.n_keys, args.alpha, args.w_max)
     if args.dist == "uniform":
-        return uniform_histogram(args.n_keys, args.freq_min, args.freq_max)
+        return _usage(uniform_histogram, args.n_keys, args.freq_min, args.freq_max)
     with _open_in(args.input) as fp:
         return FrequencyHistogram.from_keys(formats.read_keyed_tsv(fp))
 
@@ -272,7 +272,7 @@ def cmd_baseline(args) -> int:
 
 
 def _grid(args, default: tuple) -> tuple:
-    if not args.grid:
+    if args.grid is None:
         return default
     try:
         return tuple(float(x) for x in args.grid.split(","))

@@ -60,8 +60,8 @@ def uniform_histogram(n_keys: int, low: int, high: int) -> FrequencyHistogram:
     Deterministic stand-in for 'frequencies drawn uniformly': each value
     gets n_keys // span keys and the first n_keys % span values get one more.
     """
-    if not 1 <= low <= high:
-        raise ValueError("need 1 <= low <= high")
+    if n_keys < 1 or not 1 <= low <= high:
+        raise ValueError("need n_keys >= 1 and 1 <= low <= high")
     span = high - low + 1
     base, extra = divmod(n_keys, span)
     counts = {low + k: base + (1 if k < extra else 0) for k in range(span)}

@@ -137,10 +137,6 @@ class PiecewisePdf:
     bounds: np.ndarray
     densities: np.ndarray
 
-    @property
-    def top(self) -> float:
-        return float(self.bounds[-1])
-
     def segment_masses(self) -> np.ndarray:
         return self.densities * np.diff(self.bounds)
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "PrivacyParams",
@@ -109,9 +110,8 @@ class TokenBands:
 
         Entries equal to 0 are left out, so each band spans its row's first
         to last nonzero token; ``width`` is the widest span.  A row without
-        entries takes the start of the nearest earlier row that has some,
-        which keeps adjacent starts close.  ``fields`` go to the constructor
-        of ``cls`` unchanged.
+        entries starts at token 1.  ``fields`` go to the constructor of
+        ``cls`` unchanged.
         """
         atom0 = np.asarray(atom0, dtype=float)
         i, j, v = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(v, dtype=float)
@@ -124,9 +124,7 @@ class TokenBands:
         np.maximum.at(hi, i, j)
         has = hi > 0
         width = int((hi - lo + 1)[has].max(initial=0))
-        held = np.maximum.accumulate(np.where(has, np.arange(n), -1))
-        start = np.where(held >= 0, lo[np.maximum(held, 0)], 1)
-        first = np.clip(start, 1, max(1, n_tokens - width + 1))
+        first = np.clip(np.where(has, lo, 1), 1, max(1, n_tokens - width + 1))
         rows = np.zeros((n, width))
         rows[i, j - first[i]] = v
         return cls(atom0=atom0, first=first, rows=rows, n_tokens=int(n_tokens), **fields)
@@ -136,10 +134,11 @@ class TokenBands:
 class DpReport:
     """Outcome of a privacy check over adjacent frequency pairs.
 
-    ``worst_pair`` is the adjacent pair with the largest float divergence
-    (on an exact tie the lowest pair, "up" before "down").  Pairs tied at
-    the maximum up to rounding differ only in their last bits, so which of
-    them it names depends on the order the sums run in.
+    ``worst_pair`` is the adjacent pair with the largest float divergence.
+    On an exact tie "up" wins, even over a lower tied "down" pair, and
+    within one direction the lowest pair wins.  Pairs tied at the maximum
+    up to rounding differ only in their last bits, so which of them it
+    names depends on the order the sums run in.
     """
 
     ok: bool
@@ -155,11 +154,11 @@ def verify_dp(bands: TokenBands, params: PrivacyParams) -> DpReport:
     ``bands`` holds the output law of every frequency over one shared token
     set, row 0 being the law of an absent key (all mass on token 0).  Each
     row must be a probability vector.  Passes iff every adjacent pair has
-    hockey-stick divergence <= delta + DELTA_SLACK both ways.  A pair is
-    compared over token 0 and a window one band plus the shift between the
-    two bands' starts wide; the tokens outside both bands carry no mass in
-    either row and add nothing.  The sums run over that window only, so
-    they may differ from a sum over all tokens in the last digits.
+    hockey-stick divergence <= delta + DELTA_SLACK both ways.  Each
+    direction sums max(p - e^eps * q, 0) over token 0 and the band of its
+    first row p, where all of p's mass lies, so over width + 1 terms: time
+    and memory are O(rows x width) whatever the bands' starts.  The sums
+    may differ from sums over all tokens in the last digits.
     """
     n = len(bands)
     if n < 2:
@@ -181,26 +180,29 @@ def verify_dp(bands: TokenBands, params: PrivacyParams) -> DpReport:
             f"and sum to 1 within {tol}, got sum {float(total[i])!r}"
         )
 
-    # pair k (rows k, k+1) in columns: token 0, then tokens base_k, base_k + 1, ...
-    base = np.minimum(first[:-1], first[1:])
-    span = bands.width + int(np.abs(first[1:] - first[:-1]).max())
-    cols = 1 + np.arange(bands.width)
-    lower, upper = np.zeros((n - 1, span + 1)), np.zeros((n - 1, span + 1))
-    lower[:, 0], upper[:, 0] = atom0[:-1], atom0[1:]
-    np.put_along_axis(lower, (first[:-1] - base)[:, None] + cols, rows[:-1], axis=1)
-    np.put_along_axis(upper, (first[1:] - base)[:, None] + cols, rows[1:], axis=1)
-
+    # pair k (rows k, k+1), each direction over token 0 and its first row
+    # p's band.  q at those tokens is a window of q's band padded with
+    # zeros, shifted by the difference of the two starts; its column 0 is
+    # overwritten with q's token-0 mass
+    width = bands.width
+    shift = np.clip(first[1:] - first[:-1], -width, width)
+    padded = np.zeros((n, 3 * width + 1))
+    padded[:, width + 1 : 2 * width + 1] = rows
+    windows = sliding_window_view(padded, width + 1, axis=1)
+    laws = np.column_stack([atom0, rows])
+    k = np.arange(n - 1)
     factor = math.exp(params.epsilon)
-    tmp = np.empty_like(lower)
-
-    def divergences(p, q):
-        # max(p - e^eps * q, 0) summed per row, in one reused temporary
-        np.multiply(q, factor, out=tmp)
-        np.subtract(p, tmp, out=tmp)
-        return np.maximum(tmp, 0.0, out=tmp).sum(axis=1)
-
-    div_up = divergences(upper, lower)
-    div_down = divergences(lower, upper)
+    divergences = []
+    for p, q, q0 in (
+        (laws[1:], windows[k, width + shift], atom0[:-1]),
+        (laws[:-1], windows[k + 1, width - shift], atom0[1:]),
+    ):
+        # max(p - e^eps * q, 0) summed per row, in place in q (a copy)
+        q[:, 0] = q0
+        q *= -factor
+        q += p
+        divergences.append(np.maximum(q, 0.0, out=q).sum(axis=1))
+    div_up, div_down = divergences
 
     i_up = int(np.argmax(div_up))
     i_down = int(np.argmax(div_down))

@@ -237,7 +237,7 @@ def discretize_pdfs_dense(family):
     for i in range(1, len(family)):
         pdf = family[i]
         rows[i, 0] = pdf.atom0
-        cover = int(np.searchsorted(edges, pdf.top, side="right"))
+        cover = int(np.searchsorted(edges, pdf.bounds[-1], side="right"))
         seg = np.searchsorted(pdf.bounds, edges[:cover], side="left") - 1
         rows[i, 1 : cover + 1] = pdf.densities[seg] * widths[:cover]
     return rows

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     bands,
     compute_pij_dense,
@@ -47,6 +48,7 @@ from privsample import (
 )
 from privsample._rng import _uniforms
 from privsample.formats import read_pij_csv, write_pij_csv
+from privsample.privacy import DELTA_SLACK
 
 
 def _csv(write, table):
@@ -111,12 +113,12 @@ def test_tables_are_banded():
 
 
 def test_from_entries_layout():
-    # row 2 has no entry and borrows row 1's start; row 3's band is clamped
-    # inside the tokens; zero entries are not stored
+    # rows 0 and 2 have no entry and start at token 1; row 3's band is
+    # clamped inside the tokens; zero entries are not stored
     atom0 = [1.0, 0.5, 1.0, 0.25]
     got = TokenBands.from_entries(atom0, [1, 1, 1, 3, 3], [2, 3, 4, 6, 5], [0.2, 0.0, 0.3, 0.5, 0.25], 6)
     assert got.width == 3 and got.n_tokens == 6
-    assert got.first.tolist() == [1, 2, 2, 4]
+    assert got.first.tolist() == [1, 2, 1, 4]
     np.testing.assert_array_equal(got.rows, [[0, 0, 0], [0.2, 0, 0.3], [0, 0, 0], [0, 0.25, 0.5]])
     np.testing.assert_array_equal(got.dense(), [
         [1.0, 0, 0, 0, 0, 0, 0],
@@ -143,6 +145,57 @@ def test_verify_dp_aligns_shifted_bands():
     got, want = verify_dp(bands(rows), params), verify_dp_dense(rows, params)
     assert (got.ok, got.worst_pair, got.direction) == (want.ok, want.worst_pair, want.direction)
     assert got.worst_divergence == want.worst_divergence == 0.5
+
+
+def test_verify_dp_memory_follows_the_bands():
+    # 201 rows of width 10 whose starts alternate between tokens 1 and 5991
+    # of 6000: each pair is read at its first row's band, not on a window
+    # as wide as the shift between the two starts
+    rows = np.random.default_rng(1).random((201, 10)) * 0.09
+    rows[0] = 0.0
+    first = np.where(np.arange(201) % 2, 5991, 1)
+    table = TokenBands(1.0 - rows.sum(axis=1), first, rows, 6000)
+    params = PrivacyParams(1.0, 0.5)
+    tracemalloc.start()
+    try:
+        report = verify_dp(table, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * table.rows.nbytes, f"peak {peak} B for {table.rows.nbytes} B of rows"
+    want = verify_dp_dense(table.dense(), params)
+    assert report.ok == want.ok
+    assert abs(report.worst_divergence - want.worst_divergence) <= 1e-12
+
+
+@st.composite
+def banded_laws(draw):
+    """Bands at arbitrary starts: overlapping, far apart, some rows empty."""
+    n = draw(st.integers(2, 8))
+    width = draw(st.integers(0, 5))
+    n_tokens = draw(st.integers(max(width, 1), 40))
+    first = draw(st.lists(st.integers(1, n_tokens - width + 1), min_size=n, max_size=n))
+    mass = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    raw = np.array(draw(st.lists(st.lists(mass, min_size=width + 1, max_size=width + 1),
+                                 min_size=n, max_size=n)))
+    empty = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    raw[empty, 1:] = 0.0
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    raw /= raw.sum(axis=1, keepdims=True)
+    table = TokenBands(raw[:, 0].copy(), np.array(first), raw[:, 1:].copy(), n_tokens)
+    epsilon = draw(st.floats(1e-3, 5.0))
+    delta = draw(st.floats(1e-6, 1.0))
+    return table, PrivacyParams(epsilon, delta)
+
+
+@settings(deadline=None, max_examples=300)
+@given(banded_laws())
+def test_verify_dp_matches_dense_at_any_starts(law):
+    table, params = law
+    got, want = verify_dp(table, params), verify_dp_dense(table.dense(), params)
+    assert abs(got.worst_divergence - want.worst_divergence) <= 1e-12
+    if abs(want.worst_divergence - (params.delta + DELTA_SLACK)) > 1e-12:
+        assert got.ok == want.ok
 
 
 TOP = _uniforms([b"\xff" * 8])[0]

@@ -4,19 +4,21 @@ The benchmark wraps functions by name where the CLI, the experiments
 harness and the file formats look them up, takes counts from what some of
 them return, and checks each op's outputs by calling the library directly.
 A renamed function drops its spans from the benchmark's layers; a changed
-call crashes its checks.  These tests pin both.  The benchmark's files are
-only read here.
+call crashes its checks; a changed flag breaks its command lines.  These
+tests pin all three.  The benchmark's files are only read here.
 """
 
 import importlib
 import importlib.util
 import inspect
 import math
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
+from privsample.cli import build_parser
 from privsample.estimators import g_power, mle_coeffs, moments_by_frequency, statistic_moments
 from privsample.experiments import zipf_histogram
 from privsample.frequencies import compute_pdfs, compute_pij, discretize_pdfs
@@ -26,19 +28,24 @@ from privsample.privacy import PrivacyParams, verify_dp
 from privsample.sampling import FrequencyHistogram, SamplingScheme
 from privsample.sbh import SbhConfig, sbh_moment_table
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PARAMS = PrivacyParams(0.5, 0.05)
 SCHEME = SamplingScheme.ppswor(0.5)
 M = 12
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
 
 
 def test_every_wrapped_name_is_a_function(tracing):
@@ -90,3 +97,17 @@ def test_the_calls_the_output_checks_make():
     assert math.isfinite(exact.bias)
     assert exact.variance > 0.0
     assert SbhConfig(PARAMS).threshold == math.log(1.0 / 0.05) / 0.5 + 1.0
+
+
+def test_the_command_lines_parse(tmp_path):
+    workloads = _load("workloads")
+    parser = build_parser()
+    for workload in workloads.WORKLOADS:
+        inputs = tmp_path / workload
+        inputs.mkdir()
+        spec = workloads.make_inputs(workload, 1, workloads.TINY, inputs)
+        commands = workloads.commands(spec, inputs)
+        assert commands
+        for command in commands:
+            args = parser.parse_args(command.argv)
+            assert callable(args.func), command.argv

@@ -11,6 +11,7 @@ import pytest
 
 from privsample import PrivacyParams, SbhConfig, compute_pij, sbh_concordance_prob
 from privsample.cli import main
+from privsample.experiments import DELTA_GRID_DEFAULT, TAU_GRID_DEFAULT
 from privsample.formats import fmt, read_keyed_tsv, read_pi_csv, read_pij_csv, write_pij_csv
 
 
@@ -213,6 +214,18 @@ class TestSanitizePipeline:
         for line in out1.splitlines():
             key, token = line.split("\t")
             assert int(token) >= 1
+
+    def test_stdin_input_matches_the_file(self, sample_file, tmp_path, capsys, monkeypatch):
+        argv = ["sanitize", "--mode", "freqs", "--epsilon", "0.5", "--delta", "0.1",
+                "--scheme", "ppswor", "--tau", "0.5", "--max-freq", "20", "--seed", "5"]
+        outputs = []
+        for source in (str(sample_file), "-"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(sample_file.read_text()))
+            out_path = tmp_path / f"out{len(outputs)}.tsv"
+            code, _, _ = run([*argv, "--input", source, "--out", str(out_path)], capsys)
+            assert code == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1] != b""
 
     def test_tau_zero_sample_is_empty(self, tmp_path, capsys):
         hist = tmp_path / "h.tsv"
@@ -629,6 +642,16 @@ class TestIgnoredFlags:
          "--grid", "0.1,2", "--dist", "uniform", "--n-keys", "50"],
         ["analyze", "sweep", "--epsilon", "-1", "--sweep", "delta", "--scheme", "none",
          "--grid", "0.1", "--dist", "uniform", "--n-keys", "50"],
+        ["analyze", "sweep", *PRIV, "--grid", "", "--dist", "uniform", "--n-keys", "50"],
+        ["analyze", "nrmse", *PRIV, "--grid", "", "--dist", "uniform", "--n-keys", "50"],
+        ["analyze", "sweep", *PRIV, "--grid", "0.5", "--n-keys", "0"],
+        ["analyze", "sweep", *PRIV, "--grid", "0.5", "--alpha", "-1"],
+        ["analyze", "sweep", *PRIV, "--grid", "0.5", "--w-max", "0"],
+        ["analyze", "nrmse", *PRIV, "--grid", "0.5", "--dist", "uniform", "--n-keys", "0"],
+        ["analyze", "nrmse", *PRIV, "--grid", "0.5", "--dist", "uniform", "--freq-min", "0"],
+        ["analyze", "nrmse", *PRIV, "--grid", "0.5", "--dist", "uniform", "--freq-min", "5",
+         "--freq-max", "4"],
+        ["analyze", "concordance", *PRIV, "--max-freq", "6", "--kendall", "--n-keys", "0"],
     ])
     def test_invalid_values_exit_two_without_output(self, tmp_path, capsys, argv):
         out_path = tmp_path / "out.csv"
@@ -679,6 +702,13 @@ class TestIgnoredFlags:
         assert captured.out == ""
         assert "--methods" in captured.err
         assert not out_path.exists()
+
+    def test_unreadable_dist_file_is_a_data_error(self, tmp_path, capsys):
+        code, out, err = run(["analyze", "sweep", *self.PRIV, "--grid", "0.5", "--dist", "file",
+                              "--input", str(tmp_path / "missing.tsv")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_tau_sweep_requires_delta(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -747,6 +777,34 @@ class TestAnalyzeCommands:
         assert len(rows) == 4
         assert {r["method"] for r in rows} == {"pws-keys", "nonprivate"}
         assert all(r["metric"] == "reported_fraction" for r in rows)
+
+    @pytest.mark.parametrize("argv, grid", [
+        (["analyze", "sweep", "--delta", "0.05", "--sweep", "tau", "--scheme", "ppswor"],
+         TAU_GRID_DEFAULT),
+        (["analyze", "sweep", "--sweep", "delta", "--scheme", "none"], DELTA_GRID_DEFAULT),
+        (["analyze", "nrmse", "--delta", "0.05"], TAU_GRID_DEFAULT),
+    ], ids=["sweep-tau", "sweep-delta", "nrmse"])
+    def test_default_grid(self, capsys, argv, grid):
+        code, out, _ = run([*argv, "--epsilon", "0.5", "--dist", "uniform", "--n-keys", "50",
+                            "--freq-max", "20"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        n_methods = len({r["method"] for r in rows})
+        assert [float(r["value"]) for r in rows[::n_methods]] == list(grid)
+        assert len(rows) == n_methods * len(grid)
+
+    def test_sweep_at_tau_zero(self, capsys):
+        # tau 0 samples no key: only sbh, which samples nothing, reports any
+        code, out, _ = run(
+            ["analyze", "sweep", "--epsilon", "0.5", "--delta", "0.05", "--sweep", "tau",
+             "--scheme", "ppswor", "--grid", "0", "--dist", "uniform", "--n-keys", "50"],
+            capsys,
+        )
+        assert code == 0
+        result = {r["method"]: float(r["result"]) for r in csv.DictReader(io.StringIO(out))}
+        assert result.keys() == {"pws-keys", "sbh", "sampled-sbh", "nonprivate"}
+        assert result["pws-keys"] == result["sampled-sbh"] == result["nonprivate"] == 0.0
+        assert result["sbh"] > 0.0
 
     def test_concordance_csv(self, capsys):
         code, out, _ = run(

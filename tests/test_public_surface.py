@@ -78,6 +78,7 @@ def test_module_all(module):
     (privsample.SanitizerTable, "verify"),
     (privsample.SanitizerTable, "pi_marginals"),
     (privsample.PiecewisePdf, "mass"),
+    (privsample.PiecewisePdf, "top"),
     (privsample.SamplingScheme, "weight"),
     (privsample.SamplingScheme, "inclusion_prob"),
     (privsample.StatisticMoments, "nrmse_defined"),
