@@ -27,6 +27,7 @@ from .experiments import (
     NRMSE_METHODS,
     REPORTING_METHODS,
     TAU_GRID_DEFAULT,
+    _method_names,
     nrmse_experiment,
     run_sweep,
     uniform_histogram,
@@ -79,12 +80,15 @@ def _reject(args, why: str, *dests: str) -> None:
             raise UsageError(f"--{dest.replace('_', '-')} {why}")
 
 
-def _usage(build, *values):
-    """``build(*values)`` for values taken from flags; a ValueError becomes a usage error."""
+def _usage(build, *values, flag=None):
+    """``build(*values)`` for values taken from flags; a ValueError becomes a usage error.
+
+    The message is prefixed with ``flag`` when one is given.
+    """
     try:
         return build(*values)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{flag}: {exc}" if flag else str(exc)) from exc
 
 
 def _params(args) -> PrivacyParams:
@@ -204,8 +208,9 @@ def cmd_sanitize(args) -> int:
     return 0
 
 
-def _table_and_coeffs(args, params, scheme):
-    """The public table, estimate coefficients and g chosen by --table/--estimator/--g-power."""
+def _coeffs_and_moments(args):
+    """The estimate coefficients chosen by --table/--estimator/--g-power, and their moments."""
+    params, scheme = _params(args), _scheme(args)
     if args.estimator == "unbiased" and args.table == "alg5":
         raise UsageError("--estimator unbiased needs the integer-token table (--table alg4)")
     g = g_power(args.g_power)
@@ -214,11 +219,13 @@ def _table_and_coeffs(args, params, scheme):
         coeffs = mle_coeffs(table, table.reporting, g)
     else:
         coeffs = unbiased_coeffs(table, g)
-        _warn_if_noise(table, coeffs, g)
-    return table, coeffs, g
+    moments = moments_by_frequency(table, coeffs, g)
+    if args.estimator == "unbiased":
+        _warn_if_noise(moments)
+    return coeffs, moments
 
 
-def _warn_if_noise(table, coeffs, g) -> None:
+def _warn_if_noise(moments) -> None:
     """Warn on stderr when the unbiased coefficients miss g(i) for some row.
 
     The float solve is not at fault: it agrees with 120- and 300-digit
@@ -227,13 +234,11 @@ def _warn_if_noise(table, coeffs, g) -> None:
     some tables, so no float vector reproduces g(i) and the estimate's
     variance explodes.
     """
-    freqs = np.arange(1, table.max_frequency + 1)
-    expectation = table.weighted_sums(coeffs.values)[1:]
-    target = g(freqs)
+    target = moments.g_values[1:]
     # written as `not <=` so that NaN and inf count as misses
-    misses = ~(np.abs(expectation - target) <= 1e-6 * np.maximum(1.0, np.abs(target)))
+    misses = ~(np.abs(moments.bias[1:]) <= 1e-6 * np.maximum(1.0, np.abs(target)))
     if misses.any():
-        i = int(freqs[np.argmax(misses)])
+        i = int(np.argmax(misses)) + 1
         print(
             f"warning: the unbiased coefficients do not reproduce g({i}) at frequency {i}: "
             "the exact coefficients explode and alternate in sign, so estimates are "
@@ -243,9 +248,9 @@ def _warn_if_noise(table, coeffs, g) -> None:
 
 
 def cmd_estimate(args) -> int:
-    _, coeffs, _ = _table_and_coeffs(args, _params(args), _scheme(args))
+    coeffs, _ = _coeffs_and_moments(args)
     with _open_in(args.input) as fp:
-        sanitized = list(formats.read_keyed_tsv(fp).items())
+        sanitized = formats.read_keyed_tsv(fp)
     selection = None
     if args.select:
         with _open_in(args.select) as fp:
@@ -274,10 +279,7 @@ def cmd_baseline(args) -> int:
 def _grid(args, default: tuple) -> tuple:
     if args.grid is None:
         return default
-    try:
-        return tuple(float(x) for x in args.grid.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--grid: {exc}") from exc
+    return _usage(lambda text: tuple(float(x) for x in text.split(",")), args.grid, flag="--grid")
 
 
 def _tau_points(args, kind: str) -> list:
@@ -288,12 +290,8 @@ def _tau_points(args, kind: str) -> list:
 
 
 def _methods(args, known: tuple) -> tuple:
-    """The --methods names, each one of ``known`` and none repeated."""
-    names = tuple(args.methods.split(","))
-    if not set(names) <= set(known) or len(set(names)) < len(names):
-        raise UsageError(f"--methods takes distinct names from {','.join(known)}, "
-                         f"got {args.methods!r}")
-    return names
+    """The --methods names, checked by the library's rule before any histogram is read."""
+    return _usage(_method_names, args.methods.split(","), known, flag="--methods")
 
 
 def cmd_analyze_sweep(args) -> int:
@@ -359,8 +357,7 @@ def cmd_analyze_concordance(args) -> int:
 
 
 def cmd_analyze_moments(args) -> int:
-    table, coeffs, g = _table_and_coeffs(args, _params(args), _scheme(args))
-    moment_table = moments_by_frequency(table, coeffs, g)
+    _, moment_table = _coeffs_and_moments(args)
     with _open_out(args.out) as fp:
         formats.write_moments_csv(fp, moment_table)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -151,17 +151,24 @@ def mle_coeffs(
 
 @dataclass(frozen=True, eq=False)
 class MomentTable:
-    """Per-frequency estimate moments, vectorized over 0..max_frequency."""
+    """Per-frequency estimate moments over 0..max_frequency; bias and variance derive from them."""
 
     g_values: np.ndarray
     expectation: np.ndarray
-    bias: np.ndarray
-    variance: np.ndarray
     mse: np.ndarray
 
     @property
     def max_frequency(self) -> int:
         return len(self.g_values) - 1
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.expectation - self.g_values
+
+    @property
+    def variance(self) -> np.ndarray:
+        """MSE minus the squared bias, floored at 0 against rounding."""
+        return np.maximum(0.0, self.mse - self.bias**2)
 
 
 def moments_by_frequency(
@@ -174,13 +181,9 @@ def moments_by_frequency(
     a = coeffs.values
     pi_m = table.rows.sum(axis=1)
     expectation = table.weighted_sums(a)
-    bias = expectation - gv
     # MSE_i = (1 - pi_i) g^2 + sum_j pi_ij (a_j - g)^2, expanded
     mse = table.atom0 * gv**2 + table.weighted_sums(a**2) - 2.0 * gv * expectation + pi_m * gv**2
-    variance = np.maximum(0.0, mse - bias**2)
-    return MomentTable(
-        g_values=gv, expectation=expectation, bias=bias, variance=variance, mse=mse
-    )
+    return MomentTable(g_values=gv, expectation=expectation, mse=mse)
 
 
 def nonprivate_moment_table(
@@ -191,16 +194,10 @@ def nonprivate_moment_table(
     Unbiased with per-key variance g(i)^2 (1/q_i - 1).
     """
     q, gv = _estimable(scheme, g, max_frequency)
-    variance = np.zeros(max_frequency + 1)
+    mse = np.zeros(max_frequency + 1)
     nz = q > 0.0
-    variance[nz] = gv[nz] ** 2 * (1.0 / q[nz] - 1.0)
-    return MomentTable(
-        g_values=gv,
-        expectation=gv.copy(),
-        bias=np.zeros(max_frequency + 1),
-        variance=variance,
-        mse=variance.copy(),
-    )
+    mse[nz] = gv[nz] ** 2 * (1.0 / q[nz] - 1.0)
+    return MomentTable(g_values=gv, expectation=gv.copy(), mse=mse)
 
 
 @dataclass(frozen=True)
@@ -219,12 +216,7 @@ def statistic_moments(selection: FrequencyHistogram, moments: MomentTable) -> St
 
     Keys are independent, so bias and variance add over the selection.
     """
-    freqs, counts = selection.frequencies_and_counts()
-    if freqs.size and freqs[-1] > moments.max_frequency:
-        raise ValueError(
-            f"selection contains frequency {int(freqs[-1])} beyond the moment table"
-        )
-    c = counts.astype(float)
+    freqs, c = selection.counts_within(len(moments.g_values))
     statistic = float(np.sum(c * moments.g_values[freqs]))
     bias = float(np.sum(c * moments.bias[freqs]))
     variance = float(np.sum(c * moments.variance[freqs]))
@@ -236,15 +228,15 @@ def statistic_moments(selection: FrequencyHistogram, moments: MomentTable) -> St
 
 
 def estimate_statistic(
-    sanitized, coeffs: EstimatorCoeffs, selection: set[str] | None = None
+    sanitized: Mapping[str, int], coeffs: EstimatorCoeffs, selection: set[str] | None = None
 ) -> float:
-    """Evaluate sum a_{j_x} over a sanitized sample of (key, token) pairs.
+    """Evaluate sum a_{j_x} over a sanitized sample, a key -> token mapping.
 
     Reads only the private output and public coefficients.  ``selection``
     restricts the sum to those keys (None selects everything).
     """
     total = 0.0
-    for key, token in sanitized:
+    for key, token in sanitized.items():
         if selection is None or key in selection:
             total += coeffs.value(token)
     return total

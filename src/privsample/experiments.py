@@ -74,12 +74,9 @@ def expected_reported_fraction(histogram: FrequencyHistogram, report_probs: np.n
     ``report_probs`` is indexed by frequency; it must cover every frequency
     present.
     """
-    freqs, counts = histogram.frequencies_and_counts()
+    freqs, c = histogram.counts_within(len(report_probs))
     if freqs.size == 0:
         raise ValueError("histogram is empty")
-    if freqs[-1] >= len(report_probs):
-        raise ValueError("report_probs does not cover the histogram's frequencies")
-    c = counts.astype(float)
     return float(np.sum(c * report_probs[freqs]) / np.sum(c))
 
 
@@ -90,6 +87,15 @@ class SweepRow:
     method: str
     metric: str
     result: float
+
+
+def _method_names(methods, known: tuple) -> tuple:
+    """``methods`` as a tuple of distinct names from ``known``, at least one."""
+    names = tuple(methods)
+    if not names or not set(names) <= set(known) or len(set(names)) < len(names):
+        raise ValueError(f"need distinct method names from {','.join(known)}, "
+                         f"got {','.join(map(str, names))!r}")
+    return names
 
 
 def _max_frequency(histogram: FrequencyHistogram) -> int:
@@ -109,7 +115,7 @@ def _reported_fraction(hist: FrequencyHistogram, max_f: int, method: str,
         report_prob = functools.partial(sbh_report_prob, config_sbh)
     else:
         report_prob = functools.partial(sampled_sbh_report_prob, config_sbh, scheme)
-    freqs, _ = hist.frequencies_and_counts()
+    freqs, _ = hist.counts_within(max_f + 1)
     probs = np.zeros(max_f + 1)
     probs[freqs] = [report_prob(int(f)) for f in freqs]
     return expected_reported_fraction(hist, probs)
@@ -123,9 +129,7 @@ def run_sweep(histogram: FrequencyHistogram, sweep_var: str, points,
     the swept quantity named ``sweep_var`` that labels the point's rows.
     """
     max_f = _max_frequency(histogram)
-    for method in methods:
-        if method not in REPORTING_METHODS:
-            raise ValueError(f"unknown reporting method {method!r}")
+    methods = _method_names(methods, REPORTING_METHODS)
 
     rows: list[SweepRow] = []
     for value, params, scheme in points:
@@ -162,9 +166,7 @@ def nrmse_experiment(selection: FrequencyHistogram, points,
     Undefined grid points yield NaN, not failure.
     """
     max_f = _max_frequency(selection)
-    for method in methods:
-        if method not in NRMSE_METHODS:
-            raise ValueError(f"unknown estimation method {method!r}")
+    methods = _method_names(methods, NRMSE_METHODS)
 
     rows: list[SweepRow] = []
     for tau, params, scheme in points:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import warnings
 from itertools import chain, islice, repeat
-from typing import Iterable, TextIO
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -68,9 +68,8 @@ def read_keyed_tsv(fp: TextIO) -> dict[str, int]:
     return out
 
 
-def write_keyed_tsv(fp: TextIO, pairs, *, float_values: bool = False) -> None:
-    items = pairs.items() if hasattr(pairs, "items") else pairs
-    _write_lines(fp, "", "%s\t%.17g\n" if float_values else "%s\t%s\n", items)
+def write_keyed_tsv(fp: TextIO, pairs: Mapping[str, float], *, float_values: bool = False) -> None:
+    _write_lines(fp, "", "%s\t%.17g\n" if float_values else "%s\t%s\n", pairs.items())
 
 
 def write_key_lines(fp: TextIO, keys: Iterable[str]) -> None:

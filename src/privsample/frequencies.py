@@ -314,14 +314,14 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
 
 def sanitize_frequencies(
     sample: WeightedSample, table: SanitizerTable, seed: int
-) -> list[tuple[str, int]]:
+) -> dict[str, int]:
     """Draw a sanitized token for each sampled key; keys drawing 0 are dropped.
 
     The conditional row for a sampled key with frequency w is the table row
     divided by q_w, with the leftover mass on token 0, so the end-to-end law
     over sampling and sanitization is exactly the table row.  A draw above
     the row's float total goes to the row's highest nonzero token.
-    Deterministic in the seed; output preserves input order.
+    Deterministic in the seed; the key -> token mapping keeps input order.
     """
     draws = {}
     for w, q_w in table.reporting.sampled_q(sample).items():
@@ -330,11 +330,11 @@ def sanitize_frequencies(
         nonzero = np.flatnonzero(cond)
         top = int(table.first[w] + nonzero[-1]) if nonzero.size else 0
         draws[w] = (cum.tolist(), [0, *range(table.first[w], table.first[w] + len(cond)), top])
-    out: list[tuple[str, int]] = []
+    out: dict[str, int] = {}
     pairs = sample.pairs
     for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_TOKEN)):
         cum, tokens = draws[freq]
         token = tokens[bisect_right(cum, u)]
         if token > 0:
-            out.append((key, token))
+            out[key] = token
     return out

@@ -45,15 +45,9 @@ def expected_kendall_tau(histogram: FrequencyHistogram, conc: np.ndarray) -> flo
     the normalizer (they carry no order information).  Returns NaN when no
     truth-distinct pair exists.  Exact in O(#distinct frequencies^2).
     """
-    freqs, counts = histogram.frequencies_and_counts()
-    if freqs.size and freqs[-1] >= len(conc):
-        raise ValueError(
-            f"histogram contains frequency {int(freqs[-1])} beyond the table"
-        )
+    freqs, c = histogram.counts_within(len(conc))
     if freqs.size < 2:
         return math.nan
-
-    c = counts.astype(float)
 
     # Pairs (hi, lo) with lo < hi in row-major order; cumsum adds them one
     # after another in that order, as a running total would.

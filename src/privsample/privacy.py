@@ -152,18 +152,21 @@ def verify_dp(bands: TokenBands, params: PrivacyParams) -> DpReport:
     """Check the privacy inequality in both directions for adjacent rows.
 
     ``bands`` holds the output law of every frequency over one shared token
-    set, row 0 being the law of an absent key (all mass on token 0).  Each
-    row must be a probability vector.  Passes iff every adjacent pair has
-    hockey-stick divergence <= delta + DELTA_SLACK both ways.  Each
-    direction sums max(p - e^eps * q, 0) over token 0 and the band of its
-    first row p, where all of p's mass lies, so over width + 1 terms: time
-    and memory are O(rows x width) whatever the bands' starts.  The sums
-    may differ from sums over all tokens in the last digits.
+    set.  Row 0 must be the law of an absent key, all mass on token 0, and
+    each row a probability vector; it fails closed otherwise.  Passes iff
+    every adjacent pair has hockey-stick divergence <= delta + DELTA_SLACK
+    both ways.  Each direction sums max(p - e^eps * q, 0) over token 0 and
+    the band of its first row p, where all of p's mass lies, so over
+    width + 1 terms: time and memory are O(rows x width) whatever the
+    bands' starts.  The sums may differ from sums over all tokens in the
+    last digits.
     """
     n = len(bands)
     if n < 2:
         raise ValueError("need at least the frequency-0 row and one more")
     atom0, first, rows = bands.atom0, bands.first, bands.rows
+    if atom0[0] != 1.0 or np.any(rows[0] != 0.0):
+        raise ValueError("row 0 must be the law of an absent key: all mass on token 0")
     # every row a probability vector, entries in [0, 1] summing to 1; NaN
     # fails.  The band's zeros and the tokens outside it count as entries 0.
     tol = 1e-9

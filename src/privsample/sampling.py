@@ -136,13 +136,12 @@ class FrequencyHistogram:
     def max_frequency(self) -> int:
         return max(self.counts) if self.counts else 0
 
-    def frequencies_and_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct frequencies in increasing order with their key counts."""
-        if not self.counts:
-            return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    def counts_within(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct frequencies in increasing order, each below ``length``, and real key counts."""
         freqs = np.array(sorted(self.counts), dtype=int)
-        counts = np.array([self.counts[int(f)] for f in freqs], dtype=int)
-        return freqs, counts
+        if freqs.size and freqs[-1] >= length:
+            raise ValueError(f"histogram contains frequency {freqs[-1]} beyond 0..{length - 1}")
+        return freqs, np.array([self.counts[f] for f in freqs.tolist()], dtype=float)
 
 
 @dataclass(eq=False)
@@ -151,6 +150,13 @@ class WeightedSample:
 
     pairs: dict[str, int]
     scheme: SamplingScheme
+
+
+def _require_positive(by_key: Mapping[str, int]) -> None:
+    """Fail closed on a frequency that is not positive, naming the first such key."""
+    if by_key and min(by_key.values()) <= 0:
+        key, freq = next((k, w) for k, w in by_key.items() if w <= 0)
+        raise ValueError(f"frequencies must be positive, got {freq} for key {key!r}")
 
 
 def aggregate_elements(elements: Iterable[str]) -> dict[str, int]:
@@ -166,7 +172,5 @@ def draw_sample(by_key: Mapping[str, int], scheme: SamplingScheme, seed: int) ->
     workers cannot change the result.  Fails closed on a frequency that is
     not positive.
     """
-    if by_key and min(by_key.values()) <= 0:
-        key, freq = next((k, w) for k, w in by_key.items() if w <= 0)
-        raise ValueError(f"frequencies must be positive, got {freq} for key {key!r}")
+    _require_positive(by_key)
     return WeightedSample(pairs=scheme.sampled(seed, by_key), scheme=scheme)

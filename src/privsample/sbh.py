@@ -23,7 +23,7 @@ import numpy as np
 from ._rng import PURPOSE_LAPLACE, key_uniforms
 from .estimators import FrequencyFunc, MomentTable, _g_values
 from .privacy import PrivacyParams
-from .sampling import SamplingScheme
+from .sampling import SamplingScheme, _require_positive
 
 __all__ = [
     "SbhConfig",
@@ -66,12 +66,11 @@ def sbh_sanitize(by_key: dict[str, int], config: SbhConfig, seed: int) -> dict[s
     Output is sparse (a subset of the input keys) and deterministic in the
     seed; sanitized frequencies stay real-valued.
     """
+    _require_positive(by_key)
     scale = 1.0 / config.params.epsilon
     T = config.threshold
     out: dict[str, float] = {}
     for (key, freq), u in zip(by_key.items(), key_uniforms(seed, by_key, PURPOSE_LAPLACE)):
-        if freq <= 0:
-            raise ValueError(f"frequencies must be positive, got {freq} for key {key!r}")
         u -= 0.5  # Laplace(scale) by the inverse CDF
         noised = freq - scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
         if noised >= T:
@@ -214,19 +213,12 @@ def sbh_moment_table(
         gw = g(w)
         return gw, gw * gw / q
 
-    freqs = np.arange(1, max_frequency + 1, dtype=float)
-    first, second = _kept_integrals(config, scheme, freqs, integrands)
-    gi = g(freqs)
-    bias = first - gi
+    gv = _g_values(g, max_frequency)
+    first, second = _kept_integrals(config, scheme, np.arange(1, max_frequency + 1), integrands)
+    gi = gv[1:]
     mse = second - 2.0 * gi * first + gi * gi
-    variance = np.maximum(0.0, mse - bias * bias)
-    expectation, bias, variance, mse = (
-        np.concatenate([[0.0], r]) for r in (first, bias, variance, mse)
-    )
-    return MomentTable(
-        g_values=_g_values(g, max_frequency), expectation=expectation, bias=bias,
-        variance=variance, mse=mse,
-    )
+    return MomentTable(g_values=gv, expectation=np.concatenate([[0.0], first]),
+                       mse=np.concatenate([[0.0], mse]))
 
 
 def _exp_segments_integral(eps: float, T: float, i_hi: float, i_lo: float) -> float:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from privsample import (
     DpReport,
     EstimatorCoeffs,
-    MomentTable,
     PrivacyParams,
     SamplingScheme,
     SanitizerTable,
@@ -316,7 +315,18 @@ def mle_coeffs_dense(rows, rv, g) -> EstimatorCoeffs:
     return EstimatorCoeffs(values=values, defined=defined)
 
 
-def moments_dense(rows, coeffs: EstimatorCoeffs, g) -> MomentTable:
+@dataclass(frozen=True, eq=False)
+class DenseMoments:
+    """Per-frequency moments with bias and variance computed here, not derived by MomentTable."""
+
+    g_values: np.ndarray
+    expectation: np.ndarray
+    bias: np.ndarray
+    variance: np.ndarray
+    mse: np.ndarray
+
+
+def moments_dense(rows, coeffs: EstimatorCoeffs, g) -> DenseMoments:
     """Per-frequency moments by matrix products over dense rows."""
     gv = _g_values(g, rows.shape[0] - 1)
     a = coeffs.values[1:]
@@ -324,7 +334,7 @@ def moments_dense(rows, coeffs: EstimatorCoeffs, g) -> MomentTable:
     expectation = reported @ a
     bias = expectation - gv
     mse = rows[:, 0] * gv**2 + reported @ a**2 - 2.0 * gv * expectation + reported.sum(axis=1) * gv**2
-    return MomentTable(gv, expectation, bias, np.maximum(0.0, mse - bias**2), mse)
+    return DenseMoments(gv, expectation, bias, np.maximum(0.0, mse - bias**2), mse)
 
 
 @dataclass(frozen=True)
@@ -381,8 +391,7 @@ def _fmt(x) -> str:
 
 
 def write_keyed_tsv_ref(fp, pairs, *, float_values: bool = False) -> None:
-    items = pairs.items() if hasattr(pairs, "items") else pairs
-    for key, value in items:
+    for key, value in pairs.items():
         fp.write(f"{key}\t{_fmt(value) if float_values else value}\n")
 
 

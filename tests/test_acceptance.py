@@ -316,7 +316,7 @@ def test_criterion_09_zipf_reporting_dominance_and_gains():
     gains = {}
     for alpha, target in ((0.5, 2.30), (1.0, 0.97), (2.0, 0.37)):
         hist = zipf_histogram(100_000, alpha, 10_000)
-        freqs, _ = hist.frequencies_and_counts()
+        freqs = np.array(sorted(hist.counts))
         best = -1.0
         for tau in TAU_GRID_DEFAULT:
             scheme = SamplingScheme.ppswor(tau)
@@ -337,6 +337,28 @@ def test_criterion_09_zipf_reporting_dominance_and_gains():
     # (under this pinned histogram alpha=0.5 has no frequency below 32, so
     # the low-frequency regime driving the paper-scale gain is absent)
     assert sw.done(9, dominance, 120, detail)
+
+
+def test_criterion_09_private_histograms_without_sampling():
+    # "even for private histograms": with no sampling PWS reports every
+    # frequency at least as often as the stability-histogram baseline
+    sw = Stopwatch()
+    params = PrivacyParams(0.1, 0.001)
+    config = SbhConfig(params)
+    dominance = True
+    gains = {}
+    for alpha in (0.5, 1.0, 2.0):
+        hist = zipf_histogram(100_000, alpha, 10_000)
+        freqs = np.array(sorted(hist.counts))
+        pi = compute_pi(params, SamplingScheme.none(), hist.max_frequency).pi
+        sbh = np.zeros_like(pi)
+        sbh[freqs] = [sbh_report_prob(config, int(f)) for f in freqs]
+        dominance = dominance and bool(np.all(pi[freqs] >= sbh[freqs]))
+        gains[alpha] = expected_reported_fraction(hist, pi) / expected_reported_fraction(hist, sbh) - 1.0
+    detail = f"pi_i >= sbh_i at every frequency: {dominance}; reported-fraction gains " + ", ".join(
+        f"alpha={a}: {g * 100:.1f}%" for a, g in gains.items()
+    )
+    assert sw.done(9, dominance, 30, detail)
 
 
 def test_criterion_10_nrmse_experiment():
@@ -372,7 +394,7 @@ def test_criterion_11_delta_one_sanity():
     sw = Stopwatch()
     params = PrivacyParams(0.1, 1.0)
     hist = zipf_histogram(10_000, 1.0, 1000)
-    freqs, _ = hist.frequencies_and_counts()
+    freqs = np.array(sorted(hist.counts))
     rv = compute_pi(params, SamplingScheme.none(), int(freqs[-1]))
     pws_frac = expected_reported_fraction(hist, rv.pi)
     config = SbhConfig(params)

@@ -170,7 +170,10 @@ def test_verify_dp_memory_follows_the_bands():
 
 @st.composite
 def banded_laws(draw):
-    """Bands at arbitrary starts: overlapping, far apart, some rows empty."""
+    """Bands at arbitrary starts: overlapping, far apart, some rows empty.
+
+    Row 0 is the law of an absent key, as ``verify_dp`` requires.
+    """
     n = draw(st.integers(2, 8))
     width = draw(st.integers(0, 5))
     n_tokens = draw(st.integers(max(width, 1), 40))
@@ -179,7 +182,9 @@ def banded_laws(draw):
     raw = np.array(draw(st.lists(st.lists(mass, min_size=width + 1, max_size=width + 1),
                                  min_size=n, max_size=n)))
     empty = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    empty[0] = True
     raw[empty, 1:] = 0.0
+    raw[0, 0] = 1.0
     raw[raw.sum(axis=1) == 0.0, 0] = 1.0
     raw /= raw.sum(axis=1, keepdims=True)
     table = TokenBands(raw[:, 0].copy(), np.array(first), raw[:, 1:].copy(), n_tokens)
@@ -198,6 +203,15 @@ def test_verify_dp_matches_dense_at_any_starts(law):
         assert got.ok == want.ok
 
 
+@pytest.mark.parametrize("row0", [[0.0, 1.0], [0.5, 0.5], [1.0 - 2**-53, 2**-53]])
+def test_verify_dp_rejects_a_row_0_that_reports(row0):
+    # a table whose row 0 reports can pass every pair (here rows 0..2 are
+    # equal) yet release absent keys; the gate fails closed on it
+    rows = np.array([row0, row0, row0])
+    with pytest.raises(ValueError, match="row 0 must be the law of an absent key"):
+        verify_dp(bands(rows), PrivacyParams(1.0, 0.5))
+
+
 TOP = _uniforms([b"\xff" * 8])[0]
 
 
@@ -214,7 +228,7 @@ def test_draw_above_the_row_total_stays_in_the_row(monkeypatch):
     table = table_from_dense(rows, compute_pi(PrivacyParams(1.0, 0.5), scheme, 2))
     monkeypatch.setattr("privsample.frequencies.key_uniforms", lambda seed, keys, purpose: [TOP])
     sample = WeightedSample(pairs={"k": 2}, scheme=scheme)
-    assert sanitize_frequencies(sample, table, seed=0) == [("k", 2)]
+    assert sanitize_frequencies(sample, table, seed=0) == {"k": 2}
 
 
 def test_round_trip_memory_stays_banded(tmp_path):

@@ -124,6 +124,24 @@ class TestVerifyRoundTrip:
             assert out == ""
             assert message in err
 
+    @pytest.mark.parametrize("kind, text", [
+        # every key reported with probability 1: each pair passes, row 0 does not
+        ("pij", "0,0,0\n0,1,1\n1,0,0\n1,1,1\n2,0,0\n2,1,1\n"),
+        ("pi", "0,1,1,1\n1,1,1,1\n2,1,1,1\n"),
+    ])
+    def test_verify_dp_rejects_a_row_0_that_reports(self, tmp_path, capsys, kind, text):
+        header = {"pij": "i,j,pi_ij\n", "pi": "i,q_i,pi_i,p_i\n"}[kind]
+        path = tmp_path / "t.csv"
+        path.write_text(header + text)
+        code, out, err = run(
+            ["verify-dp", "--epsilon", "0.1", "--delta", "0.5", "--table", str(path),
+             "--kind", kind],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: row 0 must be the law of an absent key: all mass on token 0\n"
+
     def test_verify_dp_rejects_a_wrong_header(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         path.write_text("i,j,p\r\n0,0,1\r\n1,0,0.5\r\n1,1,0.5\r\n")

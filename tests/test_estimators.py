@@ -156,7 +156,7 @@ class TestMle:
         defined[3] = False
         crippled = EstimatorCoeffs(values=coeffs.values, defined=defined)
         with pytest.raises(ValueError, match="never emitted"):
-            estimate_statistic([("k", 3)], crippled)
+            estimate_statistic({"k": 3}, crippled)
 
 
 class TestPerKeyMoments:
@@ -265,17 +265,17 @@ class TestStatisticMoments:
 
 class TestEstimateStatistic:
     def test_reads_only_private_output(self, std_table, std_rv):
-        # the estimate is a pure function of (key, token) pairs and the
-        # public coefficients; true frequencies never enter
+        # the estimate is a pure function of the key -> token mapping and
+        # the public coefficients; true frequencies never enter
         coeffs = mle_coeffs(std_table, std_rv, g_identity)
-        sanitized = [("a", 5), ("b", 12), ("c", 5)]
+        sanitized = {"a": 5, "b": 12, "c": 5}
         total = estimate_statistic(sanitized, coeffs)
         want = 2 * coeffs.values[5] + coeffs.values[12]
         assert total == pytest.approx(want, rel=1e-12)
 
     def test_selection_filter(self, std_table, std_rv):
         coeffs = mle_coeffs(std_table, std_rv, g_identity)
-        sanitized = [("a", 5), ("b", 12)]
+        sanitized = {"a": 5, "b": 12}
         assert estimate_statistic(sanitized, coeffs, selection={"b"}) == pytest.approx(
             coeffs.values[12], rel=1e-12
         )

@@ -130,8 +130,18 @@ class TestRunSweep:
 
         monkeypatch.setattr("privsample.experiments._reported_fraction", compute)
         points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
-        with pytest.raises(ValueError, match="unknown reporting method 'bogus'"):
+        with pytest.raises(ValueError, match="distinct method names from .*, got 'pws-keys,bogus'"):
             run_sweep(uniform_histogram(100, 1, 5), "tau", points, ("pws-keys", "bogus"))
+
+    @pytest.mark.parametrize("methods", [(), ("pws-keys", "pws-keys"), ("sbh", "nonprivate", "sbh")])
+    def test_rejects_empty_or_repeated_methods_before_any_row(self, monkeypatch, methods):
+        def compute(*args):
+            raise AssertionError("a row was computed before the methods were checked")
+
+        monkeypatch.setattr("privsample.experiments._reported_fraction", compute)
+        points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
+        with pytest.raises(ValueError, match="distinct method names"):
+            run_sweep(uniform_histogram(100, 1, 5), "tau", points, methods)
 
 
 @pytest.fixture(scope="module")
@@ -167,5 +177,17 @@ class TestNrmseExperiment:
 
         monkeypatch.setattr("privsample.experiments._pws_mle_nrmse", build)
         points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
-        with pytest.raises(ValueError, match="unknown estimation method 'bogus'"):
+        with pytest.raises(ValueError, match="distinct method names from .*, got 'pws-freq-mle,bogus'"):
             nrmse_experiment(uniform_histogram(100, 1, 5), points, ("pws-freq-mle", "bogus"))
+
+    @pytest.mark.parametrize("methods", [(), ("nonprivate", "nonprivate"),
+                                         ("pws-freq-mle", "sampled-sbh", "pws-freq-mle")])
+    def test_rejects_empty_or_repeated_methods_before_any_table(self, monkeypatch, methods):
+        def build(*args):
+            raise AssertionError("a table was built before the methods were checked")
+
+        for name in ("_pws_mle_nrmse", "sbh_moment_table", "nonprivate_moment_table"):
+            monkeypatch.setattr(f"privsample.experiments.{name}", build)
+        points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
+        with pytest.raises(ValueError, match="distinct method names"):
+            nrmse_experiment(uniform_histogram(100, 1, 5), points, methods)

@@ -282,7 +282,7 @@ class TestSanitizeFrequencies:
 
     def test_empty_sample(self, params_std, scheme_none):
         table = compute_pij(params_std, scheme_none, 5)
-        assert sanitize_frequencies(WeightedSample({}, scheme_none), table, seed=1) == []
+        assert sanitize_frequencies(WeightedSample({}, scheme_none), table, seed=1) == {}
 
     def test_frequency_beyond_table(self, params_std, scheme_none):
         table = compute_pij(params_std, scheme_none, 5)
@@ -310,7 +310,7 @@ class TestSanitizeFrequencies:
         sample = WeightedSample(
             pairs={f"k{i}": (i % 40) + 1 for i in range(5000)}, scheme=scheme_none
         )
-        for key, token in sanitize_frequencies(sample, table, seed=2):
+        for key, token in sanitize_frequencies(sample, table, seed=2).items():
             freq = sample.pairs[key]
             assert 1 <= token <= freq
 
@@ -325,7 +325,7 @@ class TestSanitizeFrequencies:
         q_i = inclusion_prob(scheme, i)
 
         counts = np.zeros(table.n_tokens + 1)
-        for _, token in out:
+        for token in out.values():
             counts[token] += 1
         # conditional law given sampled; token 0 is the complement
         cond = table.dense()[i] / q_i

@@ -104,11 +104,11 @@ def merged_loop(atom, bounds, densities):
 
 
 def kendall_tau_loop(histogram, table):
-    freqs, counts = histogram.frequencies_and_counts()
+    freqs = np.array(sorted(histogram.counts), dtype=int)
     if freqs.size < 2:
         return math.nan
     conc = concordance_matrix(table)[np.ix_(freqs, freqs)]
-    c = counts.astype(float)
+    c = np.array([histogram.counts[f] for f in freqs.tolist()], dtype=float)
     pair_counts = np.outer(c, c)
     total_sign = 0.0
     total_pairs = 0.0
@@ -201,13 +201,10 @@ def test_pij_csv_round_trip_is_exact(rows, corner):
 
 
 @SETTINGS
-@given(columns(labels, st.one_of(counts, real_scalars)), columns(labels, real_scalars),
-       st.booleans())
-def test_write_keyed_tsv_matches_lines(int_cols, real_cols, as_dict):
+@given(columns(labels, st.one_of(counts, real_scalars)), columns(labels, real_scalars))
+def test_write_keyed_tsv_matches_lines(int_cols, real_cols):
     for cols, float_values in ((int_cols, False), (real_cols, True)):
-        pairs = [(f"{key}{n}", value) for n, (key, value) in enumerate(zip(*cols))]
-        if as_dict:
-            pairs = dict(pairs)
+        pairs = {f"{key}{n}": value for n, (key, value) in enumerate(zip(*cols))}
         assert_same_bytes(write_keyed_tsv, write_keyed_tsv_ref, pairs, float_values=float_values)
 
 
@@ -271,11 +268,12 @@ def test_write_concordance_csv_matches_csv_writer(conc):
 
 
 @SETTINGS
-@given(columns(reals, reals, reals, reals))
+@given(columns(reals, reals, reals))
 def test_write_moments_csv_matches_csv_writer(cols):
-    g, *moments = (np.array([0.0, *col]) for col in [cols[0], *cols])
-    table = MomentTable(g, *moments)
-    assert_same_bytes(write_moments_csv, write_moments_csv_ref, table)
+    g, expectation, mse = (np.array([0.0, *col]) for col in cols)
+    table = MomentTable(g, expectation, mse)
+    with np.errstate(all="ignore"):  # the derived bias and variance may overflow
+        assert_same_bytes(write_moments_csv, write_moments_csv_ref, table)
 
 
 @st.composite
@@ -309,12 +307,17 @@ def test_merged_matches_loop(seg):
 
 
 @st.composite
-def stochastic_rows(draw, max_rows=12):
+def stochastic_rows(draw, max_rows=12, absent_first=False):
+    """Random probability rows; with ``absent_first``, row 0 is the absent-key law."""
     m = draw(st.integers(2, max_rows))
     n = draw(st.integers(1, 8))
     raw = draw(hnp.arrays(np.float64, (m, n), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
     raw[:, 0] += 1e-3  # no empty row
-    return raw / raw.sum(axis=1, keepdims=True)
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    if absent_first:
+        rows[0] = 0.0
+        rows[0, 0] = 1.0
+    return rows
 
 
 @SETTINGS
@@ -330,7 +333,7 @@ def test_expected_kendall_tau_matches_loop(rows, data):
 
 
 @SETTINGS
-@given(stochastic_rows(), st.floats(0.01, 2.0), st.floats(1e-6, 1.0))
+@given(stochastic_rows(absent_first=True), st.floats(0.01, 2.0), st.floats(1e-6, 1.0))
 def test_verify_dp_matches_loop(rows, epsilon, delta):
     # the window sums run in another order: the same verdict, the same
     # worst value to rounding, and the pair found worst is worst to rounding
@@ -425,7 +428,7 @@ def sanitize_keys_loop(pairs, rv, seed):
 
 def sanitize_frequencies_loop(pairs, table, seed):
     cum_by_freq = {}
-    out = []
+    out = {}
     for key, freq in pairs.items():
         q_w = sampled_q_loop(table.reporting, freq)
         cum = cum_by_freq.get(freq)
@@ -439,7 +442,7 @@ def sanitize_frequencies_loop(pairs, table, seed):
         if token == len(cum):  # above the row's total: its highest nonzero token
             token = int(np.flatnonzero(cum[1:] > cum[:-1])[-1]) + 1
         if token > 0:
-            out.append((key, token))
+            out[key] = token
     return out
 
 
@@ -523,9 +526,8 @@ def _assert_per_key_path_matches(by_key, scheme, seed):
     rv = compute_pi(PARAMS, scheme, MAX_FREQ)
     assert sanitize_keys(sample, rv, seed) == sanitize_keys_loop(ref_pairs, rv, seed)
     for table in _tables_for(scheme):
-        assert sanitize_frequencies(sample, table, seed) == sanitize_frequencies_loop(
-            ref_pairs, table, seed
-        )
+        got = sanitize_frequencies(sample, table, seed)
+        assert list(got.items()) == list(sanitize_frequencies_loop(ref_pairs, table, seed).items())
 
     got = sbh_sanitize(by_key, BASELINE, seed)
     assert list(got.items()) == list(sbh_sanitize_loop(by_key, BASELINE, seed).items())

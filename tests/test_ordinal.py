@@ -126,5 +126,5 @@ class TestKendallTau:
 
     def test_beyond_table_errors(self, conc):
         for freq in (61, 1000):  # just past the 61 x 61 matrix, and far past it
-            with pytest.raises(ValueError, match=f"frequency {freq} beyond the table"):
+            with pytest.raises(ValueError, match=f"frequency {freq} beyond 0..60"):
                 expected_kendall_tau(FrequencyHistogram.from_counts({1: 2, freq: 2}), conc)

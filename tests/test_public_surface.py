@@ -92,6 +92,7 @@ def test_module_all(module):
     (privsample.FrequencyHistogram, "by_key"),
     (privsample.FrequencyHistogram, "require_keyed"),
     (privsample.ReportingVector, "keep_probability"),
+    (privsample.FrequencyHistogram, "frequencies_and_counts"),
 ])
 def test_removed_methods_stay_out(owner, method):
     assert not hasattr(owner, method)
@@ -104,6 +105,14 @@ def test_tables_hold_bands_only():
     assert fields == ["atom0", "first", "rows", "n_tokens", "reporting", "token_edges"]
     assert [field.name for field in dataclasses.fields(privsample.TokenBands)] == fields[:4]
     assert issubclass(privsample.SanitizerTable, privsample.TokenBands)
+
+
+def test_moment_table_stores_what_bias_and_variance_derive_from():
+    # bias = E - g and variance = max(0, MSE - bias^2) are properties, not fields
+    fields = [field.name for field in dataclasses.fields(privsample.MomentTable)]
+    assert fields == ["g_values", "expectation", "mse"]
+    assert isinstance(privsample.MomentTable.bias, property)
+    assert isinstance(privsample.MomentTable.variance, property)
 
 
 def test_concordance_is_expanded_once():
