@@ -339,7 +339,7 @@ def cmd_analyze_concordance(args) -> int:
     else:
         _reject(args, "is only read with --kendall", *_DIST_FLAGS)
     if args.method == "pws":
-        conc = concordance_matrix(discretize_pdfs(compute_pdfs(params, _scheme(args), m)))
+        conc = concordance_matrix(_build_table(params, _scheme(args), m, "alg5"))
         if args.kendall:
             tau = expected_kendall_tau(hist, conc)
     else:
@@ -508,7 +508,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow and NaN print as inf/nan, and _warn_if_noise reports them
+        # in its one line; numpy's own warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     except (ValueError, RuntimeError, OSError) as exc:

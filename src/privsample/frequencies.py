@@ -66,9 +66,14 @@ def compute_pij(
     Per row, first set the forced lower bounds implied by the previous row
     (privacy in the shrinking direction), then assign the remaining mass
     from token i downward, capping each entry by the budget the previous
-    row leaves in the growing direction.  Both steps run over the row's
-    band only: below the previous row's first nonzero token its running sum
-    is exactly 0, so there every forced bound is one and the same value.
+    row leaves in the growing direction.  Both steps run over tokens
+    lo..i, where lo is the previous row's first nonzero token (token i
+    when that row has no mass off token 0), so every row's band starts no
+    lower than the previous row's.  In exact arithmetic nothing belongs
+    below lo: the previous row's running sum is 0 there, so the pi
+    recurrence keeps the forced bound <= 0 and the capped fill ends by lo.
+    A forced bound that rounds above 0 below lo (up to 1e-16) is carried by
+    token lo's running sum instead; fill mass left over at lo stays unplaced.
     """
     rv = compute_pi(params, scheme, max_frequency)
     eps, delta = params.epsilon, params.delta
@@ -77,18 +82,15 @@ def compute_pij(
 
     atom0 = 1.0 - rv.pi
     at_i, at_j, at_v = [], [], []  # the table's nonzero entries
-    prev_lo, prev = 1, []  # the previous row on tokens prev_lo..i-1; row 0 has none
+    lo, prev = 1, []  # the previous row on tokens lo..i-1; row 0 has none
     for i in range(1, m + 1):
         pi_i = float(rv.pi[i])
         gap = max(0.0, e_neg * float(atom0[i - 1]) - float(atom0[i]))
 
         # Forced minimum on tokens lo..i-1.  The running sum of the clamped
         # increments telescopes to max(0, target_j), because the targets are
-        # non-decreasing in j.  Below prev_lo every target is `floor`, so
-        # the band reaches down to token 1 only if that is > 0.
-        floor = e_neg * (0.0 - delta) + gap
-        lo = prev_lo if floor <= 0.0 else 1
-        cum = np.maximum(e_neg * (np.cumsum([0.0] * (prev_lo - lo) + prev) - delta) + gap, 0.0)
+        # non-decreasing in j.
+        cum = np.maximum(e_neg * (np.cumsum(prev) - delta) + gap, 0.0)
         row = [*np.diff(cum, prepend=0.0).tolist(), 0.0]  # tokens lo..i
         assigned = float(cum[-1]) if cum.size else 0.0
 
@@ -96,13 +98,9 @@ def compute_pij(
         remaining = max(0.0, pi_i - assigned)
         suffix_prev = 0.0  # sum of prev[j..i-1]
         suffix_cur = 0.0  # sum of row[j+1..i]
-        for j in range(i, 0, -1):
+        for k in range(i - lo, -1, -1):  # token j = lo + k
             if remaining == 0.0:
                 break
-            if j < lo:
-                row.insert(0, 0.0)
-                lo = j
-            k = j - lo
             cap = e_eps * suffix_prev + delta - suffix_cur
             room = cap - row[k]
             if room <= remaining:
@@ -111,14 +109,14 @@ def compute_pij(
             else:
                 row[k] += remaining
                 remaining = 0.0
-            if j - 1 >= prev_lo:
-                suffix_prev += prev[j - 1 - prev_lo]
+            if k > 0:
+                suffix_prev += prev[k - 1]
             suffix_cur += row[k]
 
         lead = next((k for k, x in enumerate(row) if x != 0.0), len(row))
-        prev_lo, prev = lo + lead, row[lead:]
+        lo, prev = lo + lead, row[lead:]
         at_i += [i] * len(prev)
-        at_j += range(prev_lo, prev_lo + len(prev))
+        at_j += range(lo, lo + len(prev))
         at_v += prev
     return SanitizerTable.from_entries(atom0, at_i, at_j, at_v, m, reporting=rv)
 
@@ -137,15 +135,6 @@ class PiecewisePdf:
     bounds: np.ndarray
     densities: np.ndarray
 
-    def segment_masses(self) -> np.ndarray:
-        return self.densities * np.diff(self.bounds)
-
-    def node_cumulative(self) -> np.ndarray:
-        """Mass on (0, bounds[k]] at every breakpoint."""
-        out = np.zeros(len(self.bounds))
-        np.cumsum(self.segment_masses(), out=out[1:])
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class PdfFamily:
@@ -162,6 +151,13 @@ class PdfFamily:
 
     def __iter__(self):
         return iter(self.pdfs)
+
+
+def _cumulative(bounds: np.ndarray, densities: np.ndarray) -> np.ndarray:
+    """Mass on (bounds[0], bounds[k]] at every breakpoint of a piecewise-constant density."""
+    out = np.zeros(len(bounds))
+    np.cumsum(densities * np.diff(bounds), out=out[1:])
+    return out
 
 
 def _split_at(bounds: np.ndarray, densities: np.ndarray, z: float):
@@ -225,34 +221,28 @@ def compute_pdfs(
         prev = pdfs[-1]
 
         gap = max(0.0, e_neg * prev.atom0 - atom)
-        prev_cum = prev.node_cumulative()
+        prev_cum = _cumulative(prev.bounds, prev.densities)
         total_prev = float(prev_cum[-1])
 
         # Lower-bound density on (0, i-1]: zero up to a budget point b, then
         # e^-eps times the previous density.  The shrink-direction divergence
         # is e^eps gap + (mass zeroed out), so the atom gap costs e^eps gap
         # of the delta budget; gap <= e^-eps delta is guaranteed by the
-        # recurrence, which keeps the budget nonnegative.
-        atom_spend = e_eps * gap
-        if atom_spend + total_prev <= delta:
-            grid, dens_prev = prev.bounds, prev.densities
-            dens_lower = np.zeros_like(dens_prev)
-        else:
-            target_b = max(0.0, delta - atom_spend)
-            b = _smallest_crossing(prev.bounds, prev_cum, prev.densities, target_b)
-            grid, dens_prev = _split_at(prev.bounds, prev.densities, b)
-            dens_lower = np.where(grid[1:] <= b, 0.0, e_neg * dens_prev)
+        # recurrence, which keeps the budget nonnegative.  A budget covering
+        # the whole previous mass puts b at the top breakpoint, so the
+        # lower bound is zero throughout.
+        target_b = max(0.0, delta - e_eps * gap)
+        b = _smallest_crossing(prev.bounds, prev_cum, prev.densities, target_b)
+        grid, dens_prev = _split_at(prev.bounds, prev.densities, b)
+        dens_lower = np.where(grid[1:] <= b, 0.0, e_neg * dens_prev)
 
         # Crossover c: mass below c follows the lower bound, mass above c is
         # e^eps times the previous density, and the total on (0, i-1] must be
         # pi_i - top_density.  The balance is non-increasing in c, so solve
         # on its negation.
         target_c = pi_i - top_density
-        cum_prev_grid = np.zeros(len(grid))
-        np.cumsum(dens_prev * np.diff(grid), out=cum_prev_grid[1:])
-        cum_lower_grid = np.zeros(len(grid))
-        np.cumsum(dens_lower * np.diff(grid), out=cum_lower_grid[1:])
-        balance = cum_lower_grid + e_eps * (total_prev - cum_prev_grid)
+        cum_lower, cum_prev = _cumulative(grid, dens_lower), _cumulative(grid, dens_prev)
+        balance = cum_lower + e_eps * (total_prev - cum_prev)
         c = _smallest_crossing(grid, -balance, e_eps * dens_prev - dens_lower, -target_c)
 
         grid_i, dens_prev_i = _split_at(grid, dens_prev, c)
@@ -305,7 +295,6 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
     k = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span - lo, span)
 
     atom0 = np.array([pdf.atom0 for pdf in family])
-    atom0[0] = 1.0
     return SanitizerTable.from_entries(
         atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
         reporting=family.reporting, token_edges=edges,

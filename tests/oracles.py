@@ -33,12 +33,12 @@ from privsample.privacy import DELTA_SLACK
 
 
 @st.composite
-def table_laws(draw, min_epsilon=0.01, max_delta=0.5):
+def table_laws(draw, min_epsilon=0.01, max_delta=0.5, max_m=150):
     """(params, scheme, m) over the ranges the tables are built for.
 
     epsilon runs from ``min_epsilon`` to 10 and delta (log-uniform) from
     1e-12 to ``max_delta``; the scheme is none, or ppswor or pps with tau
-    from 1e-4 to 1 and power 0 to 2; m runs from 1 to 150.
+    from 1e-4 to 1 and power 0 to 2; m runs from 1 to ``max_m``.
     """
     epsilon = draw(st.floats(min_epsilon, 10.0))
     delta = 10.0 ** draw(st.floats(-12.0, math.log10(max_delta)))
@@ -48,7 +48,7 @@ def table_laws(draw, min_epsilon=0.01, max_delta=0.5):
     else:
         tau = 10.0 ** draw(st.floats(-4.0, 0.0))
         scheme = getattr(SamplingScheme, kind)(tau, draw(st.floats(0.0, 2.0)))
-    return PrivacyParams(epsilon, delta), scheme, draw(st.integers(1, 150))
+    return PrivacyParams(epsilon, delta), scheme, draw(st.integers(1, max_m))
 
 
 def inclusion_prob(scheme: SamplingScheme, w: float) -> float:
@@ -186,7 +186,11 @@ def _from_dense(cls, rows, **fields):
 
 
 def compute_pij_dense(params: PrivacyParams, scheme: SamplingScheme, max_frequency: int):
-    """The integer-token table over dense rows: forced minimum, then the suffix loop."""
+    """The integer-token table over dense rows: forced minimum, then the suffix loop.
+
+    Both steps run from the previous row's first nonzero token lo (token i
+    when that row has no mass off token 0) up to token i.
+    """
     rv = compute_pi(params, scheme, max_frequency)
     eps, delta = params.epsilon, params.delta
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
@@ -200,17 +204,15 @@ def compute_pij_dense(params: PrivacyParams, scheme: SamplingScheme, max_frequen
         row = rows[i]
         row[0] = 1.0 - pi_i
         gap = max(0.0, e_neg * prev[0] - row[0])
-        if i > 1:
-            targets = e_neg * (np.cumsum(prev[1:i]) - delta) + gap
-            cum = np.maximum(targets, 0.0)
-            row[1:i] = np.diff(cum, prepend=0.0)
-            assigned = float(cum[-1])
-        else:
-            assigned = 0.0
+        nonzero = np.flatnonzero(prev[1:i])
+        lo = int(nonzero[0]) + 1 if nonzero.size else i
+        cum = np.maximum(e_neg * (np.cumsum(prev[lo:i]) - delta) + gap, 0.0)
+        row[lo:i] = np.diff(cum, prepend=0.0)
+        assigned = float(cum[-1]) if cum.size else 0.0
         remaining = max(0.0, pi_i - assigned)
         suffix_prev = 0.0
         suffix_cur = 0.0
-        for j in range(i, 0, -1):
+        for j in range(i, lo - 1, -1):
             if remaining == 0.0:
                 break
             cap = e_eps * suffix_prev + delta - suffix_cur
@@ -271,7 +273,7 @@ def verify_table(table):
 
 def pdf_mass(pdf) -> float:
     """Atom at 0 plus the mass of every density segment."""
-    return pdf.atom0 + float(pdf.segment_masses().sum())
+    return pdf.atom0 + float((pdf.densities * np.diff(pdf.bounds)).sum())
 
 
 # ---------------------------------------------------------------- estimators

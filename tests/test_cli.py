@@ -60,6 +60,21 @@ class TestVerifyRoundTrip:
             back = read_pij_csv(fp)
         np.testing.assert_array_equal(back.dense(), table.dense())
 
+    def test_pij_export_keeps_band_starts(self, tmp_path, capsys):
+        # rounding leaves about 8.7e-18 of forced mass below row 99's band at
+        # row 100 here; placed at token 1, it would widen the block to 100
+        path = tmp_path / "pij.csv"
+        code, _, _ = run(
+            ["pij", "--table", "alg4", "--epsilon", "0.1", "--delta", "0.01", "--scheme", "pps",
+             "--tau", "0.01", "--max-freq", "200", "--out", str(path)],
+            capsys,
+        )
+        assert code == 0
+        with open(path) as fp:
+            back = read_pij_csv(fp)
+        assert back.width == 38
+        assert back.dense()[100, 1] == 0.0
+
     def test_verify_dp_passes_on_export(self, tmp_path, capsys):
         code, out, _ = run(
             ["pij", "--epsilon", "0.1", "--delta", "0.01", "--scheme", "none",
@@ -183,7 +198,7 @@ class TestVerifyRoundTrip:
 
 
 class TestUnbiasedNoiseWarning:
-    @pytest.mark.parametrize("max_freq, warns", [(40, False), (150, True)])
+    @pytest.mark.parametrize("max_freq, warns", [(40, False), (150, True), (1500, True)])
     def test_warns_only_when_coefficients_are_noise(self, tmp_path, capsys, max_freq, warns):
         out_csv = tmp_path / "moments.csv"
         code, out, err = run(
@@ -199,6 +214,22 @@ class TestUnbiasedNoiseWarning:
             assert err.startswith("warning: ") and "at frequency " in err
         else:
             assert err == ""
+
+    def test_estimate_warns_in_one_line(self, tmp_path, capsys):
+        # the coefficients overflow to inf and nan on the way, and the one
+        # warning line is all that reaches stderr
+        tokens = tmp_path / "tokens.tsv"
+        tokens.write_text("a\t3\nb\t70\nc\t900\n")
+        code, out, err = run(
+            ["estimate", "--input", str(tokens), "--epsilon", "0.5", "--delta", "0.001",
+             "--scheme", "ppswor", "--tau", "0.05", "--max-freq", "1500", "--table", "alg4",
+             "--estimator", "unbiased"],
+            capsys,
+        )
+        assert code == 0
+        float(out)
+        assert err.count("\n") == 1
+        assert err.startswith("warning: ") and "at frequency " in err
 
 
 class TestSanitizePipeline:

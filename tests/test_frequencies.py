@@ -150,6 +150,25 @@ def test_density_family_shape(law):
         assert abs(float(pdf.densities @ below) - (pi[i] - top)) <= tol
 
 
+@settings(deadline=None, max_examples=60)
+@given(table_laws(min_epsilon=0.003, max_delta=0.8, max_m=300))
+def test_one_row_step(law):
+    # each row builds on the previous row's band: band starts never go
+    # down, an alg4 row's mass lies on [first nonzero token of row i-1, i]
+    # (on [i, i] after a row with no mass off token 0) and adds up to pi_i
+    params, scheme, m = law
+    alg4 = compute_pij(params, scheme, m)
+    for table in (alg4, discretize_pdfs(compute_pdfs(params, scheme, m))):
+        assert np.all(np.diff(table.first[1:]) >= 0)
+    rows, pi = alg4.dense(), alg4.reporting.pi
+    lo = 1
+    for i in range(1, m + 1):
+        tokens = np.flatnonzero(rows[i, 1:]) + 1
+        assert np.all((lo <= tokens) & (tokens <= i))
+        assert abs(math.fsum(rows[i, 1:]) - pi[i]) <= 1e-15
+        lo = int(tokens[0]) if tokens.size else i + 1
+
+
 class TestDiscretize:
     def test_single_segment_pdf(self, params_std, scheme_none):
         fam = compute_pdfs(params_std, scheme_none, 1)

@@ -93,6 +93,8 @@ def test_module_all(module):
     (privsample.FrequencyHistogram, "require_keyed"),
     (privsample.ReportingVector, "keep_probability"),
     (privsample.FrequencyHistogram, "frequencies_and_counts"),
+    (privsample.PiecewisePdf, "segment_masses"),
+    (privsample.PiecewisePdf, "node_cumulative"),
 ])
 def test_removed_methods_stay_out(owner, method):
     assert not hasattr(owner, method)
