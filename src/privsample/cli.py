@@ -38,7 +38,7 @@ from .keys import compute_pi, sanitize_keys
 from .ordinal import concordance_matrix, expected_kendall_tau
 from .privacy import PrivacyParams, TokenBands, verify_dp
 from .sampling import FrequencyHistogram, SamplingScheme, WeightedSample, aggregate_elements, draw_sample
-from .sbh import SbhConfig, sampled_sbh, sbh_concordance_prob, sbh_sanitize
+from .sbh import SbhConfig, sampled_sbh, sbh_concordance_prob
 
 
 class UsageError(ValueError):
@@ -60,6 +60,14 @@ def _add_scheme_flags(parser, default="none"):
     )
     parser.add_argument("--tau", type=float, default=None, help="sampling threshold (tau >= 0)")
     parser.add_argument("--power", type=float, default=1.0, help="frequency weight exponent in [0, 2]")
+
+
+def _max_freq(text: str) -> int:
+    """The --max-freq type: an integer >= 1, so that argparse makes any other a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"max_frequency must be >= 1, got {value}")
+    return value
 
 
 def _add_table_flag(parser):
@@ -213,7 +221,7 @@ def _coeffs_and_moments(args):
     params, scheme = _params(args), _scheme(args)
     if args.estimator == "unbiased" and args.table == "alg5":
         raise UsageError("--estimator unbiased needs the integer-token table (--table alg4)")
-    g = g_power(args.g_power)
+    g = _usage(g_power, args.g_power, flag="--g-power")
     table = _build_table(params, scheme, args.max_freq, args.table)
     if args.estimator == "mle":
         coeffs = mle_coeffs(table, table.reporting, g)
@@ -264,13 +272,11 @@ def cmd_baseline(args) -> int:
     config = SbhConfig(_params(args))
     if args.baseline == "sbh":
         _reject(args, "is meaningless with baseline sbh, which samples nothing", *_SCHEME_FLAGS)
-    scheme = None if args.baseline == "sbh" else _scheme(args)
+    # sbh is sampled-sbh under the default scheme none, which keeps every key
+    scheme = _scheme(args)
     with _open_in(args.input) as fp:
         by_key = formats.read_keyed_tsv(fp)
-    if args.baseline == "sbh":
-        out = sbh_sanitize(by_key, config, args.seed)
-    else:
-        out = sampled_sbh(by_key, config, scheme, args.seed)
+    out = sampled_sbh(by_key, config, scheme, args.seed)
     with _open_out(args.out) as fp:
         formats.write_keyed_tsv(fp, out, float_values=True)
     return 0
@@ -343,8 +349,6 @@ def cmd_analyze_concordance(args) -> int:
         if args.kendall:
             tau = expected_kendall_tau(hist, conc)
     else:
-        if m < 1:
-            raise ValueError("max_frequency must be >= 1")
         config = SbhConfig(params)
         conc = np.full((m + 1, m + 1), np.nan)  # only the pairs i2 < i1 are written
         for i1 in range(2, m + 1):
@@ -392,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pi", help="per-frequency reporting probability table (CSV i,q_i,pi_i,p_i)")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=int, required=True)
+    p.add_argument("--max-freq", type=_max_freq, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(parser=p, func=cmd_pi)
 
     p = sub.add_parser("pij", help="integer-token frequency table (CSV i,j,pi_ij)")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=int, required=True)
+    p.add_argument("--max-freq", type=_max_freq, required=True)
     _add_table_flag(p)
     p.add_argument("--out", default="-")
     p.set_defaults(parser=p, func=cmd_pij)
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pdfs", help="piecewise densities (CSV segments + atoms)")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=int, required=True)
+    p.add_argument("--max-freq", type=_max_freq, required=True)
     p.add_argument("--segments-out", required=True, help="CSV i,left,right,density")
     p.add_argument("--atoms-out", required=True, help="CSV i,atom0")
     p.set_defaults(parser=p, func=cmd_pdfs)
@@ -425,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="sample TSV key<TAB>frequency")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=int, required=True,
+    p.add_argument("--max-freq", type=_max_freq, required=True,
                    help="public table range; a sampled frequency above it is an error")
     _add_table_flag(p)
     p.add_argument("--seed", type=int, required=True)
@@ -436,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="sanitized TSV key<TAB>token")
     _add_privacy_flags(p)
     _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=int, required=True)
+    p.add_argument("--max-freq", type=_max_freq, required=True)
     _add_estimator_flags(p)
     p.add_argument("--select", default=None, help="file of selected keys, one per line")
     p.set_defaults(parser=p, func=cmd_estimate)
@@ -477,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = asub.add_parser("concordance", help="pairwise concordance probabilities")
     _add_privacy_flags(pa)
     _add_scheme_flags(pa)
-    pa.add_argument("--max-freq", type=int, required=True)
+    pa.add_argument("--max-freq", type=_max_freq, required=True)
     pa.add_argument("--method", choices=["pws", "sbh"], default="pws")
     pa.add_argument("--kendall", action="store_true",
                     help="also print the expected rank correlation for --dist "
@@ -490,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = asub.add_parser("moments", help="per-frequency estimate moments (CSV)")
     _add_privacy_flags(pa)
     _add_scheme_flags(pa)
-    pa.add_argument("--max-freq", type=int, required=True)
+    pa.add_argument("--max-freq", type=_max_freq, required=True)
     _add_estimator_flags(pa)
     pa.add_argument("--out", default="-")
     pa.set_defaults(parser=pa, func=cmd_analyze_moments)

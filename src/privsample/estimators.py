@@ -41,6 +41,9 @@ def g_identity(w):
 
 
 def g_power(p: float) -> FrequencyFunc:
+    if not math.isfinite(p):
+        raise ValueError(f"the exponent must be finite, got {p!r}")
+
     def g(w):
         return np.asarray(w, dtype=float) ** p
 

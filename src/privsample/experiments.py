@@ -9,7 +9,6 @@ flat rows ready for CSV: (sweep_var, value, method, metric, result).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .frequencies import compute_pdfs, compute_pij, discretize_pdfs
 from .keys import compute_pi
 from .privacy import PrivacyParams, l_value
 from .sampling import FrequencyHistogram, SamplingScheme
-from .sbh import SbhConfig, sampled_sbh_report_prob, sbh_moment_table, sbh_report_prob
+from .sbh import SbhConfig, sampled_sbh_report_prob, sbh_moment_table
 
 __all__ = [
     "SweepRow",
@@ -112,12 +111,10 @@ def _reported_fraction(hist: FrequencyHistogram, max_f: int, method: str,
         return expected_reported_fraction(hist, scheme.probs(max_f))
     config_sbh = SbhConfig(params)
     if method == "sbh":
-        report_prob = functools.partial(sbh_report_prob, config_sbh)
-    else:
-        report_prob = functools.partial(sampled_sbh_report_prob, config_sbh, scheme)
+        scheme = SamplingScheme.none()  # sbh is sampled-sbh without sampling
     freqs, _ = hist.counts_within(max_f + 1)
     probs = np.zeros(max_f + 1)
-    probs[freqs] = [report_prob(int(f)) for f in freqs]
+    probs[freqs] = [sampled_sbh_report_prob(config_sbh, scheme, int(f)) for f in freqs]
     return expected_reported_fraction(hist, probs)
 
 

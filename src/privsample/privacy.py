@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "PrivacyParams",
@@ -130,15 +129,40 @@ class TokenBands:
         return cls(atom0=atom0, first=first, rows=rows, n_tokens=int(n_tokens), **fields)
 
 
+def _pair_divergences(bands: TokenBands, factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every adjacent pair's hockey-stick divergence both ways, as (up, down).
+
+    ``up[k]`` is the sum of max(p - factor * q, 0), with p row k+1 and q
+    row k, over token 0 and p's band, which hold all of p's mass; ``down[k]``
+    swaps the rows.  q is read at p's tokens by index, and an index outside
+    q's band reads a zero column.
+    """
+    n, width = len(bands), bands.width
+    # column 0 is token 0, columns 1..width the band, width + 1 the zero column
+    laws = np.column_stack([bands.atom0, bands.rows, np.zeros(n)])
+    shift = np.diff(bands.first)  # first[k + 1] - first[k]
+    sums = []
+    for p, q, offset in ((laws[1:], laws[:-1], shift), (laws[:-1], laws[1:], -shift)):
+        j = offset[:, None] + np.arange(width + 1)  # q's column at p's column c
+        j[(j < 1) | (j > width)] = width + 1
+        j[:, 0] = 0
+        j += np.arange(0, q.size, width + 2)[:, None]  # each row's start in flat q
+        d = np.take(q, j)
+        d *= -factor
+        d += p[:, : width + 1]
+        sums.append(np.maximum(d, 0.0, out=d).sum(axis=1))
+    return tuple(sums)
+
+
 @dataclass(frozen=True)
 class DpReport:
     """Outcome of a privacy check over adjacent frequency pairs.
 
-    ``worst_pair`` is the adjacent pair with the largest float divergence.
-    On an exact tie "up" wins, even over a lower tied "down" pair, and
-    within one direction the lowest pair wins.  Pairs tied at the maximum
-    up to rounding differ only in their last bits, so which of them it
-    names depends on the order the sums run in.
+    ``worst_pair`` is the adjacent pair with the largest float divergence
+    of ``_pair_divergences``.  On an exact tie "up" wins, even over a lower
+    tied "down" pair, and within one direction the lowest pair wins.  Pairs
+    tied at the maximum up to rounding differ only in their last bits, so
+    which of them it names depends on the order the sums run in.
     """
 
     ok: bool
@@ -155,16 +179,15 @@ def verify_dp(bands: TokenBands, params: PrivacyParams) -> DpReport:
     set.  Row 0 must be the law of an absent key, all mass on token 0, and
     each row a probability vector; it fails closed otherwise.  Passes iff
     every adjacent pair has hockey-stick divergence <= delta + DELTA_SLACK
-    both ways.  Each direction sums max(p - e^eps * q, 0) over token 0 and
-    the band of its first row p, where all of p's mass lies, so over
-    width + 1 terms: time and memory are O(rows x width) whatever the
-    bands' starts.  The sums may differ from sums over all tokens in the
-    last digits.
+    both ways, as ``_pair_divergences`` sums them over token 0 and the band
+    of the pair's first row: time and memory are O(rows x width) whatever
+    the bands' starts.  The sums may differ from sums over all tokens in
+    the last digits.  The report names the worst pair by DpReport's rule.
     """
     n = len(bands)
     if n < 2:
         raise ValueError("need at least the frequency-0 row and one more")
-    atom0, first, rows = bands.atom0, bands.first, bands.rows
+    atom0, rows = bands.atom0, bands.rows
     if atom0[0] != 1.0 or np.any(rows[0] != 0.0):
         raise ValueError("row 0 must be the law of an absent key: all mass on token 0")
     # every row a probability vector, entries in [0, 1] summing to 1; NaN
@@ -183,40 +206,10 @@ def verify_dp(bands: TokenBands, params: PrivacyParams) -> DpReport:
             f"and sum to 1 within {tol}, got sum {float(total[i])!r}"
         )
 
-    # pair k (rows k, k+1), each direction over token 0 and its first row
-    # p's band.  q at those tokens is a window of q's band padded with
-    # zeros, shifted by the difference of the two starts; its column 0 is
-    # overwritten with q's token-0 mass
-    width = bands.width
-    shift = np.clip(first[1:] - first[:-1], -width, width)
-    padded = np.zeros((n, 3 * width + 1))
-    padded[:, width + 1 : 2 * width + 1] = rows
-    windows = sliding_window_view(padded, width + 1, axis=1)
-    laws = np.column_stack([atom0, rows])
-    k = np.arange(n - 1)
-    factor = math.exp(params.epsilon)
-    divergences = []
-    for p, q, q0 in (
-        (laws[1:], windows[k, width + shift], atom0[:-1]),
-        (laws[:-1], windows[k + 1, width - shift], atom0[1:]),
-    ):
-        # max(p - e^eps * q, 0) summed per row, in place in q (a copy)
-        q[:, 0] = q0
-        q *= -factor
-        q += p
-        divergences.append(np.maximum(q, 0.0, out=q).sum(axis=1))
-    div_up, div_down = divergences
-
-    i_up = int(np.argmax(div_up))
-    i_down = int(np.argmax(div_down))
-    if div_up[i_up] >= div_down[i_down]:
-        worst, pair, direction = float(div_up[i_up]), (i_up, i_up + 1), "up"
-    else:
-        worst, pair, direction = float(div_down[i_down]), (i_down, i_down + 1), "down"
-    return DpReport(
-        ok=worst <= params.delta + DELTA_SLACK,
-        worst_pair=pair,
-        worst_divergence=worst,
-        delta=params.delta,
-        direction=direction,
-    )
+    # argmax takes the first maximum, so an "up" pair whenever one is worst
+    divergences = np.concatenate(_pair_divergences(bands, math.exp(params.epsilon)))
+    i = int(np.argmax(divergences))
+    side, k = divmod(i, n - 1)
+    worst = float(divergences[i])
+    return DpReport(ok=worst <= params.delta + DELTA_SLACK, worst_pair=(k, k + 1),
+                    worst_divergence=worst, delta=params.delta, direction=("up", "down")[side])

@@ -9,6 +9,7 @@ divergence, the moments) must match them within 1e-12.
 """
 
 import io
+import math
 import os
 import tracemalloc
 
@@ -20,6 +21,7 @@ from oracles import (
     bands,
     compute_pij_dense,
     discretize_pdfs_dense,
+    hockey_stick,
     mle_coeffs_dense,
     moments_dense,
     table_from_dense,
@@ -48,7 +50,7 @@ from privsample import (
 )
 from privsample._rng import _uniforms
 from privsample.formats import read_pij_csv, write_pij_csv
-from privsample.privacy import DELTA_SLACK
+from privsample.privacy import DELTA_SLACK, _pair_divergences
 
 
 def _csv(write, table):
@@ -201,6 +203,19 @@ def test_verify_dp_matches_dense_at_any_starts(law):
     assert abs(got.worst_divergence - want.worst_divergence) <= 1e-12
     if abs(want.worst_divergence - (params.delta + DELTA_SLACK)) > 1e-12:
         assert got.ok == want.ok
+
+
+@settings(deadline=None, max_examples=300)
+@given(banded_laws())
+def test_pair_divergences_match_the_dense_pairs(law):
+    # every pair both ways, not only the worst one
+    table, params = law
+    up, down = _pair_divergences(table, math.exp(params.epsilon))
+    rows = table.dense()
+    assert up.shape == down.shape == (len(rows) - 1,)
+    for k in range(len(rows) - 1):
+        assert abs(up[k] - hockey_stick(rows[k + 1], rows[k], params.epsilon)) <= 1e-12
+        assert abs(down[k] - hockey_stick(rows[k], rows[k + 1], params.epsilon)) <= 1e-12
 
 
 @pytest.mark.parametrize("row0", [[0.0, 1.0], [0.5, 0.5], [1.0 - 2**-53, 2**-53]])

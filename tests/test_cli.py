@@ -710,6 +710,48 @@ class TestIgnoredFlags:
         assert capsys.readouterr().out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["pi", *PRIV, "--out", "OUT"],
+        ["pij", *PRIV, "--out", "OUT"],
+        ["pdfs", *PRIV, "--segments-out", "OUT", "--atoms-out", "OUT"],
+        # the input does not exist: the flag is checked before any input is read
+        ["sanitize", "--mode", "freqs", "--input", "/nonexistent", *PRIV, "--seed", "1",
+         "--out", "OUT"],
+        ["estimate", "--input", "IN", *PRIV],
+        ["analyze", "moments", *PRIV, "--out", "OUT"],
+        ["analyze", "concordance", *PRIV, "--method", "pws", "--out", "OUT"],
+        ["analyze", "concordance", *PRIV, "--method", "sbh", "--out", "OUT"],
+    ], ids=["pi", "pij", "pdfs", "sanitize", "estimate", "moments", "concordance-pws",
+            "concordance-sbh"])
+    def test_max_freq_below_one_is_a_usage_error(self, tmp_path, capsys, argv, value):
+        out_path = tmp_path / "out.csv"
+        argv = [str(out_path) if arg == "OUT" else arg for arg in self._argv(tmp_path, argv)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-freq", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --max-freq: max_frequency must be >= 1, got {value}" in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--input", "IN"],
+        ["analyze", "moments", "--out", "OUT"],
+    ], ids=["estimate", "moments"])
+    def test_non_finite_g_power_is_a_usage_error(self, tmp_path, capsys, command, power):
+        out_path = tmp_path / "out.csv"
+        argv = [str(out_path) if arg == "OUT" else arg for arg in self._argv(tmp_path, command)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--epsilon", "1", "--delta", "0.1", "--max-freq", "10",
+                  f"--g-power={power}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--g-power: the exponent must be finite" in captured.err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("dist, flag, value", [
         ("zipf", "--freq-min", "5"), ("zipf", "--freq-max", "50"), ("zipf", "--input", "IN"),
         ("uniform", "--alpha", "2"), ("uniform", "--w-max", "50"), ("uniform", "--input", "IN"),
@@ -885,13 +927,13 @@ class TestAnalyzeCommands:
     @pytest.mark.parametrize("method", ["pws", "sbh"])
     def test_concordance_needs_a_positive_range(self, tmp_path, capsys, method):
         out_path = tmp_path / "conc.csv"
-        code, out, err = run(
-            ["analyze", "concordance", "--epsilon", "0.5", "--delta", "0.05",
-             "--max-freq", "0", "--method", method, "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 1
-        assert err == "error: max_frequency must be >= 1\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "concordance", "--epsilon", "0.5", "--delta", "0.05",
+                  "--max-freq", "0", "--method", method, "--out", str(out_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-freq: max_frequency must be >= 1, got 0" in captured.err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("flags, status", [
@@ -972,8 +1014,8 @@ class TestAnalyzeCommands:
             capsys,
         )
         assert code == 0
-        seg_rows = list(csv.DictReader(open(seg)))
-        atom_rows = list(csv.DictReader(open(atoms)))
+        seg_rows = list(csv.DictReader(io.StringIO(seg.read_text())))
+        atom_rows = list(csv.DictReader(io.StringIO(atoms.read_text())))
         assert len(atom_rows) == 9  # frequencies 0..8
         # per-frequency mass: atom + sum of density * width = 1
         for i in range(9):

@@ -7,6 +7,7 @@ import pytest
 from oracles import bands, binary_rows, check_distribution, hockey_stick, l_value_approx
 
 from privsample import PrivacyParams, l_value, verify_dp
+from privsample.privacy import _pair_divergences
 
 
 def brute_force_divergence(p, q, epsilon):
@@ -146,6 +147,33 @@ class TestVerifyDp:
         assert not report.ok
         assert report.worst_pair == (1, 2)
         assert report.direction == "up"
+
+    # DpReport's tie rule over hand-made rows at epsilon 1: A against B
+    # diverges by 0.9 - 0.05 e = 0.764, B against A by 0.95 - 0.1 e = 0.678,
+    # C against A by 0.5, and the step from row 0 to A by 0.1.  Equal rows at
+    # equal band starts give bit-equal sums, so the ties below are exact.
+    # Row 0 is the absent-key law, so "down" at (0, 1) never exceeds "up"
+    # there: the lowest pair a "down" maximum can name is (1, 2).
+    ABSENT, A, B, C = [1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [0.05, 0.95, 0.0], [0.5, 0.0, 0.5]
+
+    @pytest.mark.parametrize("rows, maxima, pair, direction", [
+        # "down" at (1, 2) ties "up" at (2, 3): "up" wins over the lower pair
+        ([ABSENT, A, B, A], [("up", 2), ("down", 1)], (2, 3), "up"),
+        # "up" at (1, 2) and (3, 4) tie, and "down" at (2, 3): the lowest "up" wins
+        ([ABSENT, A, C, A, C], [("up", 1), ("up", 3), ("down", 2)], (1, 2), "up"),
+        # the only maximum is "down" at (1, 2)
+        ([ABSENT, A, B], [("down", 1)], (1, 2), "down"),
+    ], ids=["up-beats-lower-down", "lowest-up", "only-down"])
+    def test_tie_rule(self, rows, maxima, pair, direction):
+        table, epsilon = bands(np.array(rows)), 1.0
+        up, down = _pair_divergences(table, math.exp(epsilon))
+        worst = max(up.max(), down.max())
+        # the pairs at the maximum of the sums that verify_dp reduces
+        assert [("up", k) for k in np.flatnonzero(up == worst)] + [
+            ("down", k) for k in np.flatnonzero(down == worst)] == maxima
+        report = verify_dp(table, PrivacyParams(epsilon, 1.0))
+        assert (report.worst_pair, report.direction) == (pair, direction)
+        assert report.worst_divergence == worst
 
     def test_key_reporting_rows_pass(self, params_std, scheme_none):
         from privsample import compute_pi
