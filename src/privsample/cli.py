@@ -197,19 +197,47 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _pi_bands(pi: np.ndarray) -> TokenBands:
+    """The key-reporting law as bands: token 1 (reported) with mass pi_i, token 0 otherwise."""
+    return TokenBands(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
+                      rows=pi[:, None], n_tokens=1)
+
+
+def _verify_line(report, params) -> str:
+    return (
+        f"worst_divergence={formats.fmt(report.worst_divergence)} "
+        f"pair={report.worst_pair[0]},{report.worst_pair[1]} direction={report.direction} "
+        f"delta={formats.fmt(params.delta)}"
+    )
+
+
+def _require_dp(law: TokenBands, params: PrivacyParams) -> None:
+    """A data error unless ``law`` passes the DP oracle.
+
+    ``verify_dp`` itself raises on a row that is not a probability vector.
+    """
+    report = verify_dp(law, params)
+    if not report.ok:
+        raise ValueError(f"the release law fails verify-dp: {_verify_line(report, params)}")
+
+
 def cmd_sanitize(args) -> int:
     params, scheme = _params(args), _scheme(args)
     if args.mode == "keys":
         _reject(args, "is meaningless with --mode keys, which releases no tokens", "table")
     with _open_in(args.input) as fp:
         sample = WeightedSample(pairs=formats.read_keyed_tsv(fp), scheme=scheme)
-    # the table range is the public --max-freq, never the sample's own maximum
+    # the table range is the public --max-freq, never the sample's own maximum;
+    # the law is checked before --out is opened, so a failing one writes nothing
     if args.mode == "keys":
-        kept = sanitize_keys(sample, compute_pi(params, scheme, args.max_freq), args.seed)
+        rv = compute_pi(params, scheme, args.max_freq)
+        _require_dp(_pi_bands(rv.pi), params)
+        kept = sanitize_keys(sample, rv, args.seed)
         with _open_out(args.out) as fp:
             formats.write_key_lines(fp, kept)
     else:
         table = _build_table(params, scheme, args.max_freq, args.table)
+        _require_dp(table, params)
         sanitized = sanitize_frequencies(sample, table, args.seed)
         with _open_out(args.out) as fp:
             formats.write_keyed_tsv(fp, sanitized)
@@ -371,18 +399,11 @@ def cmd_verify_dp(args) -> int:
     params = _params(args)
     with _open_in(args.table) as fp:
         if args.kind == "pi":
-            pi = formats.read_pi_csv(fp)
-            bands = TokenBands(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
-                               rows=pi[:, None], n_tokens=1)
+            bands = _pi_bands(formats.read_pi_csv(fp))
         else:
             bands = formats.read_pij_csv(fp)
     report = verify_dp(bands, params)
-    status = "pass" if report.ok else "FAIL"
-    print(
-        f"verify-dp {status} worst_divergence={formats.fmt(report.worst_divergence)} "
-        f"pair={report.worst_pair[0]},{report.worst_pair[1]} direction={report.direction} "
-        f"delta={formats.fmt(params.delta)}"
-    )
+    print(f"verify-dp {'pass' if report.ok else 'FAIL'} {_verify_line(report, params)}")
     return 0 if report.ok else 1
 
 

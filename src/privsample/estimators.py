@@ -143,12 +143,8 @@ def mle_coeffs(
     held = (rows == best[tokens]) & defined[tokens]
     i_star = np.full(table.n_tokens + 1, len(table))
     np.minimum.at(i_star, tokens[held], freqs[held])
-    i_star = np.where(defined, i_star, 0)[1:]
     values = np.zeros(table.n_tokens + 1)
-    gv = g(i_star.astype(float))
-    pi_star = rv.pi[i_star]
-    ok = defined[1:]
-    values[1:][ok] = gv[ok] / pi_star[ok]
+    values[defined] = g(i_star[defined]) / rv.pi[i_star[defined]]
     return EstimatorCoeffs(values=values, defined=defined)
 
 

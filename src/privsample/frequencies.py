@@ -308,22 +308,27 @@ def sanitize_frequencies(
 
     The conditional row for a sampled key with frequency w is the table row
     divided by q_w, with the leftover mass on token 0, so the end-to-end law
-    over sampling and sanitization is exactly the table row.  A draw above
-    the row's float total goes to the row's highest nonzero token.
+    over sampling and sanitization is exactly the table row.  Each w has one
+    list of thresholds t: t[0] = max(0, 1 - row sum) for token 0, then the
+    running masses of the band up to its last nonzero entry, the last one
+    raised to at least 1.  A key's uniform u gives k = bisect_right(t, u):
+    k = 0 is token 0 (not reported), otherwise token first[w] - 1 + k.  So
+    the band's k-th token gets exactly the uniforms in [t[k-1], t[k]), and
+    the highest nonzero one also takes every draw above the row's float total.
     Deterministic in the seed; the key -> token mapping keeps input order.
     """
     draws = {}
     for w, q_w in table.reporting.sampled_q(sample).items():
         cond = table.rows[w] / q_w
-        cum = np.cumsum(np.concatenate(([max(0.0, 1.0 - float(cond.sum()))], cond)))
-        nonzero = np.flatnonzero(cond)
-        top = int(table.first[w] + nonzero[-1]) if nonzero.size else 0
-        draws[w] = (cum.tolist(), [0, *range(table.first[w], table.first[w] + len(cond)), top])
+        band = np.trim_zeros(cond, "b")  # cumsum is sequential: trailing zeros never moved it
+        cum = np.cumsum(np.concatenate(([max(0.0, 1.0 - float(cond.sum()))], band)))
+        cum[-1] = max(cum[-1], 1.0)
+        draws[w] = (cum.tolist(), int(table.first[w]) - 1)
     out: dict[str, int] = {}
     pairs = sample.pairs
     for (key, freq), u in zip(pairs.items(), key_uniforms(seed, pairs, PURPOSE_TOKEN)):
-        cum, tokens = draws[freq]
-        token = tokens[bisect_right(cum, u)]
-        if token > 0:
-            out[key] = token
+        cum, before = draws[freq]
+        k = bisect_right(cum, u)
+        if k:
+            out[key] = before + k
     return out

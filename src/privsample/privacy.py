@@ -10,6 +10,7 @@ datasets move one key's frequency by 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,17 +26,21 @@ __all__ = [
 #: Additive slack absorbing float rounding when comparing divergences to delta.
 DELTA_SLACK = 1e-12
 
+# The largest epsilon whose e^epsilon is a finite double.
+_EPSILON_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """An (epsilon, delta) privacy budget with epsilon > 0 and 0 < delta <= 1."""
+    """An (epsilon, delta) privacy budget with 0 < delta <= 1 and
+    0 < epsilon <= ln(largest double), about 709.78, so that e^epsilon is finite."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not (0.0 < self.epsilon <= _EPSILON_MAX):
+            raise ValueError(f"epsilon must be in (0, {_EPSILON_MAX!r}], got {self.epsilon!r}")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must be in (0, 1], got {self.delta!r}")
 

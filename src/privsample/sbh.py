@@ -108,7 +108,10 @@ def _kept_integrals(config: SbhConfig, scheme: SamplingScheme, freqs, integrands
     probabilities q to a tuple of arrays; the result holds one integral per
     entry of that tuple, per frequency.  Each frequency's range is split at
     T, at the frequency itself, at the pps cap w**power * tau = 1, at the
-    cut max(T, i) + 60 scale lengths and at i - 60 scale lengths.  Every
+    cut max(T, i) + 60 scale lengths and at i - 60 scale lengths.  The cap
+    splits only for pps with power > 0 and a cap that is a finite double
+    (clipped into [T, cut]); with tau = 0, power 0 or a cap past the largest
+    double q has no kink in the range, and the cap stays at the cut.  Every
     finite segment is cut into equal panels at most one scale long, each
     with a 16-point Gauss-Legendre rule, except that the stretch more than
     60 scales below i (mass < 1e-26) takes a single panel, so the cost of a
@@ -122,8 +125,11 @@ def _kept_integrals(config: SbhConfig, scheme: SamplingScheme, freqs, integrands
     cut = np.maximum(T, freqs) + _TAIL_SCALES / eps
     far = np.clip(freqs - _TAIL_SCALES / eps, T, cut)
     cap = cut
-    if scheme.kind == "pps":
-        cap = (1.0 / scheme.tau) ** (1.0 / scheme.power) if scheme.power else 1.0
+    if scheme.kind == "pps" and scheme.power > 0.0:
+        try:
+            cap = (1.0 / scheme.tau) ** (1.0 / scheme.power)
+        except (ZeroDivisionError, OverflowError):
+            pass  # tau = 0 or a cap past the largest double: q has no kink in range
     points = [np.full_like(freqs, T), far, np.clip(freqs, T, cut), np.clip(cap, T, cut), cut]
     edges = np.sort(np.stack(points, axis=1), axis=1)
     n_panels = np.ceil(np.diff(edges, axis=1) * eps).astype(np.int64)  # 0 on an empty segment
@@ -169,7 +175,9 @@ def sampled_sbh_report_prob(config: SbhConfig, scheme: SamplingScheme, i: int) -
     """End-to-end keep probability of noise-then-sample at true frequency i.
 
     Integral of q(w) against the Laplace density over the kept region; in
-    closed form for ppswor with power 1, quadrature otherwise.
+    closed form for ppswor with power 1 and tau > 0, quadrature otherwise.
+    tau = 0 goes through the quadrature too: q = 0 there, so it returns
+    exactly 0.0.
     """
     if i <= 0:
         return 0.0
@@ -190,8 +198,6 @@ def sampled_sbh_report_prob(config: SbhConfig, scheme: SamplingScheme, i: int) -
                 mid = (math.exp(-tau * i) - math.exp(-eps * (i - T) - tau * T)) / (eps - tau)
             partial = mid + tail
         return sbh_report_prob(config, i) - 0.5 * eps * partial
-    if scheme.tau == 0.0:
-        return 0.0
     (kept,) = _kept_integrals(config, scheme, [i], lambda w, q: (q,))
     return float(kept[0])
 

@@ -1025,3 +1025,54 @@ class TestAnalyzeCommands:
                 if int(r["i"]) == i
             )
             assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExitContractAtFlagEdges:
+    """Commands at the edges of their flags' ranges keep the exit contract.
+
+    Each exits 0, 1 or 2 and raises nothing else, warns nothing, prints one
+    ``error:`` line on exit 1 and leaves no ``--out`` file unless it exits 0.
+    """
+
+    SWEEP = ["--epsilon", "1", "--delta", "0.01", "--power", "0.1", "--grid", "1e-300",
+             "--dist", "uniform", "--n-keys", "10", "--freq-max", "5"]
+    AT_40 = ["--input", "IN", "--epsilon", "40", "--delta", "0.1", "--max-freq", "30",
+             "--seed", "1"]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["analyze", "sweep", "--scheme", "pps", *SWEEP], 0),
+        (["analyze", "nrmse", "--scheme-kind", "pps", *SWEEP], 0),
+        (["analyze", "moments", "--epsilon", "0.1", "--delta", "0.01", "--scheme", "pps",
+          "--tau", "0", "--max-freq", "5", "--g-power", "-0.5"], 0),
+        (["estimate", "--input", "IN", "--epsilon", "0.1", "--delta", "0.01", "--scheme",
+          "ppswor", "--tau", "0", "--g-power", "-1", "--max-freq", "5"], 1),
+        (["pi", "--epsilon", "710", "--delta", "0.1", "--max-freq", "5"], 2),
+        (["verify-dp", "--epsilon", "710", "--delta", "0.1", "--kind", "pi", "--table", "PI"], 2),
+        (["sanitize", "--mode", "keys", *AT_40], 1),
+        (["sanitize", "--mode", "freqs", *AT_40], 1),
+    ], ids=["sweep-cap-overflow", "nrmse-cap-overflow", "moments-tau-0", "estimate-tau-0",
+            "pi-epsilon-710", "verify-dp-epsilon-710", "sanitize-keys-epsilon-40",
+            "sanitize-freqs-epsilon-40"])
+    def test_exit_contract(self, tmp_path, capsys, argv, want):
+        data, pi, out_path = tmp_path / "in.tsv", tmp_path / "pi.csv", tmp_path / "out.csv"
+        data.write_text("a\t1\nb\t2\nc\t5\n")
+        assert main(["pi", "--epsilon", "1", "--delta", "0.1", "--max-freq", "5",
+                     "--out", str(pi)]) == 0
+        argv = [{"IN": str(data), "PI": str(pi)}.get(arg, arg) for arg in argv]
+        if argv[0] not in ("estimate", "verify-dp"):  # the two that write no file
+            argv += ["--out", str(out_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = capsys.readouterr().err
+        assert code == want
+        assert not caught and "Warning" not in err
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if code == 0:
+            assert len(out_path.read_text().splitlines()) > 1
+        else:
+            assert not out_path.exists()

@@ -15,6 +15,7 @@ from privsample import (
     discretize_pdfs,
     estimate_statistic,
     g_identity,
+    g_power,
     l_value,
     mle_coeffs,
     moments_by_frequency,
@@ -126,6 +127,15 @@ class TestMle:
         moved[m // 2] *= 1.0 + 1e-15
         with pytest.raises(ValueError, match="with the table's pi"):
             mle_coeffs(table, ReportingVector(law.params, law.scheme, moved, law.q), g_identity)
+
+    @pytest.mark.parametrize("build", [compute_pij, lambda *law: discretize_pdfs(compute_pdfs(*law))],
+                             ids=["alg4", "alg5"])
+    def test_tau_zero_never_evaluates_g_at_zero(self, build):
+        # no token is emitted, so g(w) = 1/w is never evaluated; any warning fails
+        table = build(PrivacyParams(0.1, 0.01), SamplingScheme.pps(0.0), 10)
+        coeffs = mle_coeffs(table, table.reporting, g_power(-1.0))
+        assert not coeffs.defined.any()
+        assert not coeffs.values.any()
 
     def test_argmax_structure_at_integral_l(self, params_integral_l, scheme_none):
         # the law at frequency j + L puts the most mass on token j

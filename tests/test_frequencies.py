@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -355,6 +356,50 @@ class TestSanitizeFrequencies:
                 continue
             sd = math.sqrt(n * cond[j] * (1 - cond[j]))
             assert abs(counts[j] - n * cond[j]) <= 4 * sd
+
+    @pytest.mark.parametrize("scheme", [
+        SamplingScheme.none(), SamplingScheme.ppswor(0.3), SamplingScheme.pps(0.05, 0.5),
+    ], ids=["none", "ppswor", "pps"])
+    @pytest.mark.parametrize("build", ["alg4", "alg5"])
+    def test_extreme_draws(self, monkeypatch, scheme, build):
+        # the uniform grid's extremes: the largest draw takes the row's
+        # highest nonzero token, the smallest token 0 unless token 0's
+        # threshold max(0, 1 - row sum / q_w) is not above it
+        params, m = PrivacyParams(0.5, 0.01), 40
+        if build == "alg4":
+            table = compute_pij(params, scheme, m)
+        else:
+            table = discretize_pdfs(compute_pdfs(params, scheme, m))
+        sample = WeightedSample(pairs={f"k{w}": w for w in range(1, m + 1)}, scheme=scheme)
+        smallest, largest = 2.0**-54, math.nextafter(1.0, 0.0)
+        tokens = table.tokens()
+        highest, lowest = {}, {}
+        for w in range(1, m + 1):
+            band = table.rows[w]
+            nonzero = np.flatnonzero(band)
+            t0 = max(0.0, 1.0 - float((band / float(table.reporting.q[w])).sum()))
+            highest[f"k{w}"] = int(tokens[w, nonzero[-1]])
+            if smallest >= t0:
+                lowest[f"k{w}"] = int(tokens[w, nonzero[0]])
+        for u, want in ((largest, highest), (smallest, lowest)):
+            monkeypatch.setattr("privsample.frequencies.key_uniforms",
+                                lambda seed, pairs, purpose, u=u: [u] * len(pairs))
+            assert sanitize_frequencies(sample, table, seed=1) == want
+
+    @pytest.mark.parametrize("u", [2.0**-54, math.nextafter(1.0, 0.0)])
+    def test_all_zero_rows_release_nothing(self, monkeypatch, u):
+        # a tau-0 table has no mass off token 0, drawn here with a positive q
+        params, m = PrivacyParams(0.5, 0.01), 10
+        table = dataclasses.replace(
+            compute_pij(params, SamplingScheme.ppswor(0.0), m),
+            reporting=compute_pi(params, SamplingScheme.none(), m),
+        )
+        assert table.width == 0
+        monkeypatch.setattr("privsample.frequencies.key_uniforms",
+                            lambda seed, pairs, purpose: [u] * len(pairs))
+        sample = WeightedSample(pairs={f"k{w}": w for w in range(1, m + 1)},
+                                scheme=SamplingScheme.none())
+        assert sanitize_frequencies(sample, table, seed=1) == {}
 
     def test_reproducible(self, params_std, scheme_none):
         table = compute_pij(params_std, scheme_none, 30)

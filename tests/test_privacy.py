@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ class TestParams:
         with pytest.raises(ValueError):
             PrivacyParams(0.1, 1.5)
         PrivacyParams(0.1, 1.0)  # delta = 1 is allowed
+
+    @pytest.mark.parametrize("epsilon", [710.0, math.inf, math.nan])
+    def test_epsilon_whose_exponential_overflows_is_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            PrivacyParams(epsilon, 0.1)
+
+    def test_largest_epsilon_has_a_finite_exponential(self):
+        largest = math.log(sys.float_info.max)
+        assert math.isfinite(math.exp(PrivacyParams(largest, 0.1).epsilon))
+        with pytest.raises(ValueError):
+            PrivacyParams(math.nextafter(largest, math.inf), 0.1)
 
 
 class TestLValue:

@@ -116,6 +116,23 @@ class TestSampledSbh:
         data = {f"k{j}": 55 for j in range(500)}
         assert sampled_sbh(data, config, SamplingScheme.ppswor(0.0), seed=8) == {}
 
+    @pytest.mark.parametrize("scheme", [
+        SamplingScheme.pps(0.0), SamplingScheme.pps(0.0, 0.0), SamplingScheme.ppswor(0.0),
+        SamplingScheme.ppswor(0.0, 0.5),
+    ], ids=["pps", "pps-power-0", "ppswor", "ppswor-power-0.5"])
+    def test_tau_zero_keeps_nothing(self, config, scheme):
+        for i in [1, 47, 48, 120]:
+            assert sampled_sbh_report_prob(config, scheme, i) == 0.0
+
+    def test_cap_past_the_largest_double(self, config):
+        # (1 / tau)**(1 / power) overflows a double: q has no kink in range
+        scheme = SamplingScheme.pps(1e-300, 0.1)
+        for i in [1, 47, 48, 120]:
+            p = sampled_sbh_report_prob(config, scheme, i)
+            assert math.isfinite(p) and 0.0 <= p <= 1.0
+        table = sbh_moment_table(config, scheme, g_identity, 60)
+        assert np.isfinite(table.expectation).all()
+
     def test_closed_form_matches_quadrature(self, config):
         eps = config.params.epsilon
         T = config.threshold
