@@ -54,8 +54,6 @@ from .sbh import (
     sampled_sbh_report_prob,
     sbh_concordance_prob,
     sbh_moment_table,
-    sbh_report_prob,
-    sbh_sanitize,
 )
 
 __version__ = "0.1.0"

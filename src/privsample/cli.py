@@ -365,8 +365,6 @@ def cmd_analyze_concordance(args) -> int:
     if args.method == "sbh":
         _reject(args, "is meaningless with --method sbh, which samples nothing", *_SCHEME_FLAGS)
     if args.kendall:
-        if args.method != "pws":
-            raise UsageError("--kendall needs --method pws (token table required)")
         hist = _dist_histogram(args)
         if hist.max_frequency > m:
             raise ValueError("--kendall distribution exceeds --max-freq")
@@ -374,13 +372,13 @@ def cmd_analyze_concordance(args) -> int:
         _reject(args, "is only read with --kendall", *_DIST_FLAGS)
     if args.method == "pws":
         conc = concordance_matrix(_build_table(params, _scheme(args), m, "alg5"))
-        if args.kendall:
-            tau = expected_kendall_tau(hist, conc)
     else:
         config = SbhConfig(params)
         conc = np.full((m + 1, m + 1), np.nan)  # only the pairs i2 < i1 are written
         for i1 in range(2, m + 1):
             conc[i1, 1:i1] = [sbh_concordance_prob(config, i1, i2) for i2 in range(1, i1)]
+    if args.kendall:
+        tau = expected_kendall_tau(hist, conc)
     with _open_out(args.out) as fp:
         formats.write_concordance_csv(fp, conc)
     if args.kendall:

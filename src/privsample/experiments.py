@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import g_identity, mle_coeffs, moments_by_frequency, nonprivate_moment_table, statistic_moments
+from .estimators import (MomentTable, g_identity, mle_coeffs, moments_by_frequency,
+                         nonprivate_moment_table, statistic_moments)
 from .frequencies import compute_pdfs, compute_pij, discretize_pdfs
 from .keys import compute_pi
 from .privacy import PrivacyParams, l_value
@@ -103,19 +104,20 @@ def _max_frequency(histogram: FrequencyHistogram) -> int:
     return histogram.max_frequency
 
 
-def _reported_fraction(hist: FrequencyHistogram, max_f: int, method: str,
-                       params: PrivacyParams, scheme: SamplingScheme) -> float:
+def _report_probs(hist: FrequencyHistogram, max_f: int, method: str,
+                  params: PrivacyParams, scheme: SamplingScheme) -> np.ndarray:
+    """Per-frequency report probabilities of one method, indexed 0..max_f."""
     if method == "pws-keys":
-        return expected_reported_fraction(hist, compute_pi(params, scheme, max_f).pi)
+        return compute_pi(params, scheme, max_f).pi
     if method == "nonprivate":
-        return expected_reported_fraction(hist, scheme.probs(max_f))
+        return scheme.probs(max_f)
     config_sbh = SbhConfig(params)
     if method == "sbh":
         scheme = SamplingScheme.none()  # sbh is sampled-sbh without sampling
     freqs, _ = hist.counts_within(max_f + 1)
     probs = np.zeros(max_f + 1)
     probs[freqs] = [sampled_sbh_report_prob(config_sbh, scheme, int(f)) for f in freqs]
-    return expected_reported_fraction(hist, probs)
+    return probs
 
 
 def run_sweep(histogram: FrequencyHistogram, sweep_var: str, points,
@@ -131,13 +133,13 @@ def run_sweep(histogram: FrequencyHistogram, sweep_var: str, points,
     rows: list[SweepRow] = []
     for value, params, scheme in points:
         for method in methods:
-            frac = _reported_fraction(histogram, max_f, method, params, scheme)
+            probs = _report_probs(histogram, max_f, method, params, scheme)
+            frac = expected_reported_fraction(histogram, probs)
             rows.append(SweepRow(sweep_var, float(value), method, "reported_fraction", frac))
     return rows
 
 
-def _pws_mle_nrmse(params: PrivacyParams, scheme: SamplingScheme,
-                   selection: FrequencyHistogram, max_f: int) -> float:
+def _pws_mle_moments(params: PrivacyParams, scheme: SamplingScheme, max_f: int) -> MomentTable:
     # The most likely frequency behind a top token lies above the token, so
     # the public table must extend past the largest estimated frequency or
     # the boundary rows get truncation-distorted coefficients.
@@ -147,8 +149,7 @@ def _pws_mle_nrmse(params: PrivacyParams, scheme: SamplingScheme,
     else:
         table = discretize_pdfs(compute_pdfs(params, scheme, reach))
     coeffs = mle_coeffs(table, table.reporting, g_identity)
-    moments = moments_by_frequency(table, coeffs, g_identity)
-    return statistic_moments(selection, moments).nrmse
+    return moments_by_frequency(table, coeffs, g_identity)
 
 
 def nrmse_experiment(selection: FrequencyHistogram, points,
@@ -170,13 +171,12 @@ def nrmse_experiment(selection: FrequencyHistogram, points,
         for method in methods:
             try:
                 if method == "pws-freq-mle":
-                    result = _pws_mle_nrmse(params, scheme, selection, max_f)
+                    table = _pws_mle_moments(params, scheme, max_f)
                 elif method == "sampled-sbh":
                     table = sbh_moment_table(SbhConfig(params), scheme, g_identity, max_f)
-                    result = statistic_moments(selection, table).nrmse
                 else:
                     table = nonprivate_moment_table(scheme, g_identity, max_f)
-                    result = statistic_moments(selection, table).nrmse
+                result = statistic_moments(selection, table).nrmse
             except ValueError:
                 result = math.nan  # undefined at this grid point; flagged, not fatal
             rows.append(SweepRow("tau", float(tau), method, "nrmse", result))

@@ -39,11 +39,14 @@ def concordance_matrix(table: TokenBands) -> np.ndarray:
 def expected_kendall_tau(histogram: FrequencyHistogram, conc: np.ndarray) -> float:
     """Expected rank correlation between true and sanitized key orders.
 
-    ``conc`` is the ``concordance_matrix`` of the sanitizer's table.
-    Averages the pair sign E[sign] = 2 * concordance - 1 over all key pairs
-    with distinct true frequencies; pairs tied in truth are excluded from
-    the normalizer (they carry no order information).  Returns NaN when no
-    truth-distinct pair exists.  Exact in O(#distinct frequencies^2).
+    ``conc`` is any matrix whose strict lower triangle holds the pair
+    concordances C[hi, lo], hi > lo: the ``concordance_matrix`` of a token
+    table, or the baseline's ``sbh_concordance_prob`` per pair.  Nothing
+    else of it is read.  Averages the pair sign
+    E[sign] = 2 * concordance - 1 over all key pairs with distinct true
+    frequencies; pairs tied in truth are excluded from the normalizer (they
+    carry no order information).  Returns NaN when no truth-distinct pair
+    exists.  Exact in O(#distinct frequencies^2).
     """
     freqs, c = histogram.counts_within(len(conc))
     if freqs.size < 2:
@@ -54,7 +57,5 @@ def expected_kendall_tau(histogram: FrequencyHistogram, conc: np.ndarray) -> flo
     hi, lo = np.tril_indices(len(freqs), -1)
     n_pairs = c[hi] * c[lo]
     total_pairs = float(np.cumsum(n_pairs)[-1])
-    if total_pairs == 0.0:
-        return math.nan
     total_sign = float(np.cumsum(n_pairs * (2.0 * conc[freqs[hi], freqs[lo]] - 1.0))[-1])
     return total_sign / total_pairs

@@ -107,8 +107,9 @@ class FrequencyHistogram:
     """Key counts per frequency: the form exact expectation computations need.
 
     counts maps each frequency value (>= 1) to the number of distinct keys
-    with that frequency.  Drawing a sample needs the keys themselves, the
-    key -> frequency mapping.
+    with that frequency (>= 1; a frequency no key has is left out).
+    Drawing a sample needs the keys themselves, the key -> frequency
+    mapping.
     """
 
     counts: dict[int, int]
@@ -117,8 +118,8 @@ class FrequencyHistogram:
         for freq, count in self.counts.items():
             if freq < 1:
                 raise ValueError(f"frequencies must be >= 1, got {freq}")
-            if count < 0:
-                raise ValueError(f"key counts must be >= 0, got {count} at frequency {freq}")
+            if count < 1:
+                raise ValueError(f"key counts must be >= 1, got {count} at frequency {freq}")
 
     @classmethod
     def from_keys(cls, by_key: Mapping[str, int]) -> "FrequencyHistogram":

@@ -1,16 +1,18 @@
 """Stability-histogram baseline: Laplace noise plus a keep threshold.
 
 Each key's frequency gets Laplace(1/eps) noise and survives iff the noised
-value clears T = (1/eps) ln(1/delta) + 1.  The sampled variant noises
-first and then threshold-samples the noised values as if they were true
-frequencies.  Reporting probabilities, estimate moments and pairwise
-concordance are computed exactly for comparison against the optimal
-sanitizers: in closed form where one exists, otherwise by a fixed rule in
-units of the Laplace scale 1/eps, vectorized over frequencies.  It is a
-composite 16-point Gauss-Legendre rule on panels at most one scale long
-between the kinks of the integrand (T, the frequency, the pps cap), one
-panel for the stretch more than 60 scales below the frequency, and a
-16-point Gauss-Laguerre rule on the tail more than 60 scales above it.
+value clears T = (1/eps) ln(1/delta) + 1; the survivors are then
+threshold-sampled as if their noised values were true frequencies.  Scheme
+none, which samples nothing, gives the stability histogram itself, so one
+entry per quantity serves both.  Reporting probabilities, estimate moments
+and pairwise concordance (of the unsampled histogram) are computed exactly
+for comparison against the optimal sanitizers: in closed form where one
+exists, otherwise by a fixed rule in units of the Laplace scale 1/eps,
+vectorized over frequencies.  It is a composite 16-point Gauss-Legendre
+rule on panels at most one scale long between the kinks of the integrand
+(T, the frequency, the pps cap), one panel for the stretch more than 60
+scales below the frequency, and a 16-point Gauss-Laguerre rule on the tail
+more than 60 scales above it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .sampling import SamplingScheme, _require_positive
 
 __all__ = [
     "SbhConfig",
-    "sbh_sanitize",
-    "sbh_report_prob",
     "sampled_sbh",
     "sampled_sbh_report_prob",
     "sbh_moment_table",
@@ -60,25 +60,7 @@ class SbhConfig:
         return math.log(1.0 / p.delta) / p.epsilon + 1.0
 
 
-def sbh_sanitize(by_key: dict[str, int], config: SbhConfig, seed: int) -> dict[str, float]:
-    """Noise every frequency and keep keys whose noised value clears T.
-
-    Output is sparse (a subset of the input keys) and deterministic in the
-    seed; sanitized frequencies stay real-valued.
-    """
-    _require_positive(by_key)
-    scale = 1.0 / config.params.epsilon
-    T = config.threshold
-    out: dict[str, float] = {}
-    for (key, freq), u in zip(by_key.items(), key_uniforms(seed, by_key, PURPOSE_LAPLACE)):
-        u -= 0.5  # Laplace(scale) by the inverse CDF
-        noised = freq - scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
-        if noised >= T:
-            out[key] = noised
-    return out
-
-
-def sbh_report_prob(config: SbhConfig, i: float) -> float:
+def _report_prob(config: SbhConfig, i: float) -> float:
     """Probability that a key with frequency i clears the threshold."""
     if i <= 0:
         return 0.0
@@ -92,12 +74,23 @@ def sbh_report_prob(config: SbhConfig, i: float) -> float:
 def sampled_sbh(
     by_key: dict[str, int], config: SbhConfig, scheme: SamplingScheme, seed: int
 ) -> dict[str, float]:
-    """Noise-then-sample: threshold-sample the noised frequencies.
+    """Noise every frequency, keep keys whose noised value clears T, then sample.
 
     The sampling rule is applied to the real-valued noised frequency; the
-    per-key sampling draw is independent of the noise draw.
+    per-key sampling draw is independent of the noise draw.  Scheme none
+    gives the stability histogram itself.  Output is sparse (a subset of
+    the input keys, in input order) and deterministic in the seed;
+    sanitized frequencies stay real-valued.
     """
-    noised = sbh_sanitize(by_key, config, seed)
+    _require_positive(by_key)
+    scale = 1.0 / config.params.epsilon
+    T = config.threshold
+    noised: dict[str, float] = {}
+    for (key, freq), u in zip(by_key.items(), key_uniforms(seed, by_key, PURPOSE_LAPLACE)):
+        u -= 0.5  # Laplace(scale) by the inverse CDF
+        w = freq - scale * math.copysign(math.log1p(-2.0 * abs(u)), u)
+        if w >= T:
+            noised[key] = w
     return scheme.sampled(seed, noised)
 
 
@@ -174,15 +167,16 @@ def _panel_sums(eps, scheme, freqs, edges, n_panels, cut, integrands) -> list:
 def sampled_sbh_report_prob(config: SbhConfig, scheme: SamplingScheme, i: int) -> float:
     """End-to-end keep probability of noise-then-sample at true frequency i.
 
-    Integral of q(w) against the Laplace density over the kept region; in
-    closed form for ppswor with power 1 and tau > 0, quadrature otherwise.
-    tau = 0 goes through the quadrature too: q = 0 there, so it returns
-    exactly 0.0.
+    Integral of q(w) against the Laplace density over the kept region.
+    Scheme none, which gives the stability histogram's own keep
+    probability, and ppswor with power 1 and tau > 0 are in closed form;
+    every other scheme goes through the quadrature.  So does tau = 0: q = 0
+    there, so it returns exactly 0.0.
     """
     if i <= 0:
         return 0.0
     if scheme.kind == "none":
-        return sbh_report_prob(config, i)
+        return _report_prob(config, i)
     eps = config.params.epsilon
     T = config.threshold
     if scheme.kind == "ppswor" and scheme.power == 1.0 and scheme.tau > 0.0:
@@ -197,7 +191,7 @@ def sampled_sbh_report_prob(config: SbhConfig, scheme: SamplingScheme, i: int) -
             else:
                 mid = (math.exp(-tau * i) - math.exp(-eps * (i - T) - tau * T)) / (eps - tau)
             partial = mid + tail
-        return sbh_report_prob(config, i) - 0.5 * eps * partial
+        return _report_prob(config, i) - 0.5 * eps * partial
     (kept,) = _kept_integrals(config, scheme, [i], lambda w, q: (q,))
     return float(kept[0])
 
@@ -267,7 +261,7 @@ def sbh_concordance_prob(config: SbhConfig, i_first: int, i_second: int) -> floa
     """
     eps = config.params.epsilon
     T = config.threshold
-    phi_first = sbh_report_prob(config, i_first)
-    phi_second = sbh_report_prob(config, i_second)
+    phi_first = _report_prob(config, i_first)
+    phi_second = _report_prob(config, i_second)
     both = _exp_segments_integral(eps, T, float(i_first), float(i_second))
     return 0.5 * (1.0 - phi_first) * (1.0 - phi_second) + phi_first * (1.0 - phi_second) + both

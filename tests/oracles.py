@@ -9,6 +9,7 @@ writers with the ``csv.writer`` versions kept at the end of this module.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -380,6 +381,20 @@ def concordance_prob(row_high, row_low) -> float:
         raise ValueError("rows must share one ordered token set")
     upper = 1.0 - np.cumsum(p)  # Pr[J_high > token j]
     return float(q @ upper + 0.5 * (p @ q))
+
+
+def kendall_tau_pairs(histogram, concordance) -> float:
+    """Expected Kendall tau by listing every pair of keys one by one.
+
+    ``concordance(hi, lo)`` is the pair concordance of a key with true
+    frequency hi over one with lo < hi.  Each key of the histogram is listed
+    once; a pair with equal true frequencies is skipped, and every other
+    pair adds its expected sign 2 * concordance - 1.
+    """
+    keys = [f for f, c in sorted(histogram.counts.items()) for _ in range(c)]
+    signs = [2.0 * concordance(max(a, b), min(a, b)) - 1.0
+             for a, b in itertools.combinations(keys, 2) if a != b]
+    return math.fsum(signs) / len(signs) if signs else math.nan
 
 
 # ---------------------------------------------------------------- formats

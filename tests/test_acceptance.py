@@ -32,7 +32,6 @@ from privsample import (
     sampled_sbh_report_prob,
     sbh_concordance_prob,
     sbh_moment_table,
-    sbh_report_prob,
     unbiased_coeffs,
     uniform_histogram,
     verify_dp,
@@ -94,8 +93,9 @@ def test_criterion_02_low_frequency_ratio():
     sw = Stopwatch()
     rv = compute_pi(PARAMS_A, SamplingScheme.none(), 10)
     config = SbhConfig(PARAMS_A)
-    ratio_1 = rv.pi[1] / sbh_report_prob(config, 1)
-    ratios = [rv.pi[i] / sbh_report_prob(config, i) for i in range(1, 6)]
+    none = SamplingScheme.none()
+    ratio_1 = rv.pi[1] / sampled_sbh_report_prob(config, none, 1)
+    ratios = [rv.pi[i] / sampled_sbh_report_prob(config, none, i) for i in range(1, 6)]
     within = [abs(r / (2 * i) - 1.0) <= 0.20 for i, r in zip(range(1, 6), ratios)]
     ok = abs(ratio_1 - 2.0) <= 1e-12 and all(within)
     detail = "pi_i/phi_i = " + ", ".join(f"{r:.3f}" for r in ratios) + " vs 2i"
@@ -352,7 +352,7 @@ def test_criterion_09_private_histograms_without_sampling():
         freqs = np.array(sorted(hist.counts))
         pi = compute_pi(params, SamplingScheme.none(), hist.max_frequency).pi
         sbh = np.zeros_like(pi)
-        sbh[freqs] = [sbh_report_prob(config, int(f)) for f in freqs]
+        sbh[freqs] = [sampled_sbh_report_prob(config, SamplingScheme.none(), int(f)) for f in freqs]
         dominance = dominance and bool(np.all(pi[freqs] >= sbh[freqs]))
         gains[alpha] = expected_reported_fraction(hist, pi) / expected_reported_fraction(hist, sbh) - 1.0
     detail = f"pi_i >= sbh_i at every frequency: {dominance}; reported-fraction gains " + ", ".join(
@@ -399,7 +399,7 @@ def test_criterion_11_delta_one_sanity():
     pws_frac = expected_reported_fraction(hist, rv.pi)
     config = SbhConfig(params)
     sbh_probs = np.zeros(int(freqs[-1]) + 1)
-    sbh_probs[freqs] = [sbh_report_prob(config, int(f)) for f in freqs]
+    sbh_probs[freqs] = [sampled_sbh_report_prob(config, SamplingScheme.none(), int(f)) for f in freqs]
     sbh_frac = expected_reported_fraction(hist, sbh_probs)
     ok = pws_frac == 1.0 and sbh_frac < 1.0
     assert sw.done(

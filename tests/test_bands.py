@@ -137,6 +137,21 @@ def test_bands_outside_the_tokens_are_rejected(first, width):
         TokenBands(np.ones(2), np.array(first), np.zeros((2, width)), 3)
 
 
+@pytest.mark.parametrize("first, rows", [
+    ([1, 1], np.zeros((3, 1))),  # a row more than atom0
+    ([1], np.zeros((2, 1))),  # a start less
+    ([1, 1], np.zeros(2)),  # rows not a block
+])
+def test_bands_must_hold_one_entry_per_row(first, rows):
+    with pytest.raises(ValueError, match="atom0, first and rows must hold one entry per frequency row"):
+        TokenBands(np.ones(2), np.array(first), rows, 3)
+
+
+def test_verify_dp_needs_a_row_past_frequency_0():
+    with pytest.raises(ValueError, match="need at least the frequency-0 row and one more"):
+        verify_dp(bands(np.array([[1.0, 0.0]])), PrivacyParams(1.0, 0.5))
+
+
 def test_verify_dp_aligns_shifted_bands():
     # adjacent bands far apart: the divergence counts every token of both
     rows = np.zeros((3, 12))

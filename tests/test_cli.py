@@ -8,8 +8,18 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import concordance_prob, kendall_tau_pairs
 
-from privsample import PrivacyParams, SbhConfig, compute_pij, sbh_concordance_prob
+from privsample import (
+    PrivacyParams,
+    SamplingScheme,
+    SbhConfig,
+    compute_pdfs,
+    compute_pij,
+    discretize_pdfs,
+    sbh_concordance_prob,
+    uniform_histogram,
+)
 from privsample.cli import main
 from privsample.experiments import DELTA_GRID_DEFAULT, TAU_GRID_DEFAULT
 from privsample.formats import fmt, read_keyed_tsv, read_pi_csv, read_pij_csv, write_pij_csv
@@ -936,8 +946,30 @@ class TestAnalyzeCommands:
         assert "argument --max-freq: max_frequency must be >= 1, got 0" in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("method", ["pws", "sbh"])
+    def test_kendall_matches_key_pair_enumeration(self, tmp_path, capsys, method):
+        # either method's matrix answers --kendall (the sbh one holds only the
+        # pairs the CSV writes), and the CSV is the one written without it
+        params = PrivacyParams(0.5, 0.05)
+        argv = ["analyze", "concordance", "--epsilon", "0.5", "--delta", "0.05",
+                "--method", method, "--max-freq", "12"]
+        hist = ["--dist", "uniform", "--n-keys", "30", "--freq-max", "12"]
+        code, out, _ = run([*argv, "--kendall", *hist, "--out", str(tmp_path / "k.csv")], capsys)
+        assert code == 0
+        assert run([*argv, "--out", str(tmp_path / "plain.csv")], capsys)[0] == 0
+        assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        if method == "pws":
+            dense = discretize_pdfs(compute_pdfs(params, SamplingScheme.none(), 12)).dense()
+            pair = lambda hi, lo: concordance_prob(dense[hi], dense[lo])
+        else:
+            pair = lambda hi, lo: sbh_concordance_prob(SbhConfig(params), hi, lo)
+        want = kendall_tau_pairs(uniform_histogram(30, 1, 12), pair)
+        name, value = out.strip().split(",")
+        assert name == "kendall_tau"
+        assert float(value) == pytest.approx(want, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("flags, status", [
-        (["--method", "sbh", "--max-freq", "6"], 2),
+        (["--method", "sbh", "--max-freq", "6", "--freq-max", "7"], 1),
         (["--method", "pws", "--max-freq", "6", "--freq-max", "7"], 1),
     ])
     def test_kendall_checks_run_before_any_output(self, tmp_path, capsys, flags, status):
@@ -945,14 +977,9 @@ class TestAnalyzeCommands:
         argv = ["analyze", "concordance", "--epsilon", "0.5", "--delta", "0.05", "--scheme",
                 "none", "--kendall", "--dist", "uniform", "--n-keys", "20", *flags,
                 "--out", str(out_path)]
-        if status == 2:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-        else:
-            code, _, err = run(argv, capsys)
-            assert code == 1
-            assert "exceeds --max-freq" in err
+        code, _, err = run(argv, capsys)
+        assert code == status
+        assert "exceeds --max-freq" in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("scheme", [

@@ -170,6 +170,12 @@ class TestMle:
 
 
 class TestPerKeyMoments:
+    def test_rejects_another_tables_coefficients(self, params_std, scheme_none, std_table, std_rv):
+        smaller = compute_pij(params_std, scheme_none, 100)
+        coeffs = mle_coeffs(std_table, std_rv, g_identity)
+        with pytest.raises(ValueError, match="coefficients do not match the table's token set"):
+            moments_by_frequency(smaller, coeffs, g_identity)
+
     def test_unbiased_has_zero_bias(self, std_table):
         coeffs = unbiased_coeffs(std_table, g_identity)
         for i in [1, 10, 100, 200]:

@@ -11,7 +11,6 @@ from privsample import (
     nrmse_experiment,
     run_sweep,
     sampled_sbh_report_prob,
-    sbh_report_prob,
     uniform_histogram,
     zipf_histogram,
 )
@@ -77,6 +76,17 @@ class TestReportedFraction:
         hist = FrequencyHistogram.from_counts({1: 3, 2: 1})
         assert expected_reported_fraction(hist, np.array([0.0, 0.0, 1.0])) == 0.25
 
+    def test_empty_histogram_fails_closed(self):
+        # every sweep reduction averages over keys; with none there is no average
+        empty = FrequencyHistogram.from_counts({})
+        points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
+        with pytest.raises(ValueError, match="histogram is empty"):
+            expected_reported_fraction(empty, np.ones(10))
+        with pytest.raises(ValueError, match="histogram is empty"):
+            run_sweep(empty, "tau", points)
+        with pytest.raises(ValueError, match="histogram is empty"):
+            nrmse_experiment(empty, points)
+
 
 @pytest.fixture(scope="module")
 def small_zipf():
@@ -128,7 +138,7 @@ class TestRunSweep:
         def compute(*args):
             raise AssertionError("a row was computed before the methods were checked")
 
-        monkeypatch.setattr("privsample.experiments._reported_fraction", compute)
+        monkeypatch.setattr("privsample.experiments._report_probs", compute)
         points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
         with pytest.raises(ValueError, match="distinct method names from .*, got 'pws-keys,bogus'"):
             run_sweep(uniform_histogram(100, 1, 5), "tau", points, ("pws-keys", "bogus"))
@@ -138,7 +148,7 @@ class TestRunSweep:
         def compute(*args):
             raise AssertionError("a row was computed before the methods were checked")
 
-        monkeypatch.setattr("privsample.experiments._reported_fraction", compute)
+        monkeypatch.setattr("privsample.experiments._report_probs", compute)
         points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
         with pytest.raises(ValueError, match="distinct method names"):
             run_sweep(uniform_histogram(100, 1, 5), "tau", points, methods)
@@ -175,7 +185,7 @@ class TestNrmseExperiment:
         def build(*args):
             raise AssertionError("a table was built before the methods were checked")
 
-        monkeypatch.setattr("privsample.experiments._pws_mle_nrmse", build)
+        monkeypatch.setattr("privsample.experiments._pws_mle_moments", build)
         points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
         with pytest.raises(ValueError, match="distinct method names from .*, got 'pws-freq-mle,bogus'"):
             nrmse_experiment(uniform_histogram(100, 1, 5), points, ("pws-freq-mle", "bogus"))
@@ -186,7 +196,7 @@ class TestNrmseExperiment:
         def build(*args):
             raise AssertionError("a table was built before the methods were checked")
 
-        for name in ("_pws_mle_nrmse", "sbh_moment_table", "nonprivate_moment_table"):
+        for name in ("_pws_mle_moments", "sbh_moment_table", "nonprivate_moment_table"):
             monkeypatch.setattr(f"privsample.experiments.{name}", build)
         points = tau_points("ppswor", (1.0,), PrivacyParams(0.1, 0.01))
         with pytest.raises(ValueError, match="distinct method names"):

@@ -23,6 +23,9 @@ the densities under pps sampling, was recorded at commit 1f5985d, before
 either way) and ``baseline-sampled-sbh-ppswor`` (ppswor on real-valued
 noised frequencies) were recorded at commit 32706eb, before the sampler came
 to compare each key's uniform with the q_w its tables condition on.
+``concordance-sbh-kendall`` was recorded when ``--kendall`` came to accept
+``--method sbh``, which had been a usage error; its CSV has the digest of
+``concordance-sbh``, the same command without ``--kendall``.
 A change that alters outputs on purpose re-records the digests by printing
 ``corpus_digests(tmp_dir)`` and says so in CHANGES.md.
 
@@ -131,6 +134,11 @@ def _corpus(d):
         ("baseline-sampled-sbh-ppswor", ["baseline", "sampled-sbh", "--input", str(hist), *PRIV,
                                          *PPSWOR, "--seed", "10", "--out", str(d / "sbh_ppswor.tsv")],
          [d / "sbh_ppswor.tsv"]),
+        ("concordance-sbh-kendall", ["analyze", "concordance", *PRIV, "--method", "sbh",
+                                     "--max-freq", "40", "--kendall", "--dist", "uniform",
+                                     "--n-keys", "500", "--freq-max", "40",
+                                     "--out", str(d / "conc_sbh_kendall.csv")],
+         [d / "conc_sbh_kendall.csv"]),
     ]
 
 
@@ -194,6 +202,8 @@ GOLDEN = {
     "pdfs-pps:atoms_pps.csv": "f8c6df73dec73197fd33473429781618716df8eeb0a915d08686d1a1b5907e38",
     "sample-ppswor-power:sample_power.tsv": "cbab38c5f4923f879725bc0670dc31c1e6bff5cc797b57d7296bfe3adea851c5",
     "baseline-sampled-sbh-ppswor:sbh_ppswor.tsv": "e0c4ffc9185be45c5790c0af8eb16aa4e9cd3638ca853a8c7680f94cd5ef2289",
+    "concordance-sbh-kendall:stdout": "7dbc45700ef406890c19df8f81a9aff3d426c11f9032e8abcc555073274ae089",
+    "concordance-sbh-kendall:conc_sbh_kendall.csv": "6819c52cea26a096ad4d6101f04068d475f52958617c0c80c534708290f564fe",
 }
 
 

@@ -20,6 +20,10 @@ from privsample import (
 
 
 class TestComputePi:
+    def test_needs_a_frequency(self, params_std, scheme_none):
+        with pytest.raises(ValueError, match="max_frequency must be >= 1"):
+            compute_pi(params_std, scheme_none, 0)
+
     def test_first_step_is_delta(self, params_std, scheme_none):
         rv = compute_pi(params_std, scheme_none, 10)
         assert rv.pi[0] == 0.0

@@ -50,7 +50,6 @@ from privsample import (
     sampled_sbh,
     sanitize_frequencies,
     sanitize_keys,
-    sbh_sanitize,
     verify_dp,
 )
 from privsample._rng import (
@@ -529,7 +528,7 @@ def _assert_per_key_path_matches(by_key, scheme, seed):
         got = sanitize_frequencies(sample, table, seed)
         assert list(got.items()) == list(sanitize_frequencies_loop(ref_pairs, table, seed).items())
 
-    got = sbh_sanitize(by_key, BASELINE, seed)
+    got = sampled_sbh(by_key, BASELINE, SamplingScheme.none(), seed)
     assert list(got.items()) == list(sbh_sanitize_loop(by_key, BASELINE, seed).items())
     got = sampled_sbh(by_key, BASELINE, scheme, seed)
     assert list(got.items()) == list(sampled_sbh_loop(by_key, BASELINE, scheme, seed).items())

@@ -22,9 +22,8 @@ PACKAGE = [
     "expected_kendall_tau", "expected_reported_fraction", "g_identity", "g_power", "l_value",
     "mle_coeffs", "moments_by_frequency", "nonprivate_moment_table", "nrmse_experiment",
     "run_sweep", "sampled_sbh", "sampled_sbh_report_prob", "sanitize_frequencies",
-    "sanitize_keys", "sbh_concordance_prob", "sbh_moment_table",
-    "sbh_report_prob", "sbh_sanitize", "statistic_moments", "unbiased_coeffs",
-    "uniform_histogram", "verify_dp", "zipf_histogram",
+    "sanitize_keys", "sbh_concordance_prob", "sbh_moment_table", "statistic_moments",
+    "unbiased_coeffs", "uniform_histogram", "verify_dp", "zipf_histogram",
 ]
 
 MODULES = {
@@ -51,7 +50,7 @@ MODULES = {
     ],
     "sbh": [
         "SbhConfig", "sampled_sbh", "sampled_sbh_report_prob", "sbh_concordance_prob",
-        "sbh_moment_table", "sbh_report_prob", "sbh_sanitize",
+        "sbh_moment_table",
     ],
 }
 
@@ -71,6 +70,14 @@ def test_module_all(module):
     assert sorted(mod.__all__) == MODULES[module]
     stale = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not stale, f"__all__ names missing from privsample.{module}: {stale}"
+
+
+@pytest.mark.parametrize("name", ["sbh_sanitize", "sbh_report_prob"])
+def test_unsampled_baseline_is_scheme_none(name):
+    # the baseline without sampling is sampled_sbh and sampled_sbh_report_prob
+    # under SamplingScheme.none(), not a second pair of functions
+    assert not hasattr(privsample, name)
+    assert not hasattr(importlib.import_module("privsample.sbh"), name)
 
 
 @pytest.mark.parametrize("owner, method", [

@@ -17,8 +17,8 @@ from privsample import (
     WeightedSample,
     compute_pi,
     draw_sample,
+    sampled_sbh,
     sanitize_keys,
-    sbh_sanitize,
 )
 from privsample._rng import _uniforms
 
@@ -58,7 +58,7 @@ def test_sampling_keeps_a_key_iff_its_uniform_is_below_q(monkeypatch):
 def test_laplace_inverse_cdf_at_the_top(monkeypatch):
     monkeypatch.setattr("privsample.sbh.key_uniforms", _top_draws)
     config = SbhConfig(PrivacyParams(1.0, 0.01))
-    noised = sbh_sanitize({"a": 100}, config, 0)
+    noised = sampled_sbh({"a": 100}, config, SamplingScheme.none(), 0)
     # the draw of largest magnitude, 52 ln 2 for scale 1, taken off 100
     assert noised == {"a": pytest.approx(100.0 - 52.0 * math.log(2.0), rel=1e-15)}
 

@@ -13,6 +13,10 @@ from privsample import (
 
 
 class TestScheme:
+    def test_probs_need_a_nonnegative_range(self):
+        with pytest.raises(ValueError, match="max_frequency must be >= 0"):
+            SamplingScheme.none().probs(-1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplingScheme(kind="bogus", tau=1.0)
@@ -88,6 +92,12 @@ class TestHistogram:
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
             FrequencyHistogram.from_counts({0: 3})
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_rejects_a_frequency_no_key_has(self, count):
+        # a listed frequency holds at least one key, so no average divides by 0
+        with pytest.raises(ValueError, match=f"key counts must be >= 1, got {count} at frequency 5"):
+            FrequencyHistogram.from_counts({2: 3, 5: count})
 
 
 class TestDrawSample:

@@ -18,9 +18,9 @@ from privsample import (
     sampled_sbh_report_prob,
     sbh_concordance_prob,
     sbh_moment_table,
-    sbh_report_prob,
-    sbh_sanitize,
 )
+
+NONE = SamplingScheme.none()
 
 
 def moments_at(config, scheme, g, i):
@@ -46,19 +46,20 @@ class TestThreshold:
 class TestReportProb:
     def test_frequency_one(self, config):
         # T - 1 = ln(1/delta)/eps exactly, so phi_1 = delta / 2
-        assert sbh_report_prob(config, 1) == pytest.approx(0.01 / 2, rel=1e-12)
+        assert sampled_sbh_report_prob(config, NONE, 1) == pytest.approx(0.01 / 2, rel=1e-12)
 
     def test_median_at_threshold(self, config):
-        assert sbh_report_prob(config, config.threshold) == pytest.approx(0.5, rel=1e-12)
+        phi = sampled_sbh_report_prob(config, NONE, config.threshold)
+        assert phi == pytest.approx(0.5, rel=1e-12)
 
     def test_low_frequency_ratio(self, params_std, scheme_none, config):
         # optimal reporting doubles the baseline at frequency 1
         rv = compute_pi(params_std, scheme_none, 5)
-        assert rv.pi[1] / sbh_report_prob(config, 1) == pytest.approx(2.0, rel=1e-12)
+        assert rv.pi[1] / sampled_sbh_report_prob(config, NONE, 1) == pytest.approx(2.0, rel=1e-12)
 
     def test_non_decreasing_and_dp_recurrence(self, config, params_std):
         eps, delta = params_std.epsilon, params_std.delta
-        phis = [sbh_report_prob(config, i) for i in range(1, 400)]
+        phis = [sampled_sbh_report_prob(config, NONE, i) for i in range(1, 400)]
         assert all(b >= a for a, b in zip(phis, phis[1:]))
         for a, b in zip(phis, phis[1:]):
             assert b <= math.exp(eps) * a + delta + 1e-15
@@ -67,50 +68,50 @@ class TestReportProb:
         for params in [params_std, params_tight]:
             cfg = SbhConfig(params)
             rv = compute_pi(params, scheme_none, 2000)
-            phis = np.array([sbh_report_prob(cfg, i) for i in range(1, 2001)])
+            phis = np.array([sampled_sbh_report_prob(cfg, NONE, i) for i in range(1, 2001)])
             assert np.all(rv.pi[1:] >= phis - 1e-15)
 
 
 class TestSanitize:
     def test_empty_input(self, config):
-        assert sbh_sanitize({}, config, seed=1) == {}
+        assert sampled_sbh({}, config, NONE, seed=1) == {}
 
     def test_rejects_nonpositive_frequency(self, config):
         with pytest.raises(ValueError):
-            sbh_sanitize({"k": 0}, config, seed=1)
+            sampled_sbh({"k": 0}, config, NONE, seed=1)
 
     def test_high_frequency_almost_surely_kept(self, config):
         # Laplace tail: keys far above threshold survive with prob > 1 - 1e-4
         i = int(config.threshold + 10 / config.params.epsilon) + 1
         n = 20_000
-        kept = sbh_sanitize({f"k{j}": i for j in range(n)}, config, seed=4)
+        kept = sampled_sbh({f"k{j}": i for j in range(n)}, config, NONE, seed=4)
         assert len(kept) >= n * (1 - 1e-4) - 4 * math.sqrt(n * 1e-4)
 
     def test_keep_rate_concentrates(self, config):
         n = 1_000_000
         i = 40
-        kept = sbh_sanitize({f"k{j}": i for j in range(n)}, config, seed=5)
-        phi = sbh_report_prob(config, i)
+        kept = sampled_sbh({f"k{j}": i for j in range(n)}, config, NONE, seed=5)
+        phi = sampled_sbh_report_prob(config, NONE, i)
         sd = math.sqrt(n * phi * (1 - phi))
         assert abs(len(kept) - n * phi) <= 4 * sd
 
     def test_outputs_are_sparse_and_real(self, config):
         data = {f"k{j}": 60 for j in range(100)}
-        out = sbh_sanitize(data, config, seed=6)
+        out = sampled_sbh(data, config, NONE, seed=6)
         assert set(out) <= set(data)
         assert all(isinstance(v, float) and v >= config.threshold for v in out.values())
 
     def test_reproducible(self, config):
         data = {f"k{j}": 50 for j in range(1000)}
-        assert sbh_sanitize(data, config, seed=7) == sbh_sanitize(data, config, seed=7)
+        assert sampled_sbh(data, config, NONE, seed=7) == sampled_sbh(data, config, NONE, seed=7)
 
 
 class TestSampledSbh:
     def test_scheme_none_is_plain_sbh(self, config):
+        # scheme none keeps every noised value that clears T, as q = 1 does
         data = {f"k{j}": 55 for j in range(500)}
-        assert sampled_sbh(data, config, SamplingScheme.none(), seed=8) == sbh_sanitize(
-            data, config, seed=8
-        )
+        keep_all = SamplingScheme.pps(1.0, 0.0)
+        assert sampled_sbh(data, config, NONE, seed=8) == sampled_sbh(data, config, keep_all, seed=8)
 
     def test_tau_zero_empty(self, config):
         data = {f"k{j}": 55 for j in range(500)}
@@ -225,7 +226,8 @@ class TestConcordance:
                 lambda b: f2(b) * surv(b), T, T + 900, limit=500,
                 points=[p for p in (i1, i2) if p > T],
             )[0]
-            phi1, phi2 = sbh_report_prob(config, i1), sbh_report_prob(config, i2)
+            phi1 = sampled_sbh_report_prob(config, NONE, i1)
+            phi2 = sampled_sbh_report_prob(config, NONE, i2)
             return 0.5 * (1 - phi1) * (1 - phi2) + phi1 * (1 - phi2) + val
 
         for i1, i2 in [(80, 30), (50, 48), (100, 99), (10, 5), (48, 20), (2, 1)]:
