@@ -45,23 +45,6 @@ class UsageError(ValueError):
     """Invalid flag combination; maps to exit status 2."""
 
 
-def _add_privacy_flags(parser, delta_required=True):
-    parser.add_argument("--epsilon", type=float, required=True, help="privacy parameter epsilon (> 0)")
-    parser.add_argument("--delta", type=float, required=delta_required,
-                        help="privacy parameter delta in (0, 1]")
-
-
-_SCHEME_FLAGS = ("scheme", "tau", "power")
-
-
-def _add_scheme_flags(parser, default="none"):
-    parser.add_argument(
-        "--scheme", choices=["none", "ppswor", "pps"], default=default, help="sampling scheme"
-    )
-    parser.add_argument("--tau", type=float, default=None, help="sampling threshold (tau >= 0)")
-    parser.add_argument("--power", type=float, default=1.0, help="frequency weight exponent in [0, 2]")
-
-
 def _max_freq(text: str) -> int:
     """The --max-freq type: an integer >= 1, so that argparse makes any other a usage error."""
     value = int(text)
@@ -70,15 +53,39 @@ def _max_freq(text: str) -> int:
     return value
 
 
-def _add_table_flag(parser):
-    parser.add_argument("--table", choices=["alg4", "alg5"], default="alg4",
-                        help="integer-token table or discretized density table")
+# The argparse keywords of each flag that several subcommands share.
+_FLAGS = {
+    "--epsilon": dict(type=float, required=True, help="privacy parameter epsilon (> 0)"),
+    "--delta": dict(type=float, required=True, help="privacy parameter delta in (0, 1]"),
+    "--scheme": dict(choices=["none", "ppswor", "pps"], default="none", help="sampling scheme"),
+    "--tau": dict(type=float, help="sampling threshold (tau >= 0)"),
+    "--power": dict(type=float, default=1.0, help="frequency weight exponent in [0, 2]"),
+    "--max-freq": dict(type=_max_freq, required=True),
+    "--table": dict(choices=["alg4", "alg5"], default="alg4",
+                    help="integer-token table or discretized density table"),
+    "--estimator": dict(choices=["mle", "unbiased"], default="mle"),
+    "--g-power": dict(type=float, default=1.0),
+    "--dist": dict(choices=["zipf", "uniform", "file"], default="zipf"),
+    "--n-keys": dict(type=int, default=100_000),
+    "--alpha": dict(type=float, default=1.0, help="zipf exponent"),
+    "--w-max": dict(type=int, default=10_000, help="zipf top frequency"),
+    "--freq-min": dict(type=int, default=1),
+    "--freq-max": dict(type=int, default=200),
+    "--input": dict(default="-", help="histogram TSV for --dist file"),
+    "--seed": dict(type=int, required=True),
+    "--grid": dict(default=None),
+    "--methods": dict(default=",".join(REPORTING_METHODS)),
+    "--out": dict(default="-"),
+}
 
+_PRIVACY = ("--epsilon", "--delta")
+_SCHEME = ("--scheme", "--tau", "--power")
+_ESTIMATOR = ("--table", "--estimator", "--g-power")
+_DIST = ("--dist", "--n-keys", "--alpha", "--w-max", "--freq-min", "--freq-max", "--input")
 
-def _add_estimator_flags(parser):
-    _add_table_flag(parser)
-    parser.add_argument("--estimator", choices=["mle", "unbiased"], default="mle")
-    parser.add_argument("--g-power", type=float, default=1.0)
+# the dests that _reject reads, as argparse names them
+_SCHEME_FLAGS, _DIST_FLAGS = (tuple(flag[2:].replace("-", "_") for flag in group)
+                              for group in (_SCHEME, _DIST))
 
 
 def _reject(args, why: str, *dests: str) -> None:
@@ -131,8 +138,6 @@ def _build_table(params, scheme, max_freq, which: str):
     return discretize_pdfs(compute_pdfs(params, scheme, max_freq))
 
 
-_DIST_FLAGS = ("dist", "n_keys", "alpha", "w_max", "freq_min", "freq_max", "input")
-
 # The --dist group flags each distribution does not read.
 _DIST_UNREAD = {
     "zipf": ("freq_min", "freq_max", "input"),
@@ -149,16 +154,6 @@ def _dist_histogram(args) -> FrequencyHistogram:
         return _usage(uniform_histogram, args.n_keys, args.freq_min, args.freq_max)
     with _open_in(args.input) as fp:
         return FrequencyHistogram.from_keys(formats.read_keyed_tsv(fp))
-
-
-def _add_dist_flags(parser):
-    parser.add_argument("--dist", choices=["zipf", "uniform", "file"], default="zipf")
-    parser.add_argument("--n-keys", type=int, default=100_000)
-    parser.add_argument("--alpha", type=float, default=1.0, help="zipf exponent")
-    parser.add_argument("--w-max", type=int, default=10_000, help="zipf top frequency")
-    parser.add_argument("--freq-min", type=int, default=1)
-    parser.add_argument("--freq-max", type=int, default=200)
-    parser.add_argument("--input", default="-", help="histogram TSV for --dist file")
 
 
 def cmd_pi(args) -> int:
@@ -405,124 +400,83 @@ def cmd_verify_dp(args) -> int:
     return 0 if report.ok else 1
 
 
+def _command(sub, name, func, help, *flags):
+    """Add subcommand ``name``, run by ``func``, with ``flags`` in order.
+
+    A flag is a name or a (name, overrides) pair; its keywords are its
+    ``_FLAGS`` entry, if any, updated by the overrides.
+    """
+    parser = sub.add_parser(name, help=help)
+    for flag in flags:
+        flag, overrides = (flag, {}) if isinstance(flag, str) else flag
+        parser.add_argument(flag, **{**_FLAGS.get(flag, {}), **overrides})
+    parser.set_defaults(parser=parser, func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privsample",
         description="Private post-processing of weighted key-frequency samples.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # `sample` and `analyze sweep` draw a sample unless told otherwise
+    sampling = ("--scheme", dict(default="ppswor")), "--tau", "--power"
 
-    p = sub.add_parser("pi", help="per-frequency reporting probability table (CSV i,q_i,pi_i,p_i)")
-    _add_privacy_flags(p)
-    _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=_max_freq, required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(parser=p, func=cmd_pi)
+    _command(sub, "pi", cmd_pi, "per-frequency reporting probability table (CSV i,q_i,pi_i,p_i)",
+             *_PRIVACY, *_SCHEME, "--max-freq", "--out")
+    _command(sub, "pij", cmd_pij, "integer-token frequency table (CSV i,j,pi_ij)",
+             *_PRIVACY, *_SCHEME, "--max-freq", "--table", "--out")
+    _command(sub, "pdfs", cmd_pdfs, "piecewise densities (CSV segments + atoms)",
+             *_PRIVACY, *_SCHEME, "--max-freq",
+             ("--segments-out", dict(required=True, help="CSV i,left,right,density")),
+             ("--atoms-out", dict(required=True, help="CSV i,atom0")))
+    _command(sub, "sample", cmd_sample, "threshold-sample a histogram (TSV key<TAB>frequency)",
+             ("--input", dict(help="histogram TSV, or element stream with --aggregate")),
+             ("--aggregate", dict(action="store_true", help="input is one key per line")),
+             *sampling, "--seed", "--out")
+    _command(sub, "sanitize", cmd_sanitize, "sanitize a weighted sample privately",
+             ("--mode", dict(choices=["keys", "freqs"], required=True)),
+             ("--input", dict(help="sample TSV key<TAB>frequency")), *_PRIVACY, *_SCHEME,
+             ("--max-freq",
+              dict(help="public table range; a sampled frequency above it is an error")),
+             "--table", "--seed", "--out")
+    _command(sub, "estimate", cmd_estimate, "linear statistic from a sanitized sample",
+             ("--input", dict(help="sanitized TSV key<TAB>token")), *_PRIVACY, *_SCHEME,
+             "--max-freq", *_ESTIMATOR,
+             ("--select", dict(help="file of selected keys, one per line")))
+    _command(sub, "baseline", cmd_baseline, "stability-histogram baseline sanitizers",
+             ("baseline", dict(choices=["sbh", "sampled-sbh"])),
+             ("--input", dict(help="histogram TSV key<TAB>frequency")), *_PRIVACY, *_SCHEME,
+             "--seed", "--out")
 
-    p = sub.add_parser("pij", help="integer-token frequency table (CSV i,j,pi_ij)")
-    _add_privacy_flags(p)
-    _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=_max_freq, required=True)
-    _add_table_flag(p)
-    p.add_argument("--out", default="-")
-    p.set_defaults(parser=p, func=cmd_pij)
+    asub = sub.add_parser("analyze", help="exact sweeps and comparisons").add_subparsers(
+        dest="analysis", required=True)
+    _command(asub, "sweep", cmd_analyze_sweep, "expected reported fraction over a grid",
+             "--epsilon", ("--delta", dict(required=False)), *sampling,
+             ("--sweep", dict(choices=["delta", "tau"], default="tau")),
+             ("--grid", dict(help="comma-separated grid values")), "--methods", *_DIST, "--out")
+    _command(asub, "nrmse", cmd_analyze_nrmse, "estimation error across sampling rates",
+             *_PRIVACY,
+             ("--scheme-kind", dict(choices=["ppswor", "pps"], default="pps",
+                                    help="pps makes tau=1 exactly no-sampling")),
+             ("--power", dict(help=None)), "--grid",
+             ("--methods", dict(default=",".join(NRMSE_METHODS))), *_DIST, "--out")
+    _command(asub, "concordance", cmd_analyze_concordance, "pairwise concordance probabilities",
+             *_PRIVACY, *_SCHEME, "--max-freq",
+             ("--method", dict(choices=["pws", "sbh"], default="pws")),
+             ("--kendall", dict(action="store_true",
+                                help="also print the expected rank correlation for --dist "
+                                     "(averaged over truth-distinct key pairs; ties in true "
+                                     "frequency are excluded from the normalizer)")),
+             *_DIST, "--out")
+    _command(asub, "moments", cmd_analyze_moments, "per-frequency estimate moments (CSV)",
+             *_PRIVACY, *_SCHEME, "--max-freq", *_ESTIMATOR, "--out")
 
-    p = sub.add_parser("pdfs", help="piecewise densities (CSV segments + atoms)")
-    _add_privacy_flags(p)
-    _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=_max_freq, required=True)
-    p.add_argument("--segments-out", required=True, help="CSV i,left,right,density")
-    p.add_argument("--atoms-out", required=True, help="CSV i,atom0")
-    p.set_defaults(parser=p, func=cmd_pdfs)
-
-    p = sub.add_parser("sample", help="threshold-sample a histogram (TSV key<TAB>frequency)")
-    p.add_argument("--input", default="-", help="histogram TSV, or element stream with --aggregate")
-    p.add_argument("--aggregate", action="store_true", help="input is one key per line")
-    _add_scheme_flags(p, default="ppswor")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(parser=p, func=cmd_sample)
-
-    p = sub.add_parser("sanitize", help="sanitize a weighted sample privately")
-    p.add_argument("--mode", choices=["keys", "freqs"], required=True)
-    p.add_argument("--input", default="-", help="sample TSV key<TAB>frequency")
-    _add_privacy_flags(p)
-    _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=_max_freq, required=True,
-                   help="public table range; a sampled frequency above it is an error")
-    _add_table_flag(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(parser=p, func=cmd_sanitize)
-
-    p = sub.add_parser("estimate", help="linear statistic from a sanitized sample")
-    p.add_argument("--input", default="-", help="sanitized TSV key<TAB>token")
-    _add_privacy_flags(p)
-    _add_scheme_flags(p)
-    p.add_argument("--max-freq", type=_max_freq, required=True)
-    _add_estimator_flags(p)
-    p.add_argument("--select", default=None, help="file of selected keys, one per line")
-    p.set_defaults(parser=p, func=cmd_estimate)
-
-    p = sub.add_parser("baseline", help="stability-histogram baseline sanitizers")
-    p.add_argument("baseline", choices=["sbh", "sampled-sbh"])
-    p.add_argument("--input", default="-", help="histogram TSV key<TAB>frequency")
-    _add_privacy_flags(p)
-    _add_scheme_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(parser=p, func=cmd_baseline)
-
-    p = sub.add_parser("analyze", help="exact sweeps and comparisons")
-    asub = p.add_subparsers(dest="analysis", required=True)
-
-    pa = asub.add_parser("sweep", help="expected reported fraction over a grid")
-    _add_privacy_flags(pa, delta_required=False)
-    _add_scheme_flags(pa, default="ppswor")
-    pa.add_argument("--sweep", choices=["delta", "tau"], default="tau")
-    pa.add_argument("--grid", default=None, help="comma-separated grid values")
-    pa.add_argument("--methods", default=",".join(REPORTING_METHODS))
-    _add_dist_flags(pa)
-    pa.add_argument("--out", default="-")
-    pa.set_defaults(parser=pa, func=cmd_analyze_sweep)
-
-    pa = asub.add_parser("nrmse", help="estimation error across sampling rates")
-    _add_privacy_flags(pa)
-    pa.add_argument("--scheme-kind", choices=["ppswor", "pps"], default="pps",
-                    help="pps makes tau=1 exactly no-sampling")
-    pa.add_argument("--power", type=float, default=1.0)
-    pa.add_argument("--grid", default=None)
-    pa.add_argument("--methods", default=",".join(NRMSE_METHODS))
-    _add_dist_flags(pa)
-    pa.add_argument("--out", default="-")
-    pa.set_defaults(parser=pa, func=cmd_analyze_nrmse)
-
-    pa = asub.add_parser("concordance", help="pairwise concordance probabilities")
-    _add_privacy_flags(pa)
-    _add_scheme_flags(pa)
-    pa.add_argument("--max-freq", type=_max_freq, required=True)
-    pa.add_argument("--method", choices=["pws", "sbh"], default="pws")
-    pa.add_argument("--kendall", action="store_true",
-                    help="also print the expected rank correlation for --dist "
-                         "(averaged over truth-distinct key pairs; ties in true "
-                         "frequency are excluded from the normalizer)")
-    _add_dist_flags(pa)
-    pa.add_argument("--out", default="-")
-    pa.set_defaults(parser=pa, func=cmd_analyze_concordance)
-
-    pa = asub.add_parser("moments", help="per-frequency estimate moments (CSV)")
-    _add_privacy_flags(pa)
-    _add_scheme_flags(pa)
-    pa.add_argument("--max-freq", type=_max_freq, required=True)
-    _add_estimator_flags(pa)
-    pa.add_argument("--out", default="-")
-    pa.set_defaults(parser=pa, func=cmd_analyze_moments)
-
-    p = sub.add_parser("verify-dp", help="privacy oracle over an exported table")
-    _add_privacy_flags(p)
-    p.add_argument("--table", required=True, help="CSV exported by pi or pij")
-    p.add_argument("--kind", choices=["pi", "pij"], default="pij")
-    p.set_defaults(parser=p, func=cmd_verify_dp)
+    _command(sub, "verify-dp", cmd_verify_dp, "privacy oracle over an exported table",
+             *_PRIVACY,
+             ("--table", dict(choices=None, default=None, required=True,
+                              help="CSV exported by pi or pij")),
+             ("--kind", dict(choices=["pi", "pij"], default="pij")))
 
     return parser
 

@@ -46,7 +46,7 @@ def zipf_histogram(n_keys: int, alpha: float, w_max: int) -> FrequencyHistogram:
     """Power-law frequencies: rank r gets max(1, round(w_max * r^-alpha))."""
     if n_keys < 1 or w_max < 1:
         raise ValueError("n_keys and w_max must be >= 1")
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ValueError("alpha must be >= 0")
     ranks = np.arange(1, n_keys + 1, dtype=float)
     freqs = np.maximum(1, np.rint(w_max * ranks**-alpha)).astype(np.int64)

@@ -117,7 +117,7 @@ def _read_entries(fp: TextIO, header: str, index: tuple[str, ...], usecols: tupl
     """
     names = header.split(",")
     got = next(csv.reader(fp), None)
-    if got is None or [h.strip() for h in got[:3]] != names[:3]:
+    if got is None or [h.strip() for h in got[:len(names)]] != names:
         raise ValueError(f"expected a CSV with header {header}")
     dtype = [(name, np.int64) for name in index] + [("v", np.float64)]
     with warnings.catch_warnings():

@@ -177,6 +177,15 @@ class TestVerifyRoundTrip:
         assert out == ""
         assert err == "error: expected a CSV with header i,j,pi_ij\n"
 
+    def test_verify_dp_rejects_a_wrong_pi_header(self, tmp_path, capsys):
+        path = tmp_path / "pi.csv"
+        path.write_text("i,q_i,pi_i,bogus\r\n1,1,0.01,0.01\r\n")
+        code, out, err = run(["verify-dp", "--epsilon", "1", "--delta", "0.01",
+                              "--table", str(path), "--kind", "pi"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: expected a CSV with header i,q_i,pi_i,p_i\n"
+
     def test_verify_dp_rejects_bad_pi_indices(self, tmp_path, capsys):
         # as for pij: -1 would wrap onto the last frequency and a repeated i
         # would silently overwrite
@@ -811,6 +820,16 @@ class TestIgnoredFlags:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("alpha", ["-1", "nan"])
+    def test_negative_or_nan_alpha_is_named(self, capsys, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "sweep", "--epsilon", "0.5", "--delta", "0.01", "--dist", "zipf",
+                  "--alpha", alpha, "--n-keys", "10", "--w-max", "50"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: alpha must be >= 0\n")
+
     def test_tau_sweep_requires_delta(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "sweep", "--epsilon", "0.1", "--sweep", "tau", "--grid", "0.5",
@@ -1015,6 +1034,14 @@ class TestAnalyzeCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--estimator unbiased needs the integer-token table" in captured.err
+
+    def test_unbiased_moments_on_a_singular_table(self, capsys):
+        code, out, err = run(["analyze", "moments", "--epsilon", "0.5", "--delta", "0.01",
+                              "--scheme", "ppswor", "--tau", "0", "--max-freq", "5",
+                              "--estimator", "unbiased"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: zero diagonal at frequency 1: system is singular there\n"
 
     def test_nrmse_is_nan_where_undefined(self, capsys):
         # pps tau 0 keeps nothing: the baseline and the non-private estimate

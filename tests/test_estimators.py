@@ -102,6 +102,12 @@ class TestUnbiased:
         with pytest.raises(ValueError, match="integer-token"):
             unbiased_coeffs(table, g_identity)
 
+    def test_rejects_a_zero_diagonal(self):
+        # ppswor at tau 0 samples nothing, so no frequency ever reports its own token
+        table = compute_pij(PrivacyParams(0.5, 0.01), SamplingScheme.ppswor(0.0), 5)
+        with pytest.raises(ValueError, match="zero diagonal at frequency 1: system is singular"):
+            unbiased_coeffs(table, g_identity)
+
 
 class TestMle:
     def test_nonnegative(self, std_table, std_rv):

@@ -47,6 +47,12 @@ class TestZipf:
         assert min(hist.counts) == 1
         assert hist.n_keys == 10_000
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan")])
+    def test_rejects_a_negative_or_nan_alpha(self, alpha):
+        # NaN would otherwise be cast to int64 with a RuntimeWarning
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            zipf_histogram(10, alpha, 50)
+
 
 class TestUniform:
     def test_even_split(self):
