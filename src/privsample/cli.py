@@ -482,15 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Overflow and NaN print as inf/nan, and _warn_if_noise reports them
         # in its one line; numpy's own warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))  # exits 2
+        args.parser.error(str(exc))  # the subcommand's usage; exits 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

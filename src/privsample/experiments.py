@@ -64,8 +64,8 @@ def uniform_histogram(n_keys: int, low: int, high: int) -> FrequencyHistogram:
         raise ValueError("need n_keys >= 1 and 1 <= low <= high")
     span = high - low + 1
     base, extra = divmod(n_keys, span)
-    counts = {low + k: base + (1 if k < extra else 0) for k in range(span)}
-    return FrequencyHistogram.from_counts({f: c for f, c in counts.items() if c > 0})
+    return FrequencyHistogram.from_counts(
+        {low + k: base + (k < extra) for k in range(min(span, n_keys))})
 
 
 def expected_reported_fraction(histogram: FrequencyHistogram, report_probs: np.ndarray) -> float:
@@ -75,8 +75,6 @@ def expected_reported_fraction(histogram: FrequencyHistogram, report_probs: np.n
     present.
     """
     freqs, c = histogram.counts_within(len(report_probs))
-    if freqs.size == 0:
-        raise ValueError("histogram is empty")
     return float(np.sum(c * report_probs[freqs]) / np.sum(c))
 
 
@@ -96,12 +94,6 @@ def _method_names(methods, known: tuple) -> tuple:
         raise ValueError(f"need distinct method names from {','.join(known)}, "
                          f"got {','.join(map(str, names))!r}")
     return names
-
-
-def _max_frequency(histogram: FrequencyHistogram) -> int:
-    if histogram.n_keys == 0:
-        raise ValueError("histogram is empty")
-    return histogram.max_frequency
 
 
 def _report_probs(hist: FrequencyHistogram, max_f: int, method: str,
@@ -127,7 +119,7 @@ def run_sweep(histogram: FrequencyHistogram, sweep_var: str, points,
     ``points`` holds (value, params, scheme) per grid point; ``value`` is
     the swept quantity named ``sweep_var`` that labels the point's rows.
     """
-    max_f = _max_frequency(histogram)
+    max_f = histogram.max_frequency
     methods = _method_names(methods, REPORTING_METHODS)
 
     rows: list[SweepRow] = []
@@ -163,7 +155,7 @@ def nrmse_experiment(selection: FrequencyHistogram, points,
     every frequency >= 1, so that grid point is exactly "no sampling".
     Undefined grid points yield NaN, not failure.
     """
-    max_f = _max_frequency(selection)
+    max_f = selection.max_frequency
     methods = _method_names(methods, NRMSE_METHODS)
 
     rows: list[SweepRow] = []

@@ -146,9 +146,6 @@ class PdfFamily:
     def __len__(self) -> int:
         return len(self.pdfs)
 
-    def __getitem__(self, i: int) -> PiecewisePdf:
-        return self.pdfs[i]
-
     def __iter__(self):
         return iter(self.pdfs)
 

@@ -107,14 +107,16 @@ class FrequencyHistogram:
     """Key counts per frequency: the form exact expectation computations need.
 
     counts maps each frequency value (>= 1) to the number of distinct keys
-    with that frequency (>= 1; a frequency no key has is left out).
-    Drawing a sample needs the keys themselves, the key -> frequency
-    mapping.
+    with that frequency (>= 1; a frequency no key has is left out).  A
+    histogram holds at least one key.  Drawing a sample needs the keys
+    themselves, the key -> frequency mapping.
     """
 
     counts: dict[int, int]
 
     def __post_init__(self):
+        if not self.counts:
+            raise ValueError("histogram is empty")
         for freq, count in self.counts.items():
             if freq < 1:
                 raise ValueError(f"frequencies must be >= 1, got {freq}")
@@ -130,17 +132,13 @@ class FrequencyHistogram:
         return cls(counts={int(f): int(c) for f, c in counts.items()})
 
     @property
-    def n_keys(self) -> int:
-        return sum(self.counts.values())
-
-    @property
     def max_frequency(self) -> int:
-        return max(self.counts) if self.counts else 0
+        return max(self.counts)
 
     def counts_within(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Distinct frequencies in increasing order, each below ``length``, and real key counts."""
         freqs = np.array(sorted(self.counts), dtype=int)
-        if freqs.size and freqs[-1] >= length:
+        if freqs[-1] >= length:
             raise ValueError(f"histogram contains frequency {freqs[-1]} beyond 0..{length - 1}")
         return freqs, np.array([self.counts[f] for f in freqs.tolist()], dtype=float)
 

@@ -237,7 +237,7 @@ def discretize_pdfs_dense(family):
     rows = np.zeros((len(family), len(edges) + 1))
     rows[0, 0] = 1.0
     for i in range(1, len(family)):
-        pdf = family[i]
+        pdf = family.pdfs[i]
         rows[i, 0] = pdf.atom0
         cover = int(np.searchsorted(edges, pdf.bounds[-1], side="right"))
         seg = np.searchsorted(pdf.bounds, edges[:cover], side="left") - 1

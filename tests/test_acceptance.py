@@ -29,6 +29,7 @@ from privsample import (
     mle_coeffs,
     moments_by_frequency,
     nrmse_experiment,
+    run_sweep,
     sampled_sbh_report_prob,
     sbh_concordance_prob,
     sbh_moment_table,
@@ -311,31 +312,29 @@ def test_criterion_08_bias_decay():
 def test_criterion_09_zipf_reporting_dominance_and_gains():
     sw = Stopwatch()
     params = PrivacyParams(0.1, 0.001)
-    config = SbhConfig(params)
+    points = [(tau, params, SamplingScheme.ppswor(tau)) for tau in TAU_GRID_DEFAULT]
     dominance = True
     gains = {}
-    for alpha, target in ((0.5, 2.30), (1.0, 0.97), (2.0, 0.37)):
-        hist = zipf_histogram(100_000, alpha, 10_000)
-        freqs = np.array(sorted(hist.counts))
+    # the last histogram's smallest frequency is 1, the low-frequency regime
+    # that drives the paper-scale gain at alpha=0.5
+    for alpha, w_max, target in ((0.5, 10_000, 2.30), (1.0, 10_000, 0.97), (2.0, 10_000, 0.37),
+                                 (0.5, 316, 2.30)):
+        rows = run_sweep(zipf_histogram(100_000, alpha, w_max), "tau", points,
+                         ("pws-keys", "sampled-sbh"))
+        fractions = [row.result for row in rows]  # per grid point: pws-keys, sampled-sbh
         best = -1.0
-        for tau in TAU_GRID_DEFAULT:
-            scheme = SamplingScheme.ppswor(tau)
-            rv = compute_pi(params, scheme, int(freqs[-1]))
-            pws = expected_reported_fraction(hist, rv.pi)
-            probs = np.zeros(int(freqs[-1]) + 1)
-            probs[freqs] = [sampled_sbh_report_prob(config, scheme, int(f)) for f in freqs]
-            ssbh = expected_reported_fraction(hist, probs)
+        for pws, ssbh in zip(fractions[0::2], fractions[1::2]):
             dominance = dominance and pws >= ssbh - 1e-12
             if ssbh > 0:
                 best = max(best, pws / ssbh - 1.0)
-        gains[alpha] = (best, target, best >= target)
+        gains[alpha, w_max] = (best, target, best >= target)
     detail = f"dominance at every grid point: {dominance}; gains " + ", ".join(
-        f"alpha={a}: {g * 100:.0f}% (target {t * 100:.0f}%, {'met' if m else 'NOT met'})"
-        for a, (g, t, m) in gains.items()
+        f"alpha={a} w_max={w}: {g * 100:.0f}% (target {t * 100:.0f}%, {'met' if m else 'NOT met'})"
+        for (a, w), (g, t, m) in gains.items()
     )
-    # dominance is the hard criterion; gain targets are reported either way
-    # (under this pinned histogram alpha=0.5 has no frequency below 32, so
-    # the low-frequency regime driving the paper-scale gain is absent)
+    # dominance is the hard criterion; gain targets are reported either way.
+    # Measured: 183%, 360% and 1188% at w_max 10000, where alpha=0.5 has no
+    # frequency below 32, and 2731% at alpha=0.5, w_max 316.
     assert sw.done(9, dominance, 120, detail)
 
 

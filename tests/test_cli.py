@@ -820,6 +820,21 @@ class TestIgnoredFlags:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "sweep", *PRIV, "--grid", "0.5"],
+        ["analyze", "nrmse", *PRIV, "--grid", "0.5"],
+        ["analyze", "concordance", *PRIV, "--max-freq", "6", "--kendall"],
+    ], ids=["sweep", "nrmse", "concordance"])
+    def test_dist_file_without_a_key_is_a_data_error(self, tmp_path, capsys, command):
+        empty, out_path = tmp_path / "empty.tsv", tmp_path / "out.csv"
+        empty.write_text("")
+        code, out, err = run([*command, "--dist", "file", "--input", str(empty),
+                              "--out", str(out_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: histogram is empty\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("alpha", ["-1", "nan"])
     def test_negative_or_nan_alpha_is_named(self, capsys, alpha):
         with pytest.raises(SystemExit) as exc:
@@ -1130,3 +1145,39 @@ class TestExitContractAtFlagEdges:
             assert len(out_path.read_text().splitlines()) > 1
         else:
             assert not out_path.exists()
+
+
+class TestUsageErrorsNameTheirCommand:
+    """A usage error a handler raises prints its own subcommand's usage, as argparse's do."""
+
+    PRIV = ["--epsilon", "0.5", "--delta", "0.05"]
+
+    @pytest.mark.parametrize("argv, path, message", [
+        (["pi", "--epsilon", "0", "--delta", "0.01", "--max-freq", "5"], "pi",
+         "epsilon must be in (0, 709.782712893384], got 0.0"),
+        (["analyze", "sweep", *PRIV, "--tau", "0.1", "--grid", "0.1", "--dist", "zipf",
+          "--n-keys", "10", "--w-max", "50"], "analyze sweep",
+         "--tau is meaningless with --sweep tau, which takes its thresholds from --grid"),
+        (["sanitize", "--mode", "keys", "--input", "IN", *PRIV, "--max-freq", "6",
+          "--table", "alg5", "--seed", "1"], "sanitize",
+         "--table is meaningless with --mode keys, which releases no tokens"),
+        (["baseline", "sbh", "--input", "IN", *PRIV, "--scheme", "ppswor", "--tau", "0.1",
+          "--seed", "1"], "baseline",
+         "--scheme is meaningless with baseline sbh, which samples nothing"),
+        (["pij", *PRIV, "--scheme", "pps", "--max-freq", "6"], "pij",
+         "--scheme pps requires --tau"),
+        (["estimate", "--input", "IN", *PRIV, "--max-freq", "6", "--estimator", "unbiased",
+          "--table", "alg5"], "estimate",
+         "--estimator unbiased needs the integer-token table (--table alg4)"),
+    ], ids=["usage", "reject-sweep", "reject-sanitize", "reject-baseline", "scheme-tau",
+            "estimate-alg5"])
+    def test_usage_names_the_subcommand(self, tmp_path, capsys, argv, path, message):
+        data = tmp_path / "in.tsv"
+        data.write_text("a\t3\nb\t5\n")
+        with pytest.raises(SystemExit) as exc:
+            main([str(data) if arg == "IN" else arg for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: privsample {path} [-h]")
+        assert captured.err.splitlines()[-1] == f"privsample {path}: error: {message}"

@@ -6,6 +6,7 @@ from oracles import inclusion_prob, inverse_prob_coeffs, per_key_moments, table_
 
 from privsample import (
     FrequencyHistogram,
+    MomentTable,
     PrivacyParams,
     ReportingVector,
     SamplingScheme,
@@ -278,10 +279,14 @@ class TestStatisticMoments:
         s1, s2 = statistic_moments(sel1, table), statistic_moments(sel2, table)
         assert s2.nrmse == pytest.approx(s1.nrmse / math.sqrt(2), rel=1e-12)
 
-    def test_empty_statistic_has_no_nrmse(self, std_table, std_rv):
-        coeffs = mle_coeffs(std_table, std_rv, g_identity)
-        table = moments_by_frequency(std_table, coeffs, g_identity)
-        stat = statistic_moments(FrequencyHistogram.from_counts({}), table)
+    def test_zero_statistic_has_no_nrmse(self):
+        # a user g may vanish on every selected frequency; the relative error
+        # of a zero statistic is undefined
+        zero = np.zeros(6)
+        table = MomentTable(g_values=zero, expectation=zero, mse=np.full(6, 0.5))
+        stat = statistic_moments(FrequencyHistogram.from_counts({2: 3, 5: 1}), table)
+        assert stat.statistic == 0.0
+        assert stat.mse == 2.0
         assert math.isnan(stat.nrmse)
 
 

@@ -97,7 +97,7 @@ class TestComputePdfs:
     def test_first_pdf(self, params_std, scheme_none):
         fam = compute_pdfs(params_std, scheme_none, 3)
         pi_1 = compute_pi(params_std, scheme_none, 3).pi[1]
-        f1 = fam[1]
+        f1 = fam.pdfs[1]
         assert f1.atom0 == pytest.approx(1.0 - pi_1, rel=1e-15)
         assert f1.bounds[-1] == 1.0
         # pi_1 <= delta always, so the top density is pi_1 itself
@@ -114,7 +114,7 @@ class TestComputePdfs:
         fam = compute_pdfs(params, scheme, 60)
         pi = compute_pi(params, scheme, 60).pi
         for i in range(1, 61):
-            pdf = fam[i]
+            pdf = fam.pdfs[i]
             assert pdf.bounds[-1] == float(i)
             assert pdf.densities[-1] == pytest.approx(
                 min(pi[i], params.delta), rel=1e-12
@@ -122,7 +122,7 @@ class TestComputePdfs:
 
     def test_segments_sorted_disjoint(self, params_std):
         fam = compute_pdfs(params_std, SamplingScheme.ppswor(0.2), 80)
-        for pdf in fam[1:]:
+        for pdf in fam.pdfs[1:]:
             assert np.all(np.diff(pdf.bounds) > 0)
             assert pdf.bounds[0] == 0.0
 
@@ -139,7 +139,7 @@ def test_density_family_shape(law):
     pi = family.reporting.pi
     tol = 1e-12 + 2.0 ** -44 * math.exp(params.epsilon)
     for i in range(1, m + 1):
-        pdf = family[i]
+        pdf = family.pdfs[i]
         top = min(float(pi[i]), params.delta)
         assert pdf.atom0 == 1.0 - pi[i]
         assert pdf.bounds[0] == 0.0 and pdf.bounds[-1] == i
@@ -212,13 +212,14 @@ class TestDiscretize:
         fam = compute_pdfs(params_std, scheme, 40)
         rows = discretize_pdfs(fam).dense()
         factor = math.exp(params_std.epsilon)
+        pdfs = fam.pdfs
         for i in range(1, 41):
-            want_up = continuous_hockey_stick(fam[i], fam[i - 1], params_std.epsilon)
+            want_up = continuous_hockey_stick(pdfs[i], pdfs[i - 1], params_std.epsilon)
             got_up = float(
                 np.maximum(rows[i] - factor * rows[i - 1], 0.0).sum()
             )
             assert got_up == pytest.approx(want_up, abs=1e-13)
-            want_down = continuous_hockey_stick(fam[i - 1], fam[i], params_std.epsilon)
+            want_down = continuous_hockey_stick(pdfs[i - 1], pdfs[i], params_std.epsilon)
             got_down = float(
                 np.maximum(rows[i - 1] - factor * rows[i], 0.0).sum()
             )

@@ -323,7 +323,8 @@ def stochastic_rows(draw, max_rows=12, absent_first=False):
 @given(stochastic_rows(max_rows=40), st.data())
 def test_expected_kendall_tau_matches_loop(rows, data):
     m = rows.shape[0] - 1
-    freqs = data.draw(st.lists(st.integers(1, m), unique=True, max_size=m))
+    # a histogram holds a key; one frequency alone (tau NaN) is still drawn
+    freqs = data.draw(st.lists(st.integers(1, m), unique=True, min_size=1, max_size=m))
     counts = {f: data.draw(st.integers(1, 10_000)) for f in freqs}
     hist = FrequencyHistogram.from_counts(counts)
     got = expected_kendall_tau(hist, concordance_matrix(_table(rows)))

@@ -102,6 +102,8 @@ def test_unsampled_baseline_is_scheme_none(name):
     (privsample.FrequencyHistogram, "frequencies_and_counts"),
     (privsample.PiecewisePdf, "segment_masses"),
     (privsample.PiecewisePdf, "node_cumulative"),
+    (privsample.PdfFamily, "__getitem__"),
+    (privsample.FrequencyHistogram, "n_keys"),
 ])
 def test_removed_methods_stay_out(owner, method):
     assert not hasattr(owner, method)

@@ -1,15 +1,21 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import inclusion_prob
 
 from privsample import (
     FrequencyHistogram,
+    PrivacyParams,
     SamplingScheme,
     aggregate_elements,
+    compute_pi,
     draw_sample,
 )
+from privsample._rng import PURPOSE_SAMPLE, key_uniforms
 
 
 class TestScheme:
@@ -83,7 +89,8 @@ class TestHistogram:
     def test_aggregate_empty(self):
         by_key = aggregate_elements([])
         assert by_key == {}
-        assert FrequencyHistogram.from_keys(by_key).n_keys == 0
+        with pytest.raises(ValueError, match="histogram is empty"):
+            FrequencyHistogram.from_keys(by_key)
 
     def test_aggregate_all_distinct(self):
         hist = FrequencyHistogram.from_keys(aggregate_elements(str(i) for i in range(100)))
@@ -131,6 +138,31 @@ class TestDrawSample:
         q = inclusion_prob(scheme, 5)
         sd = math.sqrt(n * q * (1 - q))
         assert abs(len(sample.pairs) - n * q) <= 4 * sd
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(["ppswor", "pps"]), st.floats(0.0, 1.0), st.floats(0.0, 2.0),
+           st.integers(1, 500), st.data())
+    def test_decides_on_the_tables_own_q(self, kind, tau, power, m, data):
+        # every table conditions on rv.q, so the sampler must compare each
+        # key's uniform with that very float, not a recomputation of it
+        scheme = SamplingScheme(kind, tau, power)
+        ws = data.draw(st.lists(st.integers(1, m), min_size=1, max_size=60))
+        order = data.draw(st.permutations(range(len(ws))))
+        by_key = {f"k{i}": ws[i] for i in order}
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        q = compute_pi(PrivacyParams(0.5, 0.01), scheme, m).q
+        uniforms = key_uniforms(seed, by_key, PURPOSE_SAMPLE)
+        want = [(k, w) for (k, w), u in zip(by_key.items(), uniforms) if u < q[w]]
+        assert list(draw_sample(by_key, scheme, seed).pairs.items()) == want
+        assert scheme.inclusion_probs(ws).tobytes() == scheme.probs(m)[ws].tobytes()
+        # at the boundary, where one ulp of q decides: a draw equal to q_w is
+        # out and the double just below it is in
+        draws = {k: math.nextafter(q[w], 0.0) if i % 2 else q[w]
+                 for i, (k, w) in enumerate(by_key.items())}
+        with mock.patch("privsample.sampling.key_uniforms",
+                        lambda seed, keys, purpose: [draws[k] for k in keys]):
+            kept = draw_sample(by_key, scheme, seed).pairs
+        assert list(kept) == [k for i, (k, w) in enumerate(by_key.items()) if i % 2 and q[w] > 0]
 
     def test_negative_seed_is_valid(self):
         by_key = {f"k{i}": 3 for i in range(100)}
