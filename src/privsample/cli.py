@@ -192,12 +192,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _pi_bands(pi: np.ndarray) -> TokenBands:
-    """The key-reporting law as bands: token 1 (reported) with mass pi_i, token 0 otherwise."""
-    return TokenBands(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
-                      rows=pi[:, None], n_tokens=1)
-
-
 def _verify_line(report, params) -> str:
     return (
         f"worst_divergence={formats.fmt(report.worst_divergence)} "
@@ -226,7 +220,7 @@ def cmd_sanitize(args) -> int:
     # the law is checked before --out is opened, so a failing one writes nothing
     if args.mode == "keys":
         rv = compute_pi(params, scheme, args.max_freq)
-        _require_dp(_pi_bands(rv.pi), params)
+        _require_dp(rv, params)
         kept = sanitize_keys(sample, rv, args.seed)
         with _open_out(args.out) as fp:
             formats.write_key_lines(fp, kept)
@@ -391,10 +385,7 @@ def cmd_analyze_moments(args) -> int:
 def cmd_verify_dp(args) -> int:
     params = _params(args)
     with _open_in(args.table) as fp:
-        if args.kind == "pi":
-            bands = _pi_bands(formats.read_pi_csv(fp))
-        else:
-            bands = formats.read_pij_csv(fp)
+        bands = formats.read_pi_csv(fp) if args.kind == "pi" else formats.read_pij_csv(fp)
     report = verify_dp(bands, params)
     print(f"verify-dp {'pass' if report.ok else 'FAIL'} {_verify_line(report, params)}")
     return 0 if report.ok else 1

@@ -206,8 +206,14 @@ class StatisticMoments:
     statistic: float
     bias: float
     variance: float
-    mse: float
-    nrmse: float  # NaN when the true statistic is 0
+
+    @property
+    def mse(self) -> float:
+        return self.variance + self.bias * self.bias
+
+    @property
+    def nrmse(self) -> float:  # NaN when the true statistic is not positive
+        return math.sqrt(self.mse) / self.statistic if self.statistic > 0.0 else math.nan
 
 
 def statistic_moments(selection: FrequencyHistogram, moments: MomentTable) -> StatisticMoments:
@@ -219,11 +225,7 @@ def statistic_moments(selection: FrequencyHistogram, moments: MomentTable) -> St
     statistic = float(np.sum(c * moments.g_values[freqs]))
     bias = float(np.sum(c * moments.bias[freqs]))
     variance = float(np.sum(c * moments.variance[freqs]))
-    mse = variance + bias * bias
-    nrmse = math.sqrt(mse) / statistic if statistic > 0.0 else math.nan
-    return StatisticMoments(
-        statistic=statistic, bias=bias, variance=variance, mse=mse, nrmse=nrmse
-    )
+    return StatisticMoments(statistic=statistic, bias=bias, variance=variance)
 
 
 def estimate_statistic(

@@ -155,15 +155,17 @@ def read_pij_csv(fp: TextIO) -> TokenBands:
     return TokenBands.from_entries(atom0, i[~at0], j[~at0], v[~at0], n_cols - 1)
 
 
-def read_pi_csv(fp: TextIO) -> np.ndarray:
-    """Rebuild per-frequency reporting probabilities from an `i,q_i,pi_i,p_i` export.
+def read_pi_csv(fp: TextIO) -> TokenBands:
+    """Rebuild the key-reporting law, as bands of one token, from an `i,q_i,pi_i,p_i` export.
 
-    Fails closed on negative indices and on a repeated i.
+    The export has no atom column, so token 0 gets 1 - pi_i.  Fails closed
+    on negative indices and on a repeated i.
     """
     (i,), v, shape = _read_entries(fp, "i,q_i,pi_i,p_i", ("i",), (0, 2))
-    out = np.zeros(shape)
-    out[i] = v
-    return out
+    pi = np.zeros(shape)
+    pi[i] = v
+    return TokenBands(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
+                      rows=pi[:, None], n_tokens=1)
 
 
 def write_pdf_segments_csv(fp: TextIO, family: PdfFamily) -> None:

@@ -80,12 +80,11 @@ def compute_pij(
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
     m = max_frequency
 
-    atom0 = 1.0 - rv.pi
     at_i, at_j, at_v = [], [], []  # the table's nonzero entries
     lo, prev = 1, []  # the previous row on tokens lo..i-1; row 0 has none
     for i in range(1, m + 1):
         pi_i = float(rv.pi[i])
-        gap = max(0.0, e_neg * float(atom0[i - 1]) - float(atom0[i]))
+        gap = max(0.0, e_neg * float(rv.atom0[i - 1]) - float(rv.atom0[i]))
 
         # Forced minimum on tokens lo..i-1.  The running sum of the clamped
         # increments telescopes to max(0, target_j), because the targets are
@@ -118,7 +117,7 @@ def compute_pij(
         at_i += [i] * len(prev)
         at_j += range(lo, lo + len(prev))
         at_v += prev
-    return SanitizerTable.from_entries(atom0, at_i, at_j, at_v, m, reporting=rv)
+    return SanitizerTable.from_entries(rv.atom0, at_i, at_j, at_v, m, reporting=rv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +209,9 @@ def compute_pdfs(
     eps, delta = params.epsilon, params.delta
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
 
-    pdfs = [PiecewisePdf(atom0=1.0, bounds=np.array([0.0]), densities=np.empty(0))]
+    pdfs = [PiecewisePdf(atom0=float(rv.atom0[0]), bounds=np.array([0.0]), densities=np.empty(0))]
     for i in range(1, max_frequency + 1):
-        pi_i = float(rv.pi[i])
-        atom = 1.0 - pi_i
+        pi_i, atom = float(rv.pi[i]), float(rv.atom0[i])
         top_density = min(pi_i, delta)
         prev = pdfs[-1]
 
@@ -291,9 +289,8 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
     seg = np.repeat(np.arange(len(span)), span)
     k = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span - lo, span)
 
-    atom0 = np.array([pdf.atom0 for pdf in family])
     return SanitizerTable.from_entries(
-        atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
+        family.reporting.atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
         reporting=family.reporting, token_edges=edges,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PURPOSE_KEEP, key_uniforms
-from .privacy import PrivacyParams
+from .privacy import PrivacyParams, TokenBands
 from .sampling import SamplingScheme, WeightedSample
 
 __all__ = [
@@ -29,22 +29,22 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ReportingVector:
-    """End-to-end reporting probabilities pi_0..pi_max for one scheme.
+class ReportingVector(TokenBands):
+    """End-to-end reporting law for one scheme, as bands of one token.
 
-    pi[i] is the probability that a key with true frequency i survives both
-    sampling and sanitization; q[i] is the scheme's sampling probability.
+    Row i reports token 1 with mass pi[i], the probability that a key with
+    true frequency i survives both sampling and sanitization, and token 0
+    with atom0[i] = 1 - pi[i]; q[i] is the scheme's sampling probability.
     A sampled key with frequency i is kept with probability pi[i]/q[i].
     """
 
     params: PrivacyParams
     scheme: SamplingScheme
-    pi: np.ndarray
     q: np.ndarray
 
     @property
-    def max_frequency(self) -> int:
-        return len(self.pi) - 1
+    def pi(self) -> np.ndarray:
+        return self.rows[:, 0]
 
     def sampled_q(self, sample: WeightedSample) -> dict[int, float]:
         """q_w for each distinct frequency w of ``sample``, in order of first appearance.
@@ -78,8 +78,8 @@ def compute_pi(
     """Run the three-way minimum recurrence up to max_frequency.
 
     The package's only copy of the recurrence: both token tables take their
-    per-row reporting mass from it.  pi_i depends only on q_1..q_i, so a
-    larger max_frequency extends the same array.
+    per-row reporting and non-report masses from it.  pi_i depends only on
+    q_1..q_i, so a larger max_frequency extends the same array.
     """
     if max_frequency < 1:
         raise ValueError("max_frequency must be >= 1")
@@ -91,7 +91,8 @@ def compute_pi(
     for i in range(1, max_frequency + 1):
         prev = min(float(q[i]), e_eps * prev + delta, 1.0 + e_neg * (prev + delta - 1.0))
         pi[i] = prev
-    return ReportingVector(params=params, scheme=scheme, pi=pi, q=q)
+    return ReportingVector(atom0=1.0 - pi, first=np.ones(max_frequency + 1, dtype=np.int64),
+                           rows=pi[:, None], n_tokens=1, params=params, scheme=scheme, q=q)
 
 
 def sanitize_keys(sample: WeightedSample, rv: ReportingVector, seed: int) -> list[str]:

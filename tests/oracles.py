@@ -70,11 +70,6 @@ def inclusion_prob(scheme: SamplingScheme, w: float) -> float:
 # ---------------------------------------------------------------- keys
 
 
-def binary_rows(rv) -> TokenBands:
-    """Per-frequency output laws over (not reported, reported) tokens."""
-    return bands(np.stack([1.0 - rv.pi, rv.pi], axis=1))
-
-
 def pi_star_closed_form(params: PrivacyParams, i: int) -> float:
     """Three-branch closed form of the no-sampling reporting curve.
 

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import binary_rows, pi_marginals, ppswor_structure
+from oracles import pi_marginals, ppswor_structure
 from scipy.optimize import linprog
 
 from privsample import (
@@ -38,7 +38,7 @@ from privsample import (
     verify_dp,
     zipf_histogram,
 )
-from privsample.experiments import TAU_GRID_DEFAULT
+from privsample.experiments import TAU_GRID_DEFAULT, _pws_mle_moments
 from privsample.privacy import DELTA_SLACK
 
 PARAMS_A = PrivacyParams(0.1, 0.01)
@@ -109,7 +109,7 @@ def test_criterion_03_dp_oracle(tables_500):
     ok = True
     for (params, scheme), (rv, t4, t5) in tables_500.items():
         for label, rows in [
-            ("keys", binary_rows(rv)),
+            ("keys", rv),
             ("freq-table", t4),
             ("freq-densities", t5),
         ]:
@@ -446,3 +446,57 @@ def test_criterion_12_ordinal_comparison():
         f"all {m * (m - 1) // 2} pairs favor the token table (worst baseline edge: "
         f"{edge}); antisymmetry exact: {anti_ok and sbh_anti}",
     )
+
+
+def _first_accurate(moments, r, m):
+    """First frequency from which the per-key NRMSE sqrt(MSE_i)/i stays <= r through m.
+
+    m + 1 when frequency m itself misses r.
+    """
+    err = np.sqrt(moments.mse[1 : m + 1]) / np.arange(1, m + 1)
+    bad = np.flatnonzero(~(err <= r))  # NaN counts as inaccurate
+    return int(bad[-1]) + 2 if bad.size else 1
+
+
+def test_criterion_13_accuracy_at_lower_frequencies():
+    # the abstract: "accurate estimation with x2-8 lower frequencies".  For
+    # accuracy r, compare the first frequency from which each method's
+    # per-key NRMSE stays <= r (g the identity): the baseline (sampled)
+    # stability histogram against PWS with MLE coefficients, built as the
+    # nrmse harness builds them (alg4 without sampling, alg5 with, to
+    # m + 2 ceil(L) + 2).  Dominance is asserted; the ratios are printed
+    # against the 2-8 claim, which most cells miss.
+    sw = Stopwatch()
+    none_points = [(0.1, 0.01), (0.1, 1e-4), (0.5, 0.01), (0.5, 1e-4), (1, 1e-3), (1, 1e-6),
+                   (2, 1e-6)]
+    sampled_points = [(0.1, 0.01), (0.5, 0.01), (1, 1e-3), (1, 1e-6)]
+    cells = [(SamplingScheme.none(), point) for point in none_points] + [
+        (scheme, point)
+        for scheme in (SamplingScheme.ppswor(0.1), SamplingScheme.ppswor(0.01),
+                       SamplingScheme.pps(0.01))
+        for point in sampled_points
+    ]
+    dominance = True
+    ratios = {r: [] for r in (0.5, 0.2, 0.1)}
+    lines = ["first frequency with per-key NRMSE <= r from there to m, baseline/pws, "
+             "for r = 0.5, 0.2, 0.1:"]
+    for scheme, (epsilon, delta) in cells:
+        params = PrivacyParams(epsilon, delta)
+        m = int(8 * math.ceil(l_value(params)) + 60 / epsilon + 200)
+        baseline = sbh_moment_table(SbhConfig(params), scheme, g_identity, m)
+        pws = _pws_mle_moments(params, scheme, m)
+        cell = []
+        for r, found in ratios.items():
+            base_i, pws_i = _first_accurate(baseline, r, m), _first_accurate(pws, r, m)
+            dominance = dominance and pws_i <= base_i
+            if base_i <= m:
+                found.append(base_i / pws_i)
+            cell.append("/".join(str(i) if i <= m else ">m" for i in (base_i, pws_i)))
+        label = "none" if scheme.kind == "none" else f"{scheme.kind} {scheme.tau:g}"
+        lines.append(f"{label} ({epsilon:g}, {delta:g}) m={m}: " + " ".join(cell))
+    print("\n".join(lines))
+    detail = f"pws never needs a higher frequency than the baseline: {dominance}; " + ", ".join(
+        f"r={r}: ratio {min(v):.2f}-{max(v):.2f}, {sum(x >= 2.0 for x in v)}/{len(v)} cells >= 2"
+        for r, v in ratios.items()
+    ) + " (claim x2-8)"
+    assert sw.done(13, dominance, 30, detail)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from privsample import (
     FrequencyHistogram,
     MomentTable,
     PrivacyParams,
-    ReportingVector,
     SamplingScheme,
     compute_pdfs,
     compute_pi,
@@ -132,8 +132,9 @@ class TestMle:
         law = table.reporting
         moved = law.pi.copy()
         moved[m // 2] *= 1.0 + 1e-15
+        other = dataclasses.replace(law, atom0=1.0 - moved, rows=moved[:, None])
         with pytest.raises(ValueError, match="with the table's pi"):
-            mle_coeffs(table, ReportingVector(law.params, law.scheme, moved, law.q), g_identity)
+            mle_coeffs(table, other, g_identity)
 
     @pytest.mark.parametrize("build", [compute_pij, lambda *law: discretize_pdfs(compute_pdfs(*law))],
                              ids=["alg4", "alg5"])

@@ -1,8 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
-from oracles import binary_rows, inclusion_prob, pi_star_closed_form, ppswor_structure
+from hypothesis import given, settings
+from oracles import (inclusion_prob, pi_star_closed_form, ppswor_structure, table_laws,
+                     verify_dp_dense)
 
 from privsample import (
     PrivacyParams,
@@ -17,6 +20,7 @@ from privsample import (
     sanitize_keys,
     verify_dp,
 )
+from privsample.formats import read_pi_csv, write_pi_csv
 
 
 class TestComputePi:
@@ -77,7 +81,7 @@ class TestComputePi:
     def test_end_to_end_law_is_private(self, params_std, params_tight, scheme_none):
         for params in [params_std, params_tight]:
             rv = compute_pi(params, scheme_none, 500)
-            assert verify_dp(binary_rows(rv), params).ok
+            assert verify_dp(rv, params).ok
 
     @pytest.mark.parametrize("params", [PrivacyParams(0.1, 0.01), PrivacyParams(0.5, 0.001)])
     @pytest.mark.parametrize(
@@ -246,3 +250,31 @@ class TestReportingLossSupport:
             rv = compute_pi(params, scheme, m)
             n_below = int(np.sum(rv.pi[1:] < rv.q[1:]))
             assert n_below <= 2 * math.ceil(l_value(params)) + 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(table_laws())
+def test_non_report_mass_has_one_home(law):
+    # the key law is bands of one token with atom0 = 1 - pi, and every
+    # table and density built from it takes that atom0 bit for bit
+    params, scheme, m = law
+    rv = compute_pi(params, scheme, m)
+    assert rv.atom0.tobytes() == (1.0 - rv.pi).tobytes()
+    family = compute_pdfs(params, scheme, m)
+    for atom0 in (compute_pij(params, scheme, m).atom0, discretize_pdfs(family).atom0,
+                  np.array([pdf.atom0 for pdf in family])):
+        assert atom0.tobytes() == rv.atom0.tobytes()
+
+    # the DP oracle reads the law as it is, as it reads the dense two-token rows
+    report = verify_dp(rv, params)
+    want = verify_dp_dense(np.stack([1.0 - rv.pi, rv.pi], 1), params)
+    assert (report.worst_pair, report.direction) == (want.worst_pair, want.direction)
+    assert abs(report.worst_divergence - want.worst_divergence) <= 1e-12
+
+    # a pi export reads back as the same bands
+    buf = io.StringIO()
+    write_pi_csv(buf, rv)
+    buf.seek(0)
+    back = read_pi_csv(buf)
+    for name in ("atom0", "first", "rows"):
+        assert getattr(back, name).tobytes() == getattr(rv, name).tobytes()

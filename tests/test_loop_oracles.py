@@ -218,7 +218,9 @@ def test_write_key_lines_matches_lines(cols):
 def test_write_pi_csv_matches_csv_writer(cols):
     q, pi = (np.array([1.0, *col]) for col in cols)
     with np.errstate(all="ignore"):  # p_i = pi_i / q_i of drawn infinities and NaN
-        assert_same_bytes(write_pi_csv, write_pi_csv_ref, ReportingVector(PARAMS, SCHEME, pi, q))
+        rv = ReportingVector(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
+                             rows=pi[:, None], n_tokens=1, params=PARAMS, scheme=SCHEME, q=q)
+        assert_same_bytes(write_pi_csv, write_pi_csv_ref, rv)
 
 
 @SETTINGS

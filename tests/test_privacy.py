@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import bands, binary_rows, check_distribution, hockey_stick, l_value_approx
+from oracles import bands, check_distribution, hockey_stick, l_value_approx
 
 from privsample import PrivacyParams, l_value, verify_dp
 from privsample.privacy import _pair_divergences
@@ -191,7 +191,7 @@ class TestVerifyDp:
         from privsample import compute_pi
 
         rv = compute_pi(params_std, scheme_none, 500)
-        report = verify_dp(binary_rows(rv), params_std)
+        report = verify_dp(rv, params_std)
         assert report.ok
 
     @pytest.mark.parametrize("bad_row", [[0.5, 0.5 + 1e-6], [-0.5, 1.5], [math.nan, 1.0]])

@@ -64,6 +64,35 @@ def test_package_names():
     assert names == PACKAGE
 
 
+# The fields of every public dataclass, in order: a field change shows up as a diff here.
+FIELDS = {
+    "DpReport": ["ok", "worst_pair", "worst_divergence", "delta", "direction"],
+    "EstimatorCoeffs": ["values", "defined"],
+    "FrequencyHistogram": ["counts"],
+    "MomentTable": ["g_values", "expectation", "mse"],
+    "PdfFamily": ["reporting", "pdfs"],
+    "PiecewisePdf": ["atom0", "bounds", "densities"],
+    "PrivacyParams": ["epsilon", "delta"],
+    "ReportingVector": ["atom0", "first", "rows", "n_tokens", "params", "scheme", "q"],
+    "SamplingScheme": ["kind", "tau", "power"],
+    "SanitizerTable": ["atom0", "first", "rows", "n_tokens", "reporting", "token_edges"],
+    "SbhConfig": ["params"],
+    "StatisticMoments": ["statistic", "bias", "variance"],
+    "SweepRow": ["sweep_var", "value", "method", "metric", "result"],
+    "TokenBands": ["atom0", "first", "rows", "n_tokens"],
+    "WeightedSample": ["pairs", "scheme"],
+}
+
+
+def test_every_public_dataclass_is_pinned():
+    assert [n for n in PACKAGE if dataclasses.is_dataclass(getattr(privsample, n))] == sorted(FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_dataclass_fields(name):
+    assert [field.name for field in dataclasses.fields(getattr(privsample, name))] == FIELDS[name]
+
+
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_all(module):
     mod = importlib.import_module(f"privsample.{module}")
@@ -111,19 +140,20 @@ def test_removed_methods_stay_out(owner, method):
 
 
 def test_tables_hold_bands_only():
-    # one table representation: the bands, and no dense matrix beside them
-    fields = [field.name for field in dataclasses.fields(privsample.SanitizerTable)]
-    assert fields == ["atom0", "first", "rows", "n_tokens", "reporting", "token_edges"]
-    assert [field.name for field in dataclasses.fields(privsample.TokenBands)] == fields[:4]
+    # one table representation: the bands, and no dense matrix beside them;
+    # the key-reporting law is bands of one token, whose atom0 the tables take
     assert issubclass(privsample.SanitizerTable, privsample.TokenBands)
+    assert issubclass(privsample.ReportingVector, privsample.TokenBands)
+    assert isinstance(privsample.ReportingVector.pi, property)
 
 
 def test_moment_table_stores_what_bias_and_variance_derive_from():
-    # bias = E - g and variance = max(0, MSE - bias^2) are properties, not fields
-    fields = [field.name for field in dataclasses.fields(privsample.MomentTable)]
-    assert fields == ["g_values", "expectation", "mse"]
+    # bias = E - g and variance = max(0, MSE - bias^2) are properties, not
+    # fields (FIELDS pins the fields); so are a statistic's MSE and NRMSE
     assert isinstance(privsample.MomentTable.bias, property)
     assert isinstance(privsample.MomentTable.variance, property)
+    assert isinstance(privsample.StatisticMoments.mse, property)
+    assert isinstance(privsample.StatisticMoments.nrmse, property)
 
 
 def test_concordance_is_expanded_once():

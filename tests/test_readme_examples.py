@@ -1,12 +1,13 @@
-"""The README's command-line examples stay valid for the parser.
+"""The README's examples stay valid.
 
 Every ``privsample ...`` line of the README's ``bash`` blocks, with its
 backslash continuation lines joined, must parse with ``build_parser()``:
 a renamed or dropped flag, or an invalid value, fails here before a reader
-copies it.
+copies it.  The library quickstart, its ``python`` block, runs as written.
 """
 
 import itertools
+import math
 import re
 import shlex
 from pathlib import Path
@@ -46,3 +47,18 @@ def _command(argv) -> str:
 def test_example_parses(argv):
     args = build_parser().parse_args(argv)
     assert callable(args.func)
+
+
+def test_library_quickstart_runs(tmp_path, monkeypatch):
+    # the README's one python block, run as written on an elements.txt whose
+    # frequencies (1..500) stay inside its table range
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    freqs = {f"key{f}": f for f in range(1, 501, 7)}
+    (tmp_path / "elements.txt").write_text(
+        "".join(f"{key}\n" * f for key, f in freqs.items()))
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(block, names)
+    assert set(names["private_keys"]) <= set(names["sample"].pairs) <= set(freqs)
+    assert set(names["sanitized"]) <= set(names["sample"].pairs)
+    assert math.isfinite(names["total"])
