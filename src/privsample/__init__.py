@@ -32,13 +32,12 @@ from .experiments import (
 from .frequencies import (
     PdfFamily,
     PiecewisePdf,
-    SanitizerTable,
     compute_pdfs,
     compute_pij,
     discretize_pdfs,
     sanitize_frequencies,
 )
-from .keys import ReportingVector, compute_pi, sanitize_keys
+from .keys import SanitizerTable, compute_pi, sanitize_keys
 from .ordinal import concordance_matrix, expected_kendall_tau
 from .privacy import DpReport, PrivacyParams, TokenBands, l_value, verify_dp
 from .sampling import (

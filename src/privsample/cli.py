@@ -192,11 +192,11 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _verify_line(report, params) -> str:
+def _verify_line(report) -> str:
     return (
         f"worst_divergence={formats.fmt(report.worst_divergence)} "
         f"pair={report.worst_pair[0]},{report.worst_pair[1]} direction={report.direction} "
-        f"delta={formats.fmt(params.delta)}"
+        f"delta={formats.fmt(report.delta)}"
     )
 
 
@@ -207,7 +207,7 @@ def _require_dp(law: TokenBands, params: PrivacyParams) -> None:
     """
     report = verify_dp(law, params)
     if not report.ok:
-        raise ValueError(f"the release law fails verify-dp: {_verify_line(report, params)}")
+        raise ValueError(f"the release law fails verify-dp: {_verify_line(report)}")
 
 
 def cmd_sanitize(args) -> int:
@@ -241,7 +241,7 @@ def _coeffs_and_moments(args):
     g = _usage(g_power, args.g_power, flag="--g-power")
     table = _build_table(params, scheme, args.max_freq, args.table)
     if args.estimator == "mle":
-        coeffs = mle_coeffs(table, table.reporting, g)
+        coeffs = mle_coeffs(table, table, g)
     else:
         coeffs = unbiased_coeffs(table, g)
     moments = moments_by_frequency(table, coeffs, g)
@@ -387,7 +387,7 @@ def cmd_verify_dp(args) -> int:
     with _open_in(args.table) as fp:
         bands = formats.read_pi_csv(fp) if args.kind == "pi" else formats.read_pij_csv(fp)
     report = verify_dp(bands, params)
-    print(f"verify-dp {'pass' if report.ok else 'FAIL'} {_verify_line(report, params)}")
+    print(f"verify-dp {'pass' if report.ok else 'FAIL'} {_verify_line(report)}")
     return 0 if report.ok else 1
 
 

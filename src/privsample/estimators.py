@@ -15,8 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .frequencies import SanitizerTable
-from .keys import ReportingVector
+from .keys import SanitizerTable
 from .sampling import FrequencyHistogram, SamplingScheme
 
 __all__ = [
@@ -117,7 +116,7 @@ def unbiased_coeffs(table: SanitizerTable, g: FrequencyFunc) -> EstimatorCoeffs:
 
 
 def mle_coeffs(
-    table: SanitizerTable, rv: ReportingVector, g: FrequencyFunc
+    table: SanitizerTable, rv: SanitizerTable, g: FrequencyFunc
 ) -> EstimatorCoeffs:
     """Most-likely-frequency coefficients a_j = g(i*) / pi_{i*}.
 
@@ -125,13 +124,13 @@ def mle_coeffs(
     toward the smaller frequency.  Nonnegative whenever g is.  The argmax
     searches the table's whole frequency range; size the table comfortably
     past the largest frequency you will estimate, because the most likely
-    frequency behind a top token lies above that token.  ``rv`` must hold
-    the law the table was built from, pi_0..pi_m included.
+    frequency behind a top token lies above that token.  ``rv`` may be any
+    table built from the same law over at least the table's range, the
+    table itself included: the key law of ``compute_pi`` serves as well.
     """
-    law = table.reporting
-    if (rv.params, rv.scheme) != (law.params, law.scheme):
+    if (rv.params, rv.scheme) != (table.params, table.scheme):
         raise ValueError(f"reporting vector is for {rv.params}, {rv.scheme}, not the table's law")
-    if not np.array_equal(rv.pi[: table.max_frequency + 1], law.pi):
+    if not np.array_equal(rv.pi[: table.max_frequency + 1], table.pi):
         raise ValueError("reporting vector must cover the table's range with the table's pi")
     # per token, its largest entry, and the smallest frequency holding it
     tokens, rows = table.tokens().ravel(), table.rows.ravel()

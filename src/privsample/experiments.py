@@ -140,7 +140,7 @@ def _pws_mle_moments(params: PrivacyParams, scheme: SamplingScheme, max_f: int) 
         table = compute_pij(params, scheme, reach)
     else:
         table = discretize_pdfs(compute_pdfs(params, scheme, reach))
-    coeffs = mle_coeffs(table, table.reporting, g_identity)
+    coeffs = mle_coeffs(table, table, g_identity)
     return moments_by_frequency(table, coeffs, g_identity)
 
 

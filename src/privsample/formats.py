@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, TextIO
 import numpy as np
 
 from .frequencies import PdfFamily
-from .keys import ReportingVector
+from .keys import SanitizerTable
 from .privacy import TokenBands
 
 
@@ -79,7 +79,7 @@ def write_key_lines(fp: TextIO, keys: Iterable[str]) -> None:
 # ---------------------------------------------------------------- tables
 
 
-def write_pi_csv(fp: TextIO, rv: ReportingVector) -> None:
+def write_pi_csv(fp: TextIO, rv: SanitizerTable) -> None:
     m = rv.max_frequency
     q, pi = rv.q[1 : m + 1], rv.pi[1 : m + 1]
     p = np.divide(pi, q, out=np.zeros(m), where=q > 0)

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PURPOSE_TOKEN, key_uniforms
-from .keys import ReportingVector, compute_pi
-from .privacy import PrivacyParams, TokenBands
+from .keys import SanitizerTable, compute_pi
+from .privacy import PrivacyParams
 from .sampling import SamplingScheme, WeightedSample
 
 __all__ = [
-    "SanitizerTable",
     "PiecewisePdf",
     "PdfFamily",
     "compute_pij",
@@ -39,23 +38,6 @@ __all__ = [
     "discretize_pdfs",
     "sanitize_frequencies",
 ]
-
-@dataclass(frozen=True, eq=False)
-class SanitizerTable(TokenBands):
-    """End-to-end token laws per frequency, stored as bands (``TokenBands``).
-
-    Row i holds Pr[report token j] for a key of frequency i: ``atom0[i]``
-    for token 0 and ``rows[i, c]`` for token ``first[i] + c``.  Token 0
-    means "not reported"; tokens are ordered and only their order carries
-    meaning downstream.  For integer-token tables token j stands for the
-    value j itself; for discretized density tables ``token_edges[j - 1]``
-    is the right edge of token j's interval.  ``reporting`` is the law the
-    rows were built from: row i reports with mass pi_i, and a sampled key
-    with frequency i draws from row i divided by q_i.
-    """
-
-    reporting: ReportingVector
-    token_edges: np.ndarray | None = None
 
 
 def compute_pij(
@@ -117,7 +99,8 @@ def compute_pij(
         at_i += [i] * len(prev)
         at_j += range(lo, lo + len(prev))
         at_v += prev
-    return SanitizerTable.from_entries(rv.atom0, at_i, at_j, at_v, m, reporting=rv)
+    return SanitizerTable.from_entries(rv.atom0, at_i, at_j, at_v, m, params=rv.params,
+                                       scheme=rv.scheme, q=rv.q, pi=rv.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +120,9 @@ class PiecewisePdf:
 
 @dataclass(frozen=True, eq=False)
 class PdfFamily:
-    """Piecewise densities for frequencies 0..max_frequency, built from ``reporting``."""
+    """Piecewise densities for frequencies 0..max_frequency, from the key law ``reporting``."""
 
-    reporting: ReportingVector
+    reporting: SanitizerTable
     pdfs: tuple[PiecewisePdf, ...]
 
     def __len__(self) -> int:
@@ -289,9 +272,10 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
     seg = np.repeat(np.arange(len(span)), span)
     k = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span - lo, span)
 
+    law = family.reporting
     return SanitizerTable.from_entries(
-        family.reporting.atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
-        reporting=family.reporting, token_edges=edges,
+        law.atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
+        params=law.params, scheme=law.scheme, q=law.q, pi=law.pi, token_edges=edges,
     )
 
 
@@ -312,7 +296,7 @@ def sanitize_frequencies(
     Deterministic in the seed; the key -> token mapping keeps input order.
     """
     draws = {}
-    for w, q_w in table.reporting.sampled_q(sample).items():
+    for w, q_w in table.sampled_q(sample).items():
         cond = table.rows[w] / q_w
         band = np.trim_zeros(cond, "b")  # cumsum is sequential: trailing zeros never moved it
         cum = np.cumsum(np.concatenate(([max(0.0, 1.0 - float(cond.sum()))], band)))

@@ -8,6 +8,8 @@ constraints against the adjacent frequencies, via the forward recurrence
 
 The recurrence is the source of truth everywhere in this package; the
 tests keep the closed form for the no-sampling case as a cross-check.
+Every law built from it, this key law of one token and both token tables,
+is a ``SanitizerTable``.
 """
 
 from __future__ import annotations
@@ -22,29 +24,32 @@ from .privacy import PrivacyParams, TokenBands
 from .sampling import SamplingScheme, WeightedSample
 
 __all__ = [
-    "ReportingVector",
+    "SanitizerTable",
     "compute_pi",
     "sanitize_keys",
 ]
 
 
 @dataclass(frozen=True, eq=False)
-class ReportingVector(TokenBands):
-    """End-to-end reporting law for one scheme, as bands of one token.
+class SanitizerTable(TokenBands):
+    """End-to-end token laws per frequency, stored as bands (``TokenBands``).
 
-    Row i reports token 1 with mass pi[i], the probability that a key with
-    true frequency i survives both sampling and sanitization, and token 0
-    with atom0[i] = 1 - pi[i]; q[i] is the scheme's sampling probability.
-    A sampled key with frequency i is kept with probability pi[i]/q[i].
+    Row i holds Pr[report token j] for a key of frequency i: ``atom0[i]``
+    for token 0 and ``rows[i, c]`` for token ``first[i] + c``.  Token 0
+    means "not reported"; tokens are ordered and only their order carries
+    meaning downstream.  For integer-token tables token j stands for the
+    value j itself; for discretized density tables ``token_edges[j - 1]``
+    is the right edge of token j's interval; the key law of ``compute_pi``
+    is the table of one token.  ``params``, ``scheme``, ``q`` and ``pi`` are
+    the law the rows were built from: row i reports with mass pi[i], and a
+    sampled key with frequency i draws from row i divided by q[i].
     """
 
     params: PrivacyParams
     scheme: SamplingScheme
     q: np.ndarray
-
-    @property
-    def pi(self) -> np.ndarray:
-        return self.rows[:, 0]
+    pi: np.ndarray
+    token_edges: np.ndarray | None = None
 
     def sampled_q(self, sample: WeightedSample) -> dict[int, float]:
         """q_w for each distinct frequency w of ``sample``, in order of first appearance.
@@ -74,7 +79,7 @@ class ReportingVector(TokenBands):
 
 def compute_pi(
     params: PrivacyParams, scheme: SamplingScheme, max_frequency: int
-) -> ReportingVector:
+) -> SanitizerTable:
     """Run the three-way minimum recurrence up to max_frequency.
 
     The package's only copy of the recurrence: both token tables take their
@@ -91,11 +96,11 @@ def compute_pi(
     for i in range(1, max_frequency + 1):
         prev = min(float(q[i]), e_eps * prev + delta, 1.0 + e_neg * (prev + delta - 1.0))
         pi[i] = prev
-    return ReportingVector(atom0=1.0 - pi, first=np.ones(max_frequency + 1, dtype=np.int64),
-                           rows=pi[:, None], n_tokens=1, params=params, scheme=scheme, q=q)
+    return SanitizerTable(atom0=1.0 - pi, first=np.ones(max_frequency + 1, dtype=np.int64),
+                          rows=pi[:, None], n_tokens=1, params=params, scheme=scheme, q=q, pi=pi)
 
 
-def sanitize_keys(sample: WeightedSample, rv: ReportingVector, seed: int) -> list[str]:
+def sanitize_keys(sample: WeightedSample, rv: SanitizerTable, seed: int) -> list[str]:
     """Report each sampled key independently with probability pi_w / q_w.
 
     The output is a subset of the sampled keys (never introduces keys absent

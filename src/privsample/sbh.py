@@ -257,11 +257,15 @@ def sbh_concordance_prob(config: SbhConfig, i_first: int, i_second: int) -> floa
 
     Not-reported keys sit at the bottom of the order and tie with each other
     at one half, matching the convention used for the token tables.  With
-    i_first the larger true frequency this is the pair's concordance.
+    i_first the larger true frequency this is the pair's concordance.  A
+    frequency <= 0 is an absent key, never reported, so no mass is kept
+    for both.
     """
     eps = config.params.epsilon
     T = config.threshold
     phi_first = _report_prob(config, i_first)
     phi_second = _report_prob(config, i_second)
-    both = _exp_segments_integral(eps, T, float(i_first), float(i_second))
+    both = 0.0
+    if i_first > 0 and i_second > 0:
+        both = _exp_segments_integral(eps, T, float(i_first), float(i_second))
     return 0.5 * (1.0 - phi_first) * (1.0 - phi_second) + phi_first * (1.0 - phi_second) + both

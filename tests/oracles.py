@@ -170,9 +170,10 @@ def bands(rows) -> TokenBands:
     return _from_dense(TokenBands, rows)
 
 
-def table_from_dense(rows, reporting, token_edges=None) -> SanitizerTable:
-    """A table over dense rows, for hand-built laws."""
-    return _from_dense(SanitizerTable, rows, reporting=reporting, token_edges=token_edges)
+def table_from_dense(rows, law, token_edges=None) -> SanitizerTable:
+    """A table over dense rows, for hand-built laws, carrying the key law ``law``'s fields."""
+    return _from_dense(SanitizerTable, rows, params=law.params, scheme=law.scheme, q=law.q,
+                       pi=law.pi, token_edges=token_edges)
 
 
 def _from_dense(cls, rows, **fields):
@@ -264,7 +265,7 @@ def pi_marginals(table) -> np.ndarray:
 
 def verify_table(table):
     """The DP oracle on a table's rows under the table's own parameters."""
-    return verify_dp(table, table.reporting.params)
+    return verify_dp(table, table.params)
 
 
 def pdf_mass(pdf) -> float:

@@ -121,7 +121,7 @@ class TestMle:
         # a fresh vector of the same law, to the same or a wider range, is accepted
         for reach in (m, m + 30):
             got = mle_coeffs(table, compute_pi(params, scheme, reach), g_identity)
-            want = mle_coeffs(table, table.reporting, g_identity)
+            want = mle_coeffs(table, table, g_identity)
             np.testing.assert_array_equal(got.values, want.values)
         for other in (compute_pi(params, SamplingScheme.none(), m),
                       compute_pi(PrivacyParams(0.5, 0.01), scheme, m)):
@@ -129,10 +129,9 @@ class TestMle:
                 mle_coeffs(table, other, g_identity)
         with pytest.raises(ValueError, match="cover the table's range"):
             mle_coeffs(table, compute_pi(params, scheme, m - 1), g_identity)
-        law = table.reporting
-        moved = law.pi.copy()
+        moved = table.pi.copy()
         moved[m // 2] *= 1.0 + 1e-15
-        other = dataclasses.replace(law, atom0=1.0 - moved, rows=moved[:, None])
+        other = dataclasses.replace(table, pi=moved)
         with pytest.raises(ValueError, match="with the table's pi"):
             mle_coeffs(table, other, g_identity)
 
@@ -141,7 +140,7 @@ class TestMle:
     def test_tau_zero_never_evaluates_g_at_zero(self, build):
         # no token is emitted, so g(w) = 1/w is never evaluated; any warning fails
         table = build(PrivacyParams(0.1, 0.01), SamplingScheme.pps(0.0), 10)
-        coeffs = mle_coeffs(table, table.reporting, g_power(-1.0))
+        coeffs = mle_coeffs(table, table, g_power(-1.0))
         assert not coeffs.defined.any()
         assert not coeffs.values.any()
 
@@ -159,7 +158,7 @@ class TestMle:
 
     def test_argmax_scale_invariance(self, std_table, std_rv):
         # the most likely frequency of each token survives scaling every row
-        scaled = table_from_dense(std_table.dense() * 0.37, std_table.reporting)
+        scaled = table_from_dense(std_table.dense() * 0.37, std_table)
         np.testing.assert_array_equal(
             mle_coeffs(scaled, std_rv, g_identity).values,
             mle_coeffs(std_table, std_rv, g_identity).values,

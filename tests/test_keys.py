@@ -107,8 +107,8 @@ class TestComputePi:
         # every table holds the very pi and q its rows were built from
         rv = compute_pi(params, scheme, 60)
         family = compute_pdfs(params, scheme, 60)
-        for table in (compute_pij(params, scheme, 60), family, discretize_pdfs(family)):
-            carried = table.reporting
+        tables = (compute_pij(params, scheme, 60), family.reporting, discretize_pdfs(family))
+        for carried in tables:
             assert (carried.params, carried.scheme) == (params, scheme)
             assert carried.pi.tobytes() == rv.pi.tobytes()
             assert carried.q.tobytes() == rv.q.tobytes()

@@ -37,8 +37,8 @@ from privsample import (
     PdfFamily,
     PiecewisePdf,
     PrivacyParams,
-    ReportingVector,
     SamplingScheme,
+    SanitizerTable,
     SbhConfig,
     SweepRow,
     WeightedSample,
@@ -218,8 +218,8 @@ def test_write_key_lines_matches_lines(cols):
 def test_write_pi_csv_matches_csv_writer(cols):
     q, pi = (np.array([1.0, *col]) for col in cols)
     with np.errstate(all="ignore"):  # p_i = pi_i / q_i of drawn infinities and NaN
-        rv = ReportingVector(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
-                             rows=pi[:, None], n_tokens=1, params=PARAMS, scheme=SCHEME, q=q)
+        rv = SanitizerTable(atom0=1.0 - pi, first=np.ones(len(pi), dtype=np.int64),
+                            rows=pi[:, None], n_tokens=1, params=PARAMS, scheme=SCHEME, q=q, pi=pi)
         assert_same_bytes(write_pi_csv, write_pi_csv_ref, rv)
 
 
@@ -432,7 +432,7 @@ def sanitize_frequencies_loop(pairs, table, seed):
     cum_by_freq = {}
     out = {}
     for key, freq in pairs.items():
-        q_w = sampled_q_loop(table.reporting, freq)
+        q_w = sampled_q_loop(table, freq)
         cum = cum_by_freq.get(freq)
         if cum is None:
             cond = table.dense()[freq] / q_w

@@ -9,14 +9,15 @@ import importlib
 import inspect
 import types
 
+import numpy as np
 import pytest
 
 import privsample
 
 PACKAGE = [
     "DpReport", "EstimatorCoeffs", "FrequencyHistogram", "MomentTable", "PdfFamily",
-    "PiecewisePdf", "PrivacyParams", "ReportingVector", "SamplingScheme",
-    "SanitizerTable", "SbhConfig", "StatisticMoments", "SweepRow", "TokenBands",
+    "PiecewisePdf", "PrivacyParams", "SamplingScheme", "SanitizerTable", "SbhConfig",
+    "StatisticMoments", "SweepRow", "TokenBands",
     "WeightedSample", "aggregate_elements", "compute_pdfs", "compute_pi", "compute_pij",
     "concordance_matrix", "discretize_pdfs", "draw_sample", "estimate_statistic",
     "expected_kendall_tau", "expected_reported_fraction", "g_identity", "g_power", "l_value",
@@ -38,10 +39,10 @@ MODULES = {
         "zipf_histogram",
     ],
     "frequencies": [
-        "PdfFamily", "PiecewisePdf", "SanitizerTable", "compute_pdfs", "compute_pij",
-        "discretize_pdfs", "sanitize_frequencies",
+        "PdfFamily", "PiecewisePdf", "compute_pdfs", "compute_pij", "discretize_pdfs",
+        "sanitize_frequencies",
     ],
-    "keys": ["ReportingVector", "compute_pi", "sanitize_keys"],
+    "keys": ["SanitizerTable", "compute_pi", "sanitize_keys"],
     "ordinal": ["concordance_matrix", "expected_kendall_tau"],
     "privacy": ["DpReport", "PrivacyParams", "TokenBands", "l_value", "verify_dp"],
     "sampling": [
@@ -73,9 +74,10 @@ FIELDS = {
     "PdfFamily": ["reporting", "pdfs"],
     "PiecewisePdf": ["atom0", "bounds", "densities"],
     "PrivacyParams": ["epsilon", "delta"],
-    "ReportingVector": ["atom0", "first", "rows", "n_tokens", "params", "scheme", "q"],
     "SamplingScheme": ["kind", "tau", "power"],
-    "SanitizerTable": ["atom0", "first", "rows", "n_tokens", "reporting", "token_edges"],
+    "SanitizerTable": [
+        "atom0", "first", "rows", "n_tokens", "params", "scheme", "q", "pi", "token_edges",
+    ],
     "SbhConfig": ["params"],
     "StatisticMoments": ["statistic", "bias", "variance"],
     "SweepRow": ["sweep_var", "value", "method", "metric", "result"],
@@ -110,7 +112,7 @@ def test_unsampled_baseline_is_scheme_none(name):
 
 
 @pytest.mark.parametrize("owner, method", [
-    (privsample.ReportingVector, "binary_rows"),
+    (privsample.SanitizerTable, "binary_rows"),
     (privsample.SanitizerTable, "verify"),
     (privsample.SanitizerTable, "pi_marginals"),
     (privsample.PiecewisePdf, "mass"),
@@ -120,14 +122,13 @@ def test_unsampled_baseline_is_scheme_none(name):
     (privsample.StatisticMoments, "nrmse_defined"),
     (privsample.DpReport, "__bool__"),
     (privsample.EstimatorCoeffs, "kind"),
-    (privsample.SanitizerTable, "params"),
-    (privsample.SanitizerTable, "scheme"),
+    (privsample.SanitizerTable, "reporting"),
     (privsample.PdfFamily, "params"),
     (privsample.PdfFamily, "scheme"),
     (privsample.PdfFamily, "max_frequency"),
     (privsample.FrequencyHistogram, "by_key"),
     (privsample.FrequencyHistogram, "require_keyed"),
-    (privsample.ReportingVector, "keep_probability"),
+    (privsample.SanitizerTable, "keep_probability"),
     (privsample.FrequencyHistogram, "frequencies_and_counts"),
     (privsample.PiecewisePdf, "segment_masses"),
     (privsample.PiecewisePdf, "node_cumulative"),
@@ -141,10 +142,18 @@ def test_removed_methods_stay_out(owner, method):
 
 def test_tables_hold_bands_only():
     # one table representation: the bands, and no dense matrix beside them;
-    # the key-reporting law is bands of one token, whose atom0 the tables take
+    # the key law is the table of one token, not a class of its own, stores
+    # pi once, and every table built from it carries that same pi
     assert issubclass(privsample.SanitizerTable, privsample.TokenBands)
-    assert issubclass(privsample.ReportingVector, privsample.TokenBands)
-    assert isinstance(privsample.ReportingVector.pi, property)
+    assert not hasattr(privsample, "ReportingVector")
+    assert not hasattr(importlib.import_module("privsample.keys"), "ReportingVector")
+    params, scheme = privsample.PrivacyParams(1.0, 0.1), privsample.SamplingScheme.none()
+    rv = privsample.compute_pi(params, scheme, 30)
+    assert isinstance(rv, privsample.SanitizerTable) and rv.n_tokens == 1
+    assert np.shares_memory(rv.rows, rv.pi)
+    assert np.array_equal(privsample.compute_pij(params, scheme, 30).pi, rv.pi)
+    family = privsample.compute_pdfs(params, scheme, 30)
+    assert privsample.discretize_pdfs(family).pi is family.reporting.pi
 
 
 def test_moment_table_stores_what_bias_and_variance_derive_from():

@@ -71,6 +71,14 @@ class TestReportProb:
             phis = np.array([sampled_sbh_report_prob(cfg, NONE, i) for i in range(1, 2001)])
             assert np.all(rv.pi[1:] >= phis - 1e-15)
 
+    @pytest.mark.parametrize(
+        "scheme", [NONE, SamplingScheme.ppswor(0.05), SamplingScheme.pps(0.05)],
+        ids=["none", "ppswor-closed-form", "pps-quadrature"],
+    )
+    @pytest.mark.parametrize("i", [0, -3])
+    def test_absent_key_is_never_kept(self, config, scheme, i):
+        assert sampled_sbh_report_prob(config, scheme, i) == 0.0
+
 
 class TestSanitize:
     def test_empty_input(self, config):
@@ -244,6 +252,21 @@ class TestConcordance:
 
     def test_equal_frequencies_tie(self, config):
         assert sbh_concordance_prob(config, 40, 40) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("epsilon, delta", [(0.5, 0.3), (1.0, 0.1), (0.1, 0.01), (2.0, 1e-6)])
+    def test_absent_key_sits_at_the_bottom(self, epsilon, delta):
+        # an absent key is never reported, so conc(i, 0) = (1 + phi_i) / 2
+        # and conc(0, i) = (1 - phi_i) / 2, as concordance_matrix gives row 0
+        config = SbhConfig(PrivacyParams(epsilon, delta))
+        for i in (1, 5, 60, 500):
+            phi = sampled_sbh_report_prob(config, NONE, i)
+            above, below = sbh_concordance_prob(config, i, 0), sbh_concordance_prob(config, 0, i)
+            assert above == pytest.approx(0.5 * (1.0 + phi), rel=0, abs=1e-15)
+            assert below == pytest.approx(0.5 * (1.0 - phi), rel=0, abs=1e-15)
+            assert above + below == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert sbh_concordance_prob(config, 0, 0) == 0.5
+        grid = range(0, 80, 4)
+        assert max(sbh_concordance_prob(config, i1, i2) for i1 in grid for i2 in grid) <= 1.0
 
 
 # Schemes for the quadrature checks at eps 0.1, delta 0.01 (T = 47.05),
