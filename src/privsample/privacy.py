@@ -101,13 +101,6 @@ class TokenBands:
         """Per row, sum over tokens j >= 1 of Pr[token j] * values[j]."""
         return np.einsum("ij,ij->i", self.rows, values[self.tokens()])
 
-    def dense(self) -> np.ndarray:
-        """The rows expanded over tokens 0..n_tokens."""
-        out = np.zeros((len(self), self.n_tokens + 1))
-        out[:, 0] = self.atom0
-        np.put_along_axis(out, self.tokens(), self.rows, axis=1)
-        return out
-
     @classmethod
     def from_entries(cls, atom0, i, j, v, n_tokens: int, **fields):
         """Pack the entries ``v`` at (row ``i``, token ``j`` >= 1) into bands.

@@ -170,6 +170,14 @@ def bands(rows) -> TokenBands:
     return _from_dense(TokenBands, rows)
 
 
+def dense(table) -> np.ndarray:
+    """A table's rows expanded over tokens 0..n_tokens: the inverse of ``bands``."""
+    out = np.zeros((len(table), table.n_tokens + 1))
+    out[:, 0] = table.atom0
+    np.put_along_axis(out, table.tokens(), table.rows, axis=1)
+    return out
+
+
 def table_from_dense(rows, law, token_edges=None) -> SanitizerTable:
     """A table over dense rows, for hand-built laws, carrying the key law ``law``'s fields."""
     return _from_dense(SanitizerTable, rows, params=law.params, scheme=law.scheme, q=law.q,
@@ -260,7 +268,7 @@ def verify_dp_dense(rows, params: PrivacyParams) -> DpReport:
 
 def pi_marginals(table) -> np.ndarray:
     """Total reporting mass per row; matches the key-reporting solution."""
-    return table.dense()[:, 1:].sum(axis=1)
+    return dense(table)[:, 1:].sum(axis=1)
 
 
 def verify_table(table):
@@ -352,7 +360,7 @@ def per_key_moments(table, coeffs: EstimatorCoeffs, g, i: int) -> PerKeyMoments:
         raise ValueError(f"frequency {i} outside table range 0..{table.max_frequency}")
     if len(coeffs.values) != table.n_tokens + 1:
         raise ValueError("coefficients do not match the table's token set")
-    row = table.dense()[i]
+    row = dense(table)[i]
     a = coeffs.values
     gi = float(g(np.array([i]))[0]) if i > 0 else 0.0
     expectation = float(row[1:] @ a[1:])
@@ -377,6 +385,13 @@ def concordance_prob(row_high, row_low) -> float:
         raise ValueError("rows must share one ordered token set")
     upper = 1.0 - np.cumsum(p)  # Pr[J_high > token j]
     return float(q @ upper + 0.5 * (p @ q))
+
+
+def concordance_matrix_dense(table) -> np.ndarray:
+    """Every pair's concordance over dense rows, as ``concordance_prob`` sums it."""
+    mat = dense(table)
+    upper = 1.0 - np.cumsum(mat, axis=1)  # Pr[J > token j], row by row
+    return upper @ mat.T + 0.5 * (mat @ mat.T)
 
 
 def kendall_tau_pairs(histogram, concordance) -> float:

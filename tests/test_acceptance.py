@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import pi_marginals, ppswor_structure
+from oracles import dense, pi_marginals, ppswor_structure
 from scipy.optimize import linprog
 
 from privsample import (
@@ -151,7 +151,7 @@ def test_criterion_05_marginals_and_dominance(tables_500):
     for (params, scheme), (rv, t4, t5) in tables_500.items():
         for table in (t4, t5):
             worst_marg = max(worst_marg, float(np.abs(pi_marginals(table) - rv.pi).max()))
-            cum = np.cumsum(table.dense(), axis=1)
+            cum = np.cumsum(dense(table), axis=1)
             worst_dom = max(worst_dom, float((cum[1:] - cum[:-1]).max()))
     ok = worst_marg <= 1e-12 and worst_dom <= 1e-12
     assert sw.done(
@@ -228,12 +228,12 @@ def test_criterion_06_maximum_separation_oracle():
     for scheme in (SamplingScheme.none(), SamplingScheme.ppswor(0.5)):
         table = discretize_pdfs(compute_pdfs(params, scheme, 10))
         edges = np.concatenate([[0.0], table.token_edges[:-1]])
-        gaps[scheme.kind] = _max_separation_gap(table.dense(), edges, params)
+        gaps[scheme.kind] = _max_separation_gap(dense(table), edges, params)
         # recorded, not asserted: the integer-token table against the same
         # oracle on its own (coarser) token grid
         t4 = compute_pij(params, scheme, 10)
         recorded[scheme.kind] = _max_separation_gap(
-            t4.dense(), np.arange(t4.n_tokens, dtype=float), params
+            dense(t4), np.arange(t4.n_tokens, dtype=float), params
         )
     ok = all(g <= 1e-6 for g in gaps.values())
     detail = ", ".join(f"{k}: gap {v:.2e}" for k, v in gaps.items())
@@ -248,7 +248,7 @@ def test_criterion_07_estimator_correctness():
     table = compute_pij(PARAMS_A, SamplingScheme.none(), 200)
     rv = compute_pi(PARAMS_A, SamplingScheme.none(), 200)
     unb = unbiased_coeffs(table, g_identity)
-    rows = table.dense()
+    rows = dense(table)
     worst_resid = max(
         abs(float(rows[i, 1:] @ unb.values[1:]) - i) / i for i in range(1, 201)
     )

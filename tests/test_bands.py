@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from oracles import (
     bands,
     compute_pij_dense,
+    dense,
     discretize_pdfs_dense,
     hockey_stick,
     mle_coeffs_dense,
@@ -81,7 +82,7 @@ def test_bands_match_dense(law):
         (discretize_pdfs(family), discretize_pdfs_dense(family)),
     ]
     for table, rows in built:
-        assert table.dense().tobytes() == rows.tobytes()
+        assert dense(table).tobytes() == rows.tobytes()
         assert _csv(write_pij_csv, table) == _csv(write_pij_csv_ref, rows)
 
         report, want = verify_dp(table, params), verify_dp_dense(rows, params)
@@ -122,7 +123,7 @@ def test_from_entries_layout():
     assert got.width == 3 and got.n_tokens == 6
     assert got.first.tolist() == [1, 2, 1, 4]
     np.testing.assert_array_equal(got.rows, [[0, 0, 0], [0.2, 0, 0.3], [0, 0, 0], [0, 0.25, 0.5]])
-    np.testing.assert_array_equal(got.dense(), [
+    np.testing.assert_array_equal(dense(got), [
         [1.0, 0, 0, 0, 0, 0, 0],
         [0.5, 0, 0.2, 0, 0.3, 0, 0],
         [1.0, 0, 0, 0, 0, 0, 0],
@@ -180,7 +181,7 @@ def test_verify_dp_memory_follows_the_bands():
     finally:
         tracemalloc.stop()
     assert peak < 20 * table.rows.nbytes, f"peak {peak} B for {table.rows.nbytes} B of rows"
-    want = verify_dp_dense(table.dense(), params)
+    want = verify_dp_dense(dense(table), params)
     assert report.ok == want.ok
     assert abs(report.worst_divergence - want.worst_divergence) <= 1e-12
 
@@ -214,7 +215,7 @@ def banded_laws(draw):
 @given(banded_laws())
 def test_verify_dp_matches_dense_at_any_starts(law):
     table, params = law
-    got, want = verify_dp(table, params), verify_dp_dense(table.dense(), params)
+    got, want = verify_dp(table, params), verify_dp_dense(dense(table), params)
     assert abs(got.worst_divergence - want.worst_divergence) <= 1e-12
     if abs(want.worst_divergence - (params.delta + DELTA_SLACK)) > 1e-12:
         assert got.ok == want.ok
@@ -226,7 +227,7 @@ def test_pair_divergences_match_the_dense_pairs(law):
     # every pair both ways, not only the worst one
     table, params = law
     up, down = _pair_divergences(table, math.exp(params.epsilon))
-    rows = table.dense()
+    rows = dense(table)
     assert up.shape == down.shape == (len(rows) - 1,)
     for k in range(len(rows) - 1):
         assert abs(up[k] - hockey_stick(rows[k + 1], rows[k], params.epsilon)) <= 1e-12

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import concordance_prob, kendall_tau_pairs
+from oracles import concordance_prob, dense, kendall_tau_pairs
 
 from privsample import (
     PrivacyParams,
@@ -68,7 +68,7 @@ class TestVerifyRoundTrip:
             write_pij_csv(fp, table)
         with open(path) as fp:
             back = read_pij_csv(fp)
-        np.testing.assert_array_equal(back.dense(), table.dense())
+        np.testing.assert_array_equal(dense(back), dense(table))
 
     def test_pij_export_keeps_band_starts(self, tmp_path, capsys):
         # rounding leaves about 8.7e-18 of forced mass below row 99's band at
@@ -83,7 +83,7 @@ class TestVerifyRoundTrip:
         with open(path) as fp:
             back = read_pij_csv(fp)
         assert back.width == 38
-        assert back.dense()[100, 1] == 0.0
+        assert dense(back)[100, 1] == 0.0
 
     def test_verify_dp_passes_on_export(self, tmp_path, capsys):
         code, out, _ = run(
@@ -993,8 +993,8 @@ class TestAnalyzeCommands:
         assert run([*argv, "--out", str(tmp_path / "plain.csv")], capsys)[0] == 0
         assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
         if method == "pws":
-            dense = discretize_pdfs(compute_pdfs(params, SamplingScheme.none(), 12)).dense()
-            pair = lambda hi, lo: concordance_prob(dense[hi], dense[lo])
+            rows = dense(discretize_pdfs(compute_pdfs(params, SamplingScheme.none(), 12)))
+            pair = lambda hi, lo: concordance_prob(rows[hi], rows[lo])
         else:
             pair = lambda hi, lo: sbh_concordance_prob(SbhConfig(params), hi, lo)
         want = kendall_tau_pairs(uniform_histogram(30, 1, 12), pair)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import inclusion_prob, inverse_prob_coeffs, per_key_moments, table_from_dense
+from oracles import dense, inclusion_prob, inverse_prob_coeffs, per_key_moments, table_from_dense
 
 from privsample import (
     FrequencyHistogram,
@@ -76,7 +76,7 @@ class TestUnbiased:
 
     def test_residuals_vanish(self, std_table):
         coeffs = unbiased_coeffs(std_table, g_identity)
-        rows = std_table.dense()
+        rows = dense(std_table)
         for i in range(1, 201):
             resid = float(rows[i, 1:] @ coeffs.values[1:]) - float(i)
             assert abs(resid) <= 1e-9 * i
@@ -88,7 +88,7 @@ class TestUnbiased:
 
     def test_uniqueness_via_perturbation(self, std_table):
         coeffs = unbiased_coeffs(std_table, g_identity)
-        rows = std_table.dense()
+        rows = dense(std_table)
         rng = np.random.default_rng(5)
         for j in rng.integers(1, 201, size=12):
             perturbed = coeffs.values.copy()
@@ -158,7 +158,7 @@ class TestMle:
 
     def test_argmax_scale_invariance(self, std_table, std_rv):
         # the most likely frequency of each token survives scaling every row
-        scaled = table_from_dense(std_table.dense() * 0.37, std_table)
+        scaled = table_from_dense(dense(std_table) * 0.37, std_table)
         np.testing.assert_array_equal(
             mle_coeffs(scaled, std_rv, g_identity).values,
             mle_coeffs(std_table, std_rv, g_identity).values,
@@ -231,7 +231,7 @@ class TestPerKeyMoments:
         rng = np.random.default_rng(2024)
         n = 1_000_000
         for i in [1, 18, 72]:
-            row = std_table.dense()[i]
+            row = dense(std_table)[i]
             values = np.concatenate([[0.0], coeffs.values[1:]])
             draws = rng.choice(len(row), size=n, p=row)
             est = values[draws]

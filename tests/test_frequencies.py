@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import inclusion_prob, pdf_mass, pi_marginals, table_laws, verify_table
+from oracles import dense, inclusion_prob, pdf_mass, pi_marginals, table_laws, verify_table
 
 from privsample import (
     PrivacyParams,
@@ -49,12 +49,12 @@ class TestComputePij:
     def test_first_row_single_token(self, params_std, scheme_none):
         table = compute_pij(params_std, scheme_none, 5)
         pi_1 = compute_pi(params_std, scheme_none, 5).pi[1]
-        assert table.dense()[1, 1] == pytest.approx(pi_1, rel=1e-15)
-        assert table.dense()[1, 0] == pytest.approx(1.0 - pi_1, rel=1e-15)
-        assert np.all(table.dense()[1, 2:] == 0.0)
+        assert dense(table)[1, 1] == pytest.approx(pi_1, rel=1e-15)
+        assert dense(table)[1, 0] == pytest.approx(1.0 - pi_1, rel=1e-15)
+        assert np.all(dense(table)[1, 2:] == 0.0)
 
     def test_support_is_lower_triangular(self, params_std, scheme_none):
-        rows = compute_pij(params_std, scheme_none, 30).dense()
+        rows = dense(compute_pij(params_std, scheme_none, 30))
         for i in range(31):
             assert np.all(rows[i, i + 1 :] == 0.0)
 
@@ -70,7 +70,7 @@ class TestComputePij:
 
     @pytest.mark.parametrize("params,scheme", CONFIGS)
     def test_stochastic_dominance(self, params, scheme):
-        rows = compute_pij(params, scheme, 120).dense()
+        rows = dense(compute_pij(params, scheme, 120))
         cum = np.cumsum(rows, axis=1)
         # higher frequency -> cumulative mass pointwise no larger
         assert float((cum[1:] - cum[:-1]).max()) <= 1e-12
@@ -80,7 +80,7 @@ class TestComputePij:
         params = params_integral_l
         eps, delta = params.epsilon, params.delta
         L = 4
-        rows = compute_pij(params, scheme_none, 25).dense()
+        rows = dense(compute_pij(params, scheme_none, 25))
         for i in range(1, 26):
             for j in range(1, i + 1):
                 k = i - j
@@ -164,12 +164,12 @@ def test_alg4_is_alg5_over_unit_intervals(law):
     # grows with e^eps: up to 0.21 of the bound over 3,000 random laws.
     params, scheme, m = law
     alg5 = discretize_pdfs(compute_pdfs(params, scheme, m))
-    dense = alg5.dense()
+    rows = dense(alg5)
     coarse = np.zeros((m + 1, m + 1))
-    coarse[:, 0] = dense[:, 0]
-    np.add.at(coarse.T, np.ceil(alg5.token_edges).astype(np.int64), dense[:, 1:].T)
+    coarse[:, 0] = rows[:, 0]
+    np.add.at(coarse.T, np.ceil(alg5.token_edges).astype(np.int64), rows[:, 1:].T)
     tol = 1e-12 + 2.0 ** -44 * math.exp(params.epsilon)
-    assert np.abs(coarse - compute_pij(params, scheme, m).dense()).max() <= tol
+    assert np.abs(coarse - dense(compute_pij(params, scheme, m))).max() <= tol
 
 
 @settings(deadline=None, max_examples=60)
@@ -182,7 +182,7 @@ def test_one_row_step(law):
     alg4 = compute_pij(params, scheme, m)
     for table in (alg4, discretize_pdfs(compute_pdfs(params, scheme, m))):
         assert np.all(np.diff(table.first[1:]) >= 0)
-    rows, pi = alg4.dense(), alg4.pi
+    rows, pi = dense(alg4), alg4.pi
     lo = 1
     for i in range(1, m + 1):
         tokens = np.flatnonzero(rows[i, 1:]) + 1
@@ -196,7 +196,7 @@ class TestDiscretize:
         fam = compute_pdfs(params_std, scheme_none, 1)
         table = discretize_pdfs(fam)
         assert table.n_tokens == 1
-        assert table.dense().shape == (2, 2)
+        assert dense(table).shape == (2, 2)
 
     @pytest.mark.parametrize("params,scheme", CONFIGS)
     def test_token_budget(self, params, scheme):
@@ -222,7 +222,7 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("params,scheme", CONFIGS)
     def test_stochastic_dominance(self, params, scheme):
-        rows = discretize_pdfs(compute_pdfs(params, scheme, 120)).dense()
+        rows = dense(discretize_pdfs(compute_pdfs(params, scheme, 120)))
         cum = np.cumsum(rows, axis=1)
         assert float((cum[1:] - cum[:-1]).max()) <= 1e-12
 
@@ -231,7 +231,7 @@ class TestDiscretize:
         # continuous pdfs vs the discretized rows
         scheme = SamplingScheme.ppswor(0.3)
         fam = compute_pdfs(params_std, scheme, 40)
-        rows = discretize_pdfs(fam).dense()
+        rows = dense(discretize_pdfs(fam))
         factor = math.exp(params_std.epsilon)
         pdfs = fam.pdfs
         for i in range(1, 41):
@@ -260,7 +260,7 @@ class TestDiscretize:
         t4 = compute_pij(params, scheme, m)
         t5 = discretize_pdfs(compute_pdfs(params, scheme, m))
         edges = t5.token_edges
-        rows4, rows5 = t4.dense(), t5.dense()
+        rows4, rows5 = dense(t4), dense(t5)
         for i in range(m + 1):
             cum4 = np.concatenate([[0.0], np.cumsum(rows4[i, 1:])])
             cum5 = np.cumsum(rows5[i, 1:])
@@ -273,7 +273,7 @@ class TestDiscretize:
         # row i never reports a token whose interval lies above position i
         table = discretize_pdfs(compute_pdfs(params_std, scheme_none, 50))
         edges = table.token_edges
-        rows = table.dense()
+        rows = dense(table)
         for i in range(1, 51):
             support = np.nonzero(rows[i, 1:])[0]
             assert edges[support].max() <= i + 1e-12
@@ -309,7 +309,7 @@ class TestRandomizedConfigurations:
             assert float(np.abs(pi_marginals(t4) - rv.pi).max()) <= 1e-11, label
             assert verify_table(t5).ok and verify_table(t4).ok, label
             assert t5.n_tokens <= 3 * m, label
-            cum = np.cumsum(t5.dense(), axis=1)
+            cum = np.cumsum(dense(t5), axis=1)
             assert float((cum[1:] - cum[:-1]).max()) <= 1e-12, label
 
 
@@ -370,7 +370,7 @@ class TestSanitizeFrequencies:
         for token in out.values():
             counts[token] += 1
         # conditional law given sampled; token 0 is the complement
-        cond = table.dense()[i] / q_i
+        cond = dense(table)[i] / q_i
         cond[0] = 1.0 - cond[1:].sum()
         counts[0] = n - len(out)
         for j in range(table.n_tokens + 1):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import (inclusion_prob, pi_star_closed_form, ppswor_structure, table_laws,
+from oracles import (dense, inclusion_prob, pi_star_closed_form, ppswor_structure, table_laws,
                      verify_dp_dense)
 
 from privsample import (
@@ -93,9 +93,9 @@ class TestComputePi:
         # one recurrence: both tables report with exactly compute_pi's mass,
         # and a larger range extends the same pi array
         pi = compute_pi(params, scheme, 100).pi
-        np.testing.assert_array_equal(compute_pij(params, scheme, 100).dense()[:, 0], 1.0 - pi)
+        np.testing.assert_array_equal(dense(compute_pij(params, scheme, 100))[:, 0], 1.0 - pi)
         alg5 = discretize_pdfs(compute_pdfs(params, scheme, 100))
-        np.testing.assert_array_equal(alg5.dense()[:, 0], 1.0 - pi)
+        np.testing.assert_array_equal(dense(alg5)[:, 0], 1.0 - pi)
         np.testing.assert_array_equal(compute_pi(params, scheme, 400).pi[:101], pi)
 
     @pytest.mark.parametrize("params", [PrivacyParams(0.1, 0.01), PrivacyParams(0.5, 0.001)])

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     bands,
+    dense,
     table_from_dense,
     verify_dp_dense,
     write_concordance_csv_ref,
@@ -194,7 +195,7 @@ def test_pij_csv_round_trip_is_exact(rows, corner):
     buf = io.StringIO()
     write_pij_csv(buf, _table(rows))
     buf.seek(0)
-    back = read_pij_csv(buf).dense()
+    back = dense(read_pij_csv(buf))
     assert back.shape == rows.shape
     assert back.tobytes() == rows.tobytes()
 
@@ -334,6 +335,15 @@ def test_expected_kendall_tau_matches_loop(rows, data):
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+def test_expected_kendall_tau_matches_loop_over_blocks():
+    # 600 distinct frequencies: the pairs are summed in several blocks of rows
+    raw = np.random.default_rng(5).random((601, 8))
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    hist = FrequencyHistogram.from_counts({f: f % 13 + 1 for f in range(1, 601)})
+    got = expected_kendall_tau(hist, concordance_matrix(_table(rows)))
+    assert got == kendall_tau_loop(hist, _table(rows))
+
+
 @SETTINGS
 @given(stochastic_rows(absent_first=True), st.floats(0.01, 2.0), st.floats(1e-6, 1.0))
 def test_verify_dp_matches_loop(rows, epsilon, delta):
@@ -435,7 +445,7 @@ def sanitize_frequencies_loop(pairs, table, seed):
         q_w = sampled_q_loop(table, freq)
         cum = cum_by_freq.get(freq)
         if cum is None:
-            cond = table.dense()[freq] / q_w
+            cond = dense(table)[freq] / q_w
             cond[0] = max(0.0, 1.0 - float(cond[1:].sum()))
             cum = np.cumsum(cond)
             cum_by_freq[freq] = cum

@@ -1,16 +1,21 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import concordance_prob, table_from_dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import concordance_matrix_dense, concordance_prob, dense, table_from_dense, table_laws
 
 from privsample import (
     FrequencyHistogram,
     PrivacyParams,
     SamplingScheme,
+    TokenBands,
     compute_pdfs,
     compute_pi,
+    compute_pij,
     concordance_matrix,
     discretize_pdfs,
     expected_kendall_tau,
@@ -76,8 +81,68 @@ class TestConcordanceProb:
         conc = concordance_matrix(table)
         for i1, i2 in [(3, 1), (10, 2), (15, 14), (4, 4)]:
             assert conc[i1, i2] == pytest.approx(
-                concordance_prob(*table.dense()[[i1, i2]]), abs=1e-12
+                concordance_prob(*dense(table)[[i1, i2]]), abs=1e-12
             )
+
+    @settings(deadline=None, max_examples=40)
+    @given(table_laws())
+    def test_matrix_matches_dense_on_built_tables(self, law):
+        for table in (compute_pij(*law), discretize_pdfs(compute_pdfs(*law))):
+            np.testing.assert_allclose(
+                concordance_matrix(table), concordance_matrix_dense(table), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])  # around the block of 64 columns
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_matrix_matches_dense_on_random_bands(self, n, data):
+        # any starts, not monotone, with zeros in and out of the bands
+        n_tokens = data.draw(st.integers(1, 200))
+        width = data.draw(st.integers(0, n_tokens))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        first = np.random.default_rng(seed).integers(1, n_tokens - width + 2, n)
+        table = _random_bands(seed, first, width, n_tokens)
+        np.testing.assert_allclose(
+            concordance_matrix(table), concordance_matrix_dense(table), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("width, n_tokens, first", [
+        (0, 30, np.arange(65) % 30 + 1),  # no band: token 0 only
+        (4, 300, np.arange(129)[::-1] * 2 + 1),  # starts falling, not rising
+        (5, 100, np.where(np.arange(64) % 2, 96, 1)),  # each block spans all tokens
+        (300, 300, np.ones(63, dtype=np.int64)),  # one band over all tokens
+    ])
+    def test_matrix_matches_dense_on_edge_layouts(self, width, n_tokens, first):
+        table = _random_bands(0, first, width, n_tokens)
+        np.testing.assert_allclose(
+            concordance_matrix(table), concordance_matrix_dense(table), rtol=0, atol=1e-12)
+
+
+def _random_bands(seed, first, width, n_tokens):
+    """Probability rows with random masses, some 0, on token 0 and bands at ``first``."""
+    rng = np.random.default_rng(seed)
+    laws = rng.random((len(first), width + 1)) * (rng.random((len(first), width + 1)) < 0.7)
+    laws[:, 0] += 1e-3  # no empty row
+    laws /= laws.sum(axis=1, keepdims=True)
+    return TokenBands(laws[:, 0], np.asarray(first, dtype=np.int64), laws[:, 1:], n_tokens)
+
+
+def test_concordance_and_kendall_memory_follow_the_bands(params_std, scheme_none):
+    # at m = 1000 the bands are 1001 x 109 and the tokens 2955; expanding
+    # the rows peaked at 60.4 MiB and the pair arrays of all 1000
+    # frequencies added 22.9 MiB; the output matrix alone is 7.6 MiB
+    table = discretize_pdfs(compute_pdfs(params_std, scheme_none, 1000))
+    hist = FrequencyHistogram.from_counts({f: f % 7 + 1 for f in range(1, 1001)})
+    tracemalloc.start()
+    try:
+        conc = concordance_matrix(table)
+        conc_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        expected_kendall_tau(hist, conc)
+        kendall_extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert conc_peak < 24 * 2**20, f"concordance peak {conc_peak / 2**20:.1f} MiB"
+    assert kendall_extra < 8 * 2**20, f"Kendall tau added {kendall_extra / 2**20:.1f} MiB"
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +173,7 @@ class TestKendallTau:
 
     def test_single_pair_identity(self, table, conc):
         hist = FrequencyHistogram.from_counts({10: 1, 30: 1})
-        want = 2.0 * concordance_prob(*table.dense()[[30, 10]]) - 1.0
+        want = 2.0 * concordance_prob(*dense(table)[[30, 10]]) - 1.0
         assert expected_kendall_tau(hist, conc) == pytest.approx(want, rel=1e-12)
 
     def test_matches_direct_enumeration(self, table, conc):
@@ -120,7 +185,7 @@ class TestKendallTau:
         den = 0.0
         for hi, lo in itertools.combinations(reversed(freqs), 2):
             w = counts[hi] * counts[lo]
-            num += w * (2 * concordance_prob(*table.dense()[[hi, lo]]) - 1)
+            num += w * (2 * concordance_prob(*dense(table)[[hi, lo]]) - 1)
             den += w
         assert expected_kendall_tau(hist, conc) == pytest.approx(num / den, rel=1e-12)
 
