@@ -16,14 +16,16 @@ import numpy as np
 
 from .frequencies import PdfFamily
 from .keys import SanitizerTable
-from .privacy import TokenBands
+from .privacy import TokenBands, band_layout
 
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-_BLOCK = 1024  # rows formatted and written per fp.write
+# Lines formatted and written per fp.write; the pij writer also formats at
+# most this many cells at a time (a whole row when one row holds more).
+_BLOCK = 1024
 
 
 def _write_lines(fp: TextIO, header: str, line: str, rows: Iterable[tuple]) -> None:
@@ -90,16 +92,19 @@ def write_pi_csv(fp: TextIO, rv: SanitizerTable) -> None:
 def write_pij_csv(fp: TextIO, table: TokenBands) -> None:
     """One `i,j,pi_ij` line per token 0 and per nonzero entry, row by row.
 
-    Cells are formatted one block of rows at a time, so the text never
-    exists whole in memory.
+    Cells are formatted a block of rows at a time, at most ``_BLOCK`` cells
+    (token 0 and the band) or one row per block, and written ``_BLOCK``
+    lines at a time, so neither the text nor a Python object per cell
+    exists for the whole table.
     """
     _write_lines(fp, "i,j,pi_ij\r\n", "%d,%d,%.17g\r\n", _pij_cells(table))
 
 
 def _pij_cells(table: TokenBands):
     # token 0 anchors the row; zero entries elsewhere are implicit
-    for start in range(0, len(table), _BLOCK):
-        block = slice(start, start + _BLOCK)
+    step = max(1, _BLOCK // (table.width + 1))
+    for start in range(0, len(table), step):
+        block = slice(start, start + step)
         first = table.first[block, None]
         values = np.column_stack((table.atom0[block], table.rows[block]))
         tokens = np.column_stack((0 * first, first + np.arange(table.width)))
@@ -132,10 +137,11 @@ def _read_entries(fp: TextIO, header: str, index: tuple[str, ...], usecols: tupl
     if min(int(ix.min()) for ix in at) < 0:
         raise ValueError("table file holds a negative index")
     shape = tuple(int(ix.max()) + 1 for ix in at)
-    flat = np.sort(np.ravel_multi_index(at, shape))
-    repeated = flat[1:][flat[1:] == flat[:-1]]
+    flat = np.ravel_multi_index(at, shape)
+    flat.sort()
+    repeated = np.flatnonzero(flat[1:] == flat[:-1])
     if repeated.size:
-        where = np.unravel_index(int(repeated[0]), shape)
+        where = np.unravel_index(int(flat[repeated[0]]), shape)
         named = ", ".join(f"{name}={int(k)}" for name, k in zip(index, where))
         raise ValueError(f"table file repeats entry {named}")
     return at, entries["v"], shape
@@ -145,14 +151,32 @@ def read_pij_csv(fp: TextIO) -> TokenBands:
     """Rebuild the banded rows from an `i,j,pi_ij` export.
 
     Row i spans 0..max i; tokens run to the largest j in the file.  A cell
-    the file does not list holds 0, token 0 included.  Fails closed on
-    negative indices and on a repeated (i, j) entry.
+    the file does not list holds 0, token 0 included.  Each band runs from
+    its row's first to last nonzero token, as ``band_layout`` lays it out.
+    Beside the parsed entries it holds a mask and at most one index per
+    entry at a time, then the block.  Fails closed on negative indices and
+    on a repeated (i, j) entry.
     """
     (i, j), v, (n_rows, n_cols) = _read_entries(fp, "i,j,pi_ij", ("i", "j"), (0, 1, 2))
     atom0 = np.zeros(n_rows)
-    at0 = j == 0
+    at0 = np.flatnonzero(j == 0)
     atom0[i[at0]] = v[at0]
-    return TokenBands.from_entries(atom0, i[~at0], j[~at0], v[~at0], n_cols - 1)
+
+    off_band = (v == 0.0) | (j == 0)
+    lo, hi = np.full(n_rows, n_cols), np.zeros(n_rows, dtype=np.int64)
+    np.minimum.at(lo, i, np.where(off_band, n_cols, j))
+    np.maximum.at(hi, i, np.where(off_band, 0, j))
+    first, width = band_layout(lo, hi, n_cols - 1)
+
+    # each entry's cell in the row-major block; token 0 and the zeros
+    # outside every band go to one spare cell past its end
+    cells = np.zeros(n_rows * width + 1)
+    at = (np.arange(n_rows) * width - first)[i]
+    at += j
+    at[off_band] = n_rows * width
+    cells[at] = v
+    return TokenBands(atom0=atom0, first=first, rows=cells[:-1].reshape(n_rows, width),
+                      n_tokens=n_cols - 1)
 
 
 def read_pi_csv(fp: TextIO) -> TokenBands:

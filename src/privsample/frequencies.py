@@ -27,7 +27,7 @@ import numpy as np
 
 from ._rng import PURPOSE_TOKEN, key_uniforms
 from .keys import SanitizerTable, compute_pi
-from .privacy import PrivacyParams
+from .privacy import PrivacyParams, band_layout
 from .sampling import SamplingScheme, WeightedSample
 
 __all__ = [
@@ -62,7 +62,10 @@ def compute_pij(
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
     m = max_frequency
 
-    at_i, at_j, at_v = [], [], []  # the table's nonzero entries
+    # row i's entries on tokens starts[i]..ends[i] (ends[i] = 0: none), from
+    # column 0; the block widens as the rows are built
+    rows = np.zeros((m + 1, 0))
+    starts, ends = np.ones(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
     lo, prev = 1, []  # the previous row on tokens lo..i-1; row 0 has none
     for i in range(1, m + 1):
         pi_i = float(rv.pi[i])
@@ -96,11 +99,23 @@ def compute_pij(
 
         lead = next((k for k, x in enumerate(row) if x != 0.0), len(row))
         lo, prev = lo + lead, row[lead:]
-        at_i += [i] * len(prev)
-        at_j += range(lo, lo + len(prev))
-        at_v += prev
-    return SanitizerTable.from_entries(rv.atom0, at_i, at_j, at_v, m, params=rv.params,
-                                       scheme=rv.scheme, q=rv.q, pi=rv.pi)
+        span = len(prev)  # token i holds min(delta, remaining): 0 only when nothing is left
+        while span and prev[span - 1] == 0.0:
+            span -= 1
+        if span > rows.shape[1]:
+            grown = np.zeros((m + 1, max(span, 2 * rows.shape[1])))
+            grown[:i, :rows.shape[1]] = rows[:i]
+            rows = grown
+        if span:
+            rows[i, :span] = prev[:span]
+            starts[i], ends[i] = lo, lo + span - 1
+
+    first, width = band_layout(starts, ends, m)
+    rows = np.ascontiguousarray(rows[:, :width])
+    for i in np.flatnonzero(first < starts):  # bands that would end past token m
+        rows[i] = np.roll(rows[i], starts[i] - first[i])
+    return SanitizerTable(atom0=rv.atom0, first=first, rows=rows, n_tokens=m, params=rv.params,
+                          scheme=rv.scheme, q=rv.q, pi=rv.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,36 +262,58 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
     Tokens are the maximal intervals between consecutive breakpoints of any
     density in the family, in increasing position order; every density is
     constant on each token interval, so masses and all pairwise divergences
-    are preserved exactly.  Only segments of nonzero density give entries,
-    so each row's band runs from its first such segment to its top.
+    are preserved exactly.  Each row's band runs from its first to its last
+    token of nonzero mass.  The masses are computed twice, ``_ROWS`` rows at
+    a time: once for the bands' extent, once to fill them.
     """
-    bounds = np.concatenate([pdf.bounds for pdf in family])
-    all_bounds = np.unique(bounds)
-    edges = all_bounds[1:]
-    widths = np.diff(all_bounds)
-
-    # Token k+1 is (all_bounds[k], all_bounds[k+1]].  A segment between
-    # all_bounds[lo] and all_bounds[hi] covers tokens lo+1..hi, and only
-    # segments of nonzero density give entries.
-    n_bounds = np.array([len(pdf.bounds) for pdf in family])
-    at = np.searchsorted(all_bounds, bounds)
-    left = np.ones(len(bounds), dtype=bool)
-    left[np.cumsum(n_bounds) - 1] = False
-    lo = at[left]
-    hi = at[np.flatnonzero(left) + 1]
-    density = np.concatenate([pdf.densities for pdf in family])
-    freq = np.repeat(np.arange(len(family)), n_bounds - 1)
-    nonzero = density != 0.0
-    lo, hi, density, freq = lo[nonzero], hi[nonzero], density[nonzero], freq[nonzero]
-    span = hi - lo
-    seg = np.repeat(np.arange(len(span)), span)
-    k = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span - lo, span)
+    all_bounds = np.unique(np.concatenate([pdf.bounds for pdf in family]))
+    n, n_tokens = len(family), len(all_bounds) - 1
+    lo, hi = np.full(n, n_tokens + 1), np.zeros(n, dtype=np.int64)
+    for i, j, _ in _token_masses(family, all_bounds):
+        np.minimum.at(lo, i, j)
+        np.maximum.at(hi, i, j)
+    first, width = band_layout(lo, hi, n_tokens)
+    rows = np.zeros((n, width))
+    for i, j, v in _token_masses(family, all_bounds):
+        rows[i, j - first[i]] = v
 
     law = family.reporting
-    return SanitizerTable.from_entries(
-        law.atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
-        params=law.params, scheme=law.scheme, q=law.q, pi=law.pi, token_edges=edges,
-    )
+    return SanitizerTable(atom0=law.atom0, first=first, rows=rows, n_tokens=n_tokens,
+                          params=law.params, scheme=law.scheme, q=law.q, pi=law.pi,
+                          token_edges=all_bounds[1:])
+
+
+_ROWS = 64  # density rows discretized at a time
+
+
+def _token_masses(family: PdfFamily, all_bounds: np.ndarray):
+    """Yield (i, j, v) for the nonzero masses: row i puts mass v on token j.
+
+    Token j is (all_bounds[j-1], all_bounds[j]].  A segment between
+    all_bounds[lo] and all_bounds[hi] covers tokens lo+1..hi, and gives each
+    the product of its density and the token's width.  One block of rows at
+    a time, each in token order.
+    """
+    widths = np.diff(all_bounds)
+    for start in range(0, len(family), _ROWS):
+        pdfs = family.pdfs[start:start + _ROWS]
+        bounds = np.concatenate([pdf.bounds for pdf in pdfs])
+        n_bounds = np.array([len(pdf.bounds) for pdf in pdfs])
+        at = np.searchsorted(all_bounds, bounds)
+        left = np.ones(len(bounds), dtype=bool)
+        left[np.cumsum(n_bounds) - 1] = False
+        lo = at[left]
+        hi = at[np.flatnonzero(left) + 1]
+        density = np.concatenate([pdf.densities for pdf in pdfs])
+        freq = np.repeat(np.arange(start, start + len(pdfs)), n_bounds - 1)
+        nonzero = density != 0.0
+        lo, hi, density, freq = lo[nonzero], hi[nonzero], density[nonzero], freq[nonzero]
+        span = hi - lo
+        seg = np.repeat(np.arange(len(span)), span)
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span - lo, span)
+        v = density[seg] * widths[k]
+        kept = v != 0.0
+        yield freq[seg][kept], k[kept] + 1, v[kept]
 
 
 def sanitize_frequencies(

@@ -37,6 +37,7 @@ def concordance_matrix(table: TokenBands) -> np.ndarray:
     block of ``_BLOCK`` columns i2 is one product over token 0 and the
     tokens the block's bands span.  Memory is O(rows^2 + rows x span); the
     span is at most n_tokens, and no row is expanded over all tokens.
+    Every value is clipped to [0, 1]; C + C^T = 1 holds up to rounding.
     """
     n, width, atom0, first = len(table), table.width, table.atom0, table.first
     cdf = np.cumsum(np.column_stack([atom0, table.rows]), axis=1)
@@ -56,7 +57,8 @@ def concordance_matrix(table: TokenBands) -> np.ndarray:
         band = starts[:, None] - lo + 1 + np.arange(width)  # mass column of each band entry
         np.put_along_axis(mass, band, table.rows[block], axis=1)
         out[:, block] = np.take_along_axis(mid, col, axis=1) @ mass.T
-    return out
+    # rows whose float sums miss 1 can put a pair a few ulps outside [0, 1]
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def expected_kendall_tau(histogram: FrequencyHistogram, conc: np.ndarray) -> float:

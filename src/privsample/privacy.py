@@ -101,30 +101,18 @@ class TokenBands:
         """Per row, sum over tokens j >= 1 of Pr[token j] * values[j]."""
         return np.einsum("ij,ij->i", self.rows, values[self.tokens()])
 
-    @classmethod
-    def from_entries(cls, atom0, i, j, v, n_tokens: int, **fields):
-        """Pack the entries ``v`` at (row ``i``, token ``j`` >= 1) into bands.
 
-        Entries equal to 0 are left out, so each band spans its row's first
-        to last nonzero token; ``width`` is the widest span.  A row without
-        entries starts at token 1.  ``fields`` go to the constructor of
-        ``cls`` unchanged.
-        """
-        atom0 = np.asarray(atom0, dtype=float)
-        i, j, v = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(v, dtype=float)
-        keep = v != 0.0
-        i, j, v = i[keep], j[keep], v[keep]
-        n = len(atom0)
-        lo = np.full(n, n_tokens + 1, dtype=np.int64)
-        hi = np.zeros(n, dtype=np.int64)
-        np.minimum.at(lo, i, j)
-        np.maximum.at(hi, i, j)
-        has = hi > 0
-        width = int((hi - lo + 1)[has].max(initial=0))
-        first = np.clip(np.where(has, lo, 1), 1, max(1, n_tokens - width + 1))
-        rows = np.zeros((n, width))
-        rows[i, j - first[i]] = v
-        return cls(atom0=atom0, first=first, rows=rows, n_tokens=int(n_tokens), **fields)
+def band_layout(lo: np.ndarray, hi: np.ndarray, n_tokens: int) -> tuple[np.ndarray, int]:
+    """Band starts and width for rows whose nonzero entries span tokens lo..hi.
+
+    ``hi`` is 0 for a row without nonzero entries; such a row starts at
+    token 1.  The width is the widest span, so each band runs from its
+    row's first to last nonzero token, except that a band that would end
+    past ``n_tokens`` starts at ``n_tokens - width + 1`` instead.
+    """
+    has = hi > 0
+    width = int((hi - lo + 1)[has].max(initial=0))
+    return np.clip(np.where(has, lo, 1), 1, max(1, n_tokens - width + 1)), width
 
 
 def _pair_divergences(bands: TokenBands, factor: float) -> tuple[np.ndarray, np.ndarray]:

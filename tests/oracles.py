@@ -187,7 +187,77 @@ def table_from_dense(rows, law, token_edges=None) -> SanitizerTable:
 def _from_dense(cls, rows, **fields):
     mat = np.asarray(rows, dtype=float)
     i, j = np.nonzero(mat[:, 1:])
-    return cls.from_entries(mat[:, 0], i, j + 1, mat[i, j + 1], mat.shape[1] - 1, **fields)
+    return from_entries(cls, mat[:, 0], i, j + 1, mat[i, j + 1], mat.shape[1] - 1, **fields)
+
+
+def from_entries(cls, atom0, i, j, v, n_tokens: int, **fields):
+    """Pack the entries ``v`` at (row ``i``, token ``j`` >= 1) into bands of class ``cls``.
+
+    Entries equal to 0 are left out, so each band spans its row's first
+    to last nonzero token; ``width`` is the widest span.  A row without
+    entries starts at token 1.  ``fields`` go to the constructor of
+    ``cls`` unchanged.  The library fills its bands without entry lists;
+    this is the layout they must match.
+    """
+    atom0 = np.asarray(atom0, dtype=float)
+    i, j, v = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(v, dtype=float)
+    keep = v != 0.0
+    i, j, v = i[keep], j[keep], v[keep]
+    n = len(atom0)
+    lo = np.full(n, n_tokens + 1, dtype=np.int64)
+    hi = np.zeros(n, dtype=np.int64)
+    np.minimum.at(lo, i, j)
+    np.maximum.at(hi, i, j)
+    has = hi > 0
+    width = int((hi - lo + 1)[has].max(initial=0))
+    first = np.clip(np.where(has, lo, 1), 1, max(1, n_tokens - width + 1))
+    rows = np.zeros((n, width))
+    rows[i, j - first[i]] = v
+    return cls(atom0=atom0, first=first, rows=rows, n_tokens=int(n_tokens), **fields)
+
+
+def compute_pij_entries(params: PrivacyParams, scheme: SamplingScheme, max_frequency: int):
+    """The integer-token table built as a list of its nonzero entries, then packed.
+
+    The same steps as ``compute_pij``, each row on tokens lo..i.
+    """
+    rv = compute_pi(params, scheme, max_frequency)
+    eps, delta = params.epsilon, params.delta
+    e_eps, e_neg = math.exp(eps), math.exp(-eps)
+    m = max_frequency
+
+    at_i, at_j, at_v = [], [], []
+    lo, prev = 1, []
+    for i in range(1, m + 1):
+        pi_i = float(rv.pi[i])
+        gap = max(0.0, e_neg * float(rv.atom0[i - 1]) - float(rv.atom0[i]))
+        cum = np.maximum(e_neg * (np.cumsum(prev) - delta) + gap, 0.0)
+        row = [*np.diff(cum, prepend=0.0).tolist(), 0.0]
+        assigned = float(cum[-1]) if cum.size else 0.0
+        remaining = max(0.0, pi_i - assigned)
+        suffix_prev = 0.0
+        suffix_cur = 0.0
+        for k in range(i - lo, -1, -1):
+            if remaining == 0.0:
+                break
+            cap = e_eps * suffix_prev + delta - suffix_cur
+            room = cap - row[k]
+            if room <= remaining:
+                remaining -= room
+                row[k] = cap
+            else:
+                row[k] += remaining
+                remaining = 0.0
+            if k > 0:
+                suffix_prev += prev[k - 1]
+            suffix_cur += row[k]
+        lead = next((k for k, x in enumerate(row) if x != 0.0), len(row))
+        lo, prev = lo + lead, row[lead:]
+        at_i += [i] * len(prev)
+        at_j += range(lo, lo + len(prev))
+        at_v += prev
+    return from_entries(SanitizerTable, rv.atom0, at_i, at_j, at_v, m, params=rv.params,
+                        scheme=rv.scheme, q=rv.q, pi=rv.pi)
 
 
 def compute_pij_dense(params: PrivacyParams, scheme: SamplingScheme, max_frequency: int):
@@ -247,6 +317,32 @@ def discretize_pdfs_dense(family):
         seg = np.searchsorted(pdf.bounds, edges[:cover], side="left") - 1
         rows[i, 1 : cover + 1] = pdf.densities[seg] * widths[:cover]
     return rows
+
+
+def discretize_pdfs_entries(family):
+    """The density table built as one entry per token of every nonzero segment, then packed."""
+    bounds = np.concatenate([pdf.bounds for pdf in family])
+    all_bounds = np.unique(bounds)
+    edges = all_bounds[1:]
+    widths = np.diff(all_bounds)
+    n_bounds = np.array([len(pdf.bounds) for pdf in family])
+    at = np.searchsorted(all_bounds, bounds)
+    left = np.ones(len(bounds), dtype=bool)
+    left[np.cumsum(n_bounds) - 1] = False
+    lo = at[left]
+    hi = at[np.flatnonzero(left) + 1]
+    density = np.concatenate([pdf.densities for pdf in family])
+    freq = np.repeat(np.arange(len(family)), n_bounds - 1)
+    nonzero = density != 0.0
+    lo, hi, density, freq = lo[nonzero], hi[nonzero], density[nonzero], freq[nonzero]
+    span = hi - lo
+    seg = np.repeat(np.arange(len(span)), span)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span - lo, span)
+    law = family.reporting
+    return from_entries(
+        SanitizerTable, law.atom0, freq[seg], k + 1, density[seg] * widths[k], len(edges),
+        params=law.params, scheme=law.scheme, q=law.q, pi=law.pi, token_edges=edges,
+    )
 
 
 def verify_dp_dense(rows, params: PrivacyParams) -> DpReport:
@@ -388,10 +484,14 @@ def concordance_prob(row_high, row_low) -> float:
 
 
 def concordance_matrix_dense(table) -> np.ndarray:
-    """Every pair's concordance over dense rows, as ``concordance_prob`` sums it."""
+    """Every pair's concordance over dense rows, as ``concordance_prob`` sums it.
+
+    Clipped to [0, 1], as the library clips: rows whose float sums miss 1
+    can put a pair's sum just outside.
+    """
     mat = dense(table)
     upper = 1.0 - np.cumsum(mat, axis=1)  # Pr[J > token j], row by row
-    return upper @ mat.T + 0.5 * (mat @ mat.T)
+    return np.clip(upper @ mat.T + 0.5 * (mat @ mat.T), 0.0, 1.0)
 
 
 def kendall_tau_pairs(histogram, concordance) -> float:

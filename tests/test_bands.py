@@ -20,8 +20,11 @@ from hypothesis import strategies as st
 from oracles import (
     bands,
     compute_pij_dense,
+    compute_pij_entries,
     dense,
     discretize_pdfs_dense,
+    discretize_pdfs_entries,
+    from_entries,
     hockey_stick,
     mle_coeffs_dense,
     moments_dense,
@@ -33,6 +36,8 @@ from oracles import (
 )
 
 from privsample import (
+    PdfFamily,
+    PiecewisePdf,
     PrivacyParams,
     SamplingScheme,
     TokenBands,
@@ -106,6 +111,35 @@ def test_bands_match_dense(law):
             unbiased_coeffs(table, g_identity)
 
 
+@settings(deadline=None, max_examples=150)
+@given(table_laws())
+def test_tables_match_the_entry_lists(law):
+    # the bands filled in place against the entry lists they replaced, packed
+    params, scheme, m = law
+    family = compute_pdfs(params, scheme, m)
+    for got, want in [(compute_pij(params, scheme, m), compute_pij_entries(params, scheme, m)),
+                      (discretize_pdfs(family), discretize_pdfs_entries(family))]:
+        assert got.n_tokens == want.n_tokens
+        for name in ("atom0", "first", "rows", "token_edges"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or (
+                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), name
+
+
+def test_discretize_leaves_out_masses_that_round_to_0():
+    # row 1's density 1e-300 on token 1, (0, 1e-30], has mass 0 in floats:
+    # its band is token 2 alone, as the entry list packs it, not tokens 1..2
+    law = compute_pi(PrivacyParams(1.0, 0.5), SamplingScheme.none(), 2)
+    family = PdfFamily(law, (
+        PiecewisePdf(1.0, np.array([0.0]), np.empty(0)),
+        PiecewisePdf(0.5, np.array([0.0, 1e-30, 1.0]), np.array([1e-300, 0.5])),
+        PiecewisePdf(0.25, np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.75])),
+    ))
+    got, want = discretize_pdfs(family), discretize_pdfs_entries(family)
+    assert got.first.tolist() == want.first.tolist() == [1, 2, 3]
+    assert got.rows.tobytes() == want.rows.tobytes()
+
+
 def test_tables_are_banded():
     # the band is about 2L wide, not m + 1
     params, scheme = PrivacyParams(0.1, 0.01), SamplingScheme.ppswor(0.01)
@@ -119,7 +153,8 @@ def test_from_entries_layout():
     # rows 0 and 2 have no entry and start at token 1; row 3's band is
     # clamped inside the tokens; zero entries are not stored
     atom0 = [1.0, 0.5, 1.0, 0.25]
-    got = TokenBands.from_entries(atom0, [1, 1, 1, 3, 3], [2, 3, 4, 6, 5], [0.2, 0.0, 0.3, 0.5, 0.25], 6)
+    got = from_entries(TokenBands, atom0, [1, 1, 1, 3, 3], [2, 3, 4, 6, 5],
+                       [0.2, 0.0, 0.3, 0.5, 0.25], 6)
     assert got.width == 3 and got.n_tokens == 6
     assert got.first.tolist() == [1, 2, 1, 4]
     np.testing.assert_array_equal(got.rows, [[0, 0, 0], [0.2, 0, 0.3], [0, 0, 0], [0, 0.25, 0.5]])
@@ -184,6 +219,41 @@ def test_verify_dp_memory_follows_the_bands():
     want = verify_dp_dense(dense(table), params)
     assert report.ok == want.ok
     assert abs(report.worst_divergence - want.worst_divergence) <= 1e-12
+
+
+def test_table_paths_memory_follows_the_bands(tmp_path):
+    # each path holds its band block and one bounded block of rows, not a
+    # list or an array with one element per table cell
+    params, scheme = PrivacyParams(0.1, 0.01), SamplingScheme.ppswor(0.01)
+    family = compute_pdfs(params, scheme, 2000)
+    path = os.path.join(tmp_path, "pij.csv")
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fp:
+            write_pij_csv(fp, table)
+
+    def read():
+        with open(path, encoding="utf-8") as fp:
+            return read_pij_csv(fp)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    table, built = peak(lambda: discretize_pdfs(family))
+    alg4, built4 = peak(lambda: compute_pij(params, scheme, 2000))
+    _, written = peak(write)
+    back, read_back = peak(read)
+    block, block4 = table.rows.nbytes, alg4.rows.nbytes
+    assert built < 4 * block, f"discretize_pdfs peak {built} B for {block} B of rows"
+    assert built4 < 4 * block4, f"compute_pij peak {built4} B for {block4} B of rows"
+    assert written < 2**20, f"write_pij_csv peak {written} B"
+    assert read_back < 8 * block, f"read_pij_csv peak {read_back} B for {block} B of rows"
+    assert back.rows.tobytes() == table.rows.tobytes()
 
 
 @st.composite

@@ -6,6 +6,7 @@ spirit.  The arithmetic is unchanged, so results must agree bit for bit,
 and the file writers byte for byte.
 """
 
+import csv
 import hashlib
 import io
 import math
@@ -19,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import (
     bands,
     dense,
+    from_entries,
     table_from_dense,
     verify_dp_dense,
     write_concordance_csv_ref,
@@ -42,6 +44,7 @@ from privsample import (
     SanitizerTable,
     SbhConfig,
     SweepRow,
+    TokenBands,
     WeightedSample,
     compute_pdfs,
     compute_pi,
@@ -176,6 +179,22 @@ sparse_tables = hnp.arrays(
 pij_cells = st.one_of(st.just(0.0), st.just(-0.0), st.floats())
 
 
+@st.composite
+def pij_tables(draw, cells):
+    """Bands of ``width`` tokens over as many rows as fill one block of pij
+    cells (``_BLOCK // (width + 1)`` rows), one less or one more, or two
+    blocks and a row; the cells cycle through a few drawn values."""
+    width = draw(st.integers(0, 9))
+    step = _BLOCK // (width + 1)
+    n = draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step + 1]))
+    n_tokens = max(width, 1) + draw(st.integers(0, 3))
+    pool = draw(st.lists(cells, min_size=1, max_size=7))
+    values = np.array([pool[k % len(pool)] for k in range(n * (width + 1))]).reshape(n, width + 1)
+    first = np.array([1 + k % (n_tokens - width + 1) for k in range(n)])
+    return TokenBands(atom0=values[:, 0].copy(), first=first, rows=values[:, 1:].copy(),
+                      n_tokens=n_tokens)
+
+
 @SETTINGS
 @given(
     st.one_of(
@@ -189,6 +208,13 @@ def test_write_pij_csv_matches_cell_loop(rows):
 
 
 @SETTINGS
+@given(pij_tables(pij_cells))
+def test_write_pij_csv_matches_cell_loop_across_blocks(table):
+    # the table's own bands, so each block holds exactly _BLOCK // (width + 1) rows
+    assert_same_bytes(write_pij_csv, lambda fp, table: write_pij_csv_ref(fp, dense(table)), table)
+
+
+@SETTINGS
 @given(sparse_tables, st.floats(min_value=1e-300, max_value=1.0))
 def test_pij_csv_round_trip_is_exact(rows, corner):
     rows[-1, -1] = corner  # the last token is emitted, so the width survives
@@ -198,6 +224,43 @@ def test_pij_csv_round_trip_is_exact(rows, corner):
     back = dense(read_pij_csv(buf))
     assert back.shape == rows.shape
     assert back.tobytes() == rows.tobytes()
+
+
+def read_pij_csv_ref(fp):
+    """The entries of an `i,j,pi_ij` export, packed into bands."""
+    entries = [(int(i), int(j), float(v)) for i, j, v in list(csv.reader(fp))[1:]]
+    i, j, v = (np.array(col) for col in zip(*entries))
+    atom0 = np.zeros(i.max() + 1)
+    atom0[i[j == 0]] = v[j == 0]
+    return from_entries(TokenBands, atom0, i[j > 0], j[j > 0], v[j > 0], int(j.max()))
+
+
+@SETTINGS
+@given(pij_tables(sparse_cells))
+def test_read_pij_csv_matches_the_entry_list_across_blocks(table):
+    buf = io.StringIO()
+    write_pij_csv(buf, table)
+    buf.seek(0)
+    got = read_pij_csv(buf)
+    buf.seek(0)
+    want = read_pij_csv_ref(buf)
+    assert got.n_tokens == want.n_tokens
+    for name in ("atom0", "first", "rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8), sparse_cells), min_size=1,
+                max_size=40, unique_by=lambda entry: entry[:2]))
+def test_read_pij_csv_matches_the_entry_list_in_any_order(entries):
+    # hand-written files: any order, zeros on and off the bands, rows or token 0 missing
+    text = "i,j,pi_ij\r\n" + "".join(f"{i},{j},{v!r}\r\n" for i, j, v in entries)
+    got, want = read_pij_csv(io.StringIO(text)), read_pij_csv_ref(io.StringIO(text))
+    assert got.n_tokens == want.n_tokens
+    for name in ("atom0", "first", "rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @SETTINGS

@@ -115,6 +115,14 @@ class TestConcordanceProb:
         np.testing.assert_allclose(
             concordance_matrix(table), concordance_matrix_dense(table), rtol=0, atol=1e-12)
 
+    def test_matrix_holds_probabilities(self, params_std, scheme_none):
+        # alg5 rows sum to up to 1 + 8.9e-16, which put 358,221 pairs of
+        # this matrix above 1 (at most by 1.1e-15) before the clip; C + C^T
+        # misses 1 by the rounding of two sums over the bands, 1.3e-15 here
+        conc = concordance_matrix(discretize_pdfs(compute_pdfs(params_std, scheme_none, 1000)))
+        assert conc.min() >= 0.0 and conc.max() <= 1.0
+        assert np.abs(conc + conc.T - 1.0).max() <= 2e-15
+
 
 def _random_bands(seed, first, width, n_tokens):
     """Probability rows with random masses, some 0, on token 0 and bands at ``first``."""

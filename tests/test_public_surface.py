@@ -135,6 +135,7 @@ def test_unsampled_baseline_is_scheme_none(name):
     (privsample.PdfFamily, "__getitem__"),
     (privsample.FrequencyHistogram, "n_keys"),
     (privsample.TokenBands, "dense"),
+    (privsample.TokenBands, "from_entries"),
 ])
 def test_removed_methods_stay_out(owner, method):
     assert not hasattr(owner, method)
