@@ -53,6 +53,14 @@ def _max_freq(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """The --seed type: an integer in [0, 2**64), so that argparse makes any other a usage error."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {value}")
+    return value
+
+
 # The argparse keywords of each flag that several subcommands share.
 _FLAGS = {
     "--epsilon": dict(type=float, required=True, help="privacy parameter epsilon (> 0)"),
@@ -72,7 +80,7 @@ _FLAGS = {
     "--freq-min": dict(type=int, default=1),
     "--freq-max": dict(type=int, default=200),
     "--input": dict(default="-", help="histogram TSV for --dist file"),
-    "--seed": dict(type=int, required=True),
+    "--seed": dict(type=_seed, required=True, help="64-bit secret, fresh for each release"),
     "--grid": dict(default=None),
     "--methods": dict(default=",".join(REPORTING_METHODS)),
     "--out": dict(default="-"),
@@ -233,19 +241,20 @@ def cmd_sanitize(args) -> int:
     return 0
 
 
-def _coeffs_and_moments(args):
-    """The estimate coefficients chosen by --table/--estimator/--g-power, and their moments."""
+def _coeffs_and_moments(args, moments_wanted: bool):
+    """The estimate coefficients chosen by --table/--estimator/--g-power, and their moments
+    when wanted or unbiased (``_warn_if_noise`` checks those), None otherwise."""
     params, scheme = _params(args), _scheme(args)
-    if args.estimator == "unbiased" and args.table == "alg5":
+    unbiased = args.estimator == "unbiased"
+    if unbiased and args.table == "alg5":
         raise UsageError("--estimator unbiased needs the integer-token table (--table alg4)")
     g = _usage(g_power, args.g_power, flag="--g-power")
     table = _build_table(params, scheme, args.max_freq, args.table)
-    if args.estimator == "mle":
-        coeffs = mle_coeffs(table, table, g)
-    else:
-        coeffs = unbiased_coeffs(table, g)
+    coeffs = unbiased_coeffs(table, g) if unbiased else mle_coeffs(table, table, g)
+    if not (moments_wanted or unbiased):
+        return coeffs, None
     moments = moments_by_frequency(table, coeffs, g)
-    if args.estimator == "unbiased":
+    if unbiased:
         _warn_if_noise(moments)
     return coeffs, moments
 
@@ -273,7 +282,7 @@ def _warn_if_noise(moments) -> None:
 
 
 def cmd_estimate(args) -> int:
-    coeffs, _ = _coeffs_and_moments(args)
+    coeffs, _ = _coeffs_and_moments(args, moments_wanted=False)
     with _open_in(args.input) as fp:
         sanitized = formats.read_keyed_tsv(fp)
     selection = None
@@ -376,7 +385,7 @@ def cmd_analyze_concordance(args) -> int:
 
 
 def cmd_analyze_moments(args) -> int:
-    _, moment_table = _coeffs_and_moments(args)
+    _, moment_table = _coeffs_and_moments(args, moments_wanted=True)
     with _open_out(args.out) as fp:
         formats.write_moments_csv(fp, moment_table)
     return 0

@@ -56,17 +56,6 @@ def _g_values(g: FrequencyFunc, max_frequency: int) -> np.ndarray:
     return gv
 
 
-def _estimable(scheme: SamplingScheme, g: FrequencyFunc, max_frequency: int):
-    """q and g over 0..max_frequency, where every g(i) > 0 has q_i > 0."""
-    q = scheme.probs(max_frequency)
-    gv = _g_values(g, max_frequency)
-    bad = (q[1:] <= 0.0) & (gv[1:] > 0.0)
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0]) + 1
-        raise ValueError(f"q_{i} = 0 with g({i}) > 0: statistic is inestimable")
-    return q, gv
-
-
 @dataclass(frozen=True, eq=False)
 class EstimatorCoeffs:
     """Per-token estimate values a_j (a_0 = 0 for "not reported").
@@ -189,9 +178,15 @@ def nonprivate_moment_table(
 ) -> MomentTable:
     """Moments of the non-private inverse-probability estimate per frequency.
 
-    Unbiased with per-key variance g(i)^2 (1/q_i - 1).
+    Unbiased with per-key variance g(i)^2 (1/q_i - 1).  Fails when some
+    g(i) > 0 has q_i = 0, where no key of frequency i is ever sampled.
     """
-    q, gv = _estimable(scheme, g, max_frequency)
+    q = scheme.probs(max_frequency)
+    gv = _g_values(g, max_frequency)
+    bad = (q[1:] <= 0.0) & (gv[1:] > 0.0)
+    if np.any(bad):
+        i = int(np.nonzero(bad)[0][0]) + 1
+        raise ValueError(f"q_{i} = 0 with g({i}) > 0: statistic is inestimable")
     mse = np.zeros(max_frequency + 1)
     nz = q > 0.0
     mse[nz] = gv[nz] ** 2 * (1.0 / q[nz] - 1.0)

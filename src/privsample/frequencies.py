@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,10 +62,9 @@ def compute_pij(
     e_eps, e_neg = math.exp(eps), math.exp(-eps)
     m = max_frequency
 
-    # row i's entries on tokens starts[i]..ends[i] (ends[i] = 0: none), from
-    # column 0; the block widens as the rows are built
-    rows = np.zeros((m + 1, 0))
-    starts, ends = np.ones(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
+    # row i's band: its entries from its first nonzero token starts[i] to its
+    # last; a row without one keeps start 1 and an empty band
+    starts, bands = np.ones(m + 1, dtype=np.int64), [[]] * (m + 1)
     lo, prev = 1, []  # the previous row on tokens lo..i-1; row 0 has none
     for i in range(1, m + 1):
         pi_i = float(rv.pi[i])
@@ -102,20 +101,16 @@ def compute_pij(
         span = len(prev)  # token i holds min(delta, remaining): 0 only when nothing is left
         while span and prev[span - 1] == 0.0:
             span -= 1
-        if span > rows.shape[1]:
-            grown = np.zeros((m + 1, max(span, 2 * rows.shape[1])))
-            grown[:i, :rows.shape[1]] = rows[:i]
-            rows = grown
         if span:
-            rows[i, :span] = prev[:span]
-            starts[i], ends[i] = lo, lo + span - 1
+            starts[i], bands[i] = lo, np.array(prev[:span])
 
-    first, width = band_layout(starts, ends, m)
-    rows = np.ascontiguousarray(rows[:, :width])
-    for i in np.flatnonzero(first < starts):  # bands that would end past token m
-        rows[i] = np.roll(rows[i], starts[i] - first[i])
-    return SanitizerTable(atom0=rv.atom0, first=first, rows=rows, n_tokens=m, params=rv.params,
-                          scheme=rv.scheme, q=rv.q, pi=rv.pi)
+    spans = np.array([len(band) for band in bands])
+    first, width = band_layout(starts, starts + spans - 1, m)  # an empty band ends at token 0
+    rows = np.zeros((m + 1, width))
+    for i in np.flatnonzero(spans):
+        c = starts[i] - first[i]
+        rows[i, c:c + spans[i]] = bands[i]
+    return replace(rv, first=first, rows=rows, n_tokens=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +272,8 @@ def discretize_pdfs(family: PdfFamily) -> SanitizerTable:
     for i, j, v in _token_masses(family, all_bounds):
         rows[i, j - first[i]] = v
 
-    law = family.reporting
-    return SanitizerTable(atom0=law.atom0, first=first, rows=rows, n_tokens=n_tokens,
-                          params=law.params, scheme=law.scheme, q=law.q, pi=law.pi,
-                          token_edges=all_bounds[1:])
+    return replace(family.reporting, first=first, rows=rows, n_tokens=n_tokens,
+                   token_edges=all_bounds[1:])
 
 
 _ROWS = 64  # density rows discretized at a time

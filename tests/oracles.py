@@ -25,9 +25,10 @@ from privsample import (
     TokenBands,
     compute_pi,
     l_value,
+    nonprivate_moment_table,
     verify_dp,
 )
-from privsample.estimators import _estimable, _g_values
+from privsample.estimators import _g_values
 from privsample.privacy import DELTA_SLACK
 
 # ---------------------------------------------------------------- sampling
@@ -385,7 +386,8 @@ def inverse_prob_coeffs(scheme: SamplingScheme, g, max_frequency: int) -> Estima
 
     Unbiased by construction: q_i * a_i = g(i) for every estimable i.
     """
-    q, gv = _estimable(scheme, g, max_frequency)
+    gv = nonprivate_moment_table(scheme, g, max_frequency).g_values  # fails when inestimable
+    q = scheme.probs(max_frequency)
     values = np.zeros(max_frequency + 1)
     nz = q > 0.0
     values[nz] = gv[nz] / q[nz]

@@ -126,6 +126,18 @@ def test_tables_match_the_entry_lists(law):
                 a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), name
 
 
+def test_alg4_band_that_would_end_past_the_top_token():
+    # row 11's mass runs from token 8 to 11, in a block 5 wide: its band
+    # starts at token 7, so the entries sit one column in
+    params, scheme = PrivacyParams(4.0, 0.01), SamplingScheme.pps(0.1, 1.0)
+    got, want = compute_pij(params, scheme, 11), compute_pij_entries(params, scheme, 11)
+    assert got.width == 5 and got.first[11] == 7
+    assert got.rows[11, 0] == 0.0 and got.rows[11, 1] > 0.0
+    for name in ("atom0", "first", "rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def test_discretize_leaves_out_masses_that_round_to_0():
     # row 1's density 1e-300 on token 1, (0, 1e-30], has mass 0 in floats:
     # its band is token 2 alone, as the entry list packs it, not tokens 1..2

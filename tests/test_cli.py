@@ -881,6 +881,48 @@ class TestIgnoredFlags:
         assert outputs[0] == outputs[1]
 
 
+class TestSeedRange:
+    """--seed takes an integer in [0, 2**64): any other exits 2 before any output,
+    where the library would take it modulo 2**64."""
+
+    PRIV = ["--epsilon", "0.5", "--delta", "0.1"]
+    COMMANDS = [
+        ["sample", "--input", "IN", "--scheme", "ppswor", "--tau", "0.5"],
+        ["sanitize", "--mode", "keys", "--input", "IN", *PRIV, "--max-freq", "20"],
+        ["sanitize", "--mode", "freqs", "--input", "IN", *PRIV, "--max-freq", "20"],
+        ["baseline", "sbh", "--input", "IN", *PRIV],
+    ]
+    IDS = ["sample", "sanitize-keys", "sanitize-freqs", "baseline"]
+
+    @staticmethod
+    def _run(tmp_path, argv, seed):
+        data, out_path = tmp_path / "in.tsv", tmp_path / "out.tsv"
+        data.write_text("a\t3\nb\t5\nc\t8\n")
+        argv = [str(data) if arg == "IN" else arg for arg in argv]
+        try:
+            code = main([*argv, "--seed", seed, "--out", str(out_path)])
+        except SystemExit as exc:
+            code = exc.code
+        return code, out_path
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, capsys, argv, seed):
+        code, out_path = self._run(tmp_path, argv, seed)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: seed must be in [0, 2**64), got {seed}" in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_largest_seed_is_accepted(self, tmp_path, capsys, argv):
+        code, out_path = self._run(tmp_path, argv, str(2**64 - 1))
+        assert code == 0
+        assert out_path.exists()
+        assert capsys.readouterr().err == ""
+
+
 class TestBaselineCommand:
     def test_sbh_outputs_reals(self, tmp_path, capsys):
         hist = tmp_path / "h.tsv"

@@ -1,4 +1,5 @@
-"""No dead code in the package: every import is used and every module-level name is read.
+"""No dead code in the package: every import is used, every module-level name is read and
+every name a function stores is read in it.
 
 The test toolchain ships no linter, so this walks the source with ``ast``.
 ``__init__.py`` only re-exports; a name in its module's ``__all__`` or
@@ -59,6 +60,29 @@ def _module_level(tree):
                 yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
 
 
+def _dead_stores(tree):
+    """(function, name) for each name a function stores and never reads.
+
+    A read anywhere in the function counts, a nested function's included,
+    except as the container of an item store: ``ends[i] = x`` alone leaves
+    ``ends`` unread.  ``_`` and the names the function declares global or
+    nonlocal are left out.
+    """
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes = list(ast.walk(func))
+            declared = {name for node in nodes
+                        if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+            stored = {node.id for node in nodes
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            filled = {id(node.value) for node in nodes
+                      if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+            read = {node.id for node in nodes if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load) and id(node) not in filled}
+            for name in sorted(stored - read - declared - {"_"}):
+                yield func.name, name
+
+
 def _references() -> dict:
     """Per module, the names that it or a sibling module reads from it."""
     refs = {name: _loads(tree) for name, tree in TREES.items()}
@@ -98,7 +122,27 @@ def test_every_module_level_name_is_read():
     assert unread == []
 
 
+def test_every_stored_local_is_read():
+    dead = [f"{module}: {func}: {name}"
+            for module, tree in TREES.items() for func, name in _dead_stores(tree)]
+    assert dead == []
+
+
 def test_the_check_sees_a_dead_helper_and_an_unused_import():
     tree = ast.parse("import os\nimport sys\n\ndef _unused():\n    pass\n\nprint(sys.argv)\n")
     assert [n for n in _imported(tree) if n not in _loads(tree)] == ["os"]
     assert [n for n in _module_level(tree) if n not in _loads(tree)] == ["_unused"]
+
+
+def test_the_check_sees_a_local_stored_and_never_read():
+    source = """
+def f(xs):
+    starts, ends = [0] * len(xs), [0] * len(xs)
+    total = 0
+    for i, (x, _) in enumerate(xs):
+        starts[i], ends[i] = x, x + 1
+        total += x
+    spare = total
+    return starts, total
+"""
+    assert list(_dead_stores(ast.parse(source))) == [("f", "ends"), ("f", "spare")]
