@@ -490,7 +490,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except UsageError as exc:
         args.parser.error(str(exc))  # the subcommand's usage; exits 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

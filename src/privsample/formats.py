@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Mapping, TextIO
 
 import numpy as np
@@ -23,8 +23,7 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Lines formatted and written per fp.write; the pij writer also formats at
-# most this many cells at a time (a whole row when one row holds more).
+# Lines formatted and written per fp.write.
 _BLOCK = 1024
 
 
@@ -92,26 +91,21 @@ def write_pi_csv(fp: TextIO, rv: SanitizerTable) -> None:
 def write_pij_csv(fp: TextIO, table: TokenBands) -> None:
     """One `i,j,pi_ij` line per token 0 and per nonzero entry, row by row.
 
-    Cells are formatted a block of rows at a time, at most ``_BLOCK`` cells
-    (token 0 and the band) or one row per block, and written ``_BLOCK``
-    lines at a time, so neither the text nor a Python object per cell
-    exists for the whole table.
+    Cells are formatted a row at a time and written ``_BLOCK`` lines at a
+    time, so neither the text nor a Python object per cell exists for the
+    whole table.
     """
     _write_lines(fp, "i,j,pi_ij\r\n", "%d,%d,%.17g\r\n", _pij_cells(table))
 
 
 def _pij_cells(table: TokenBands):
-    # token 0 anchors the row; zero entries elsewhere are implicit
-    step = max(1, _BLOCK // (table.width + 1))
-    for start in range(0, len(table), step):
-        block = slice(start, start + step)
-        first = table.first[block, None]
-        values = np.column_stack((table.atom0[block], table.rows[block]))
-        tokens = np.column_stack((0 * first, first + np.arange(table.width)))
-        exported = values != 0.0
-        exported[:, 0] = True
-        i, c = np.nonzero(exported)
-        yield from zip((i + start).tolist(), tokens[i, c].tolist(), values[i, c].tolist())
+    """Yield (i, j, pi_ij) a row at a time: token 0, then the band's nonzero entries."""
+    width = table.width
+    for i, (atom0, first, row) in enumerate(zip(table.atom0.tolist(), table.first.tolist(),
+                                                 table.rows)):
+        yield i, 0, atom0  # token 0 anchors the row; zero entries elsewhere are implicit
+        row = row.tolist()
+        yield from zip(repeat(i), compress(range(first, first + width), row), compress(row, row))
 
 
 def _read_entries(fp: TextIO, header: str, index: tuple[str, ...], usecols: tuple[int, ...]):

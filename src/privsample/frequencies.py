@@ -143,20 +143,22 @@ class PdfFamily:
 
 
 def _cumulative(bounds: np.ndarray, densities: np.ndarray) -> np.ndarray:
-    """Mass on (bounds[0], bounds[k]] at every breakpoint of a piecewise-constant density."""
-    out = np.zeros(len(bounds))
-    np.cumsum(densities * np.diff(bounds), out=out[1:])
+    """Mass on (bounds[0], bounds[k]] at every breakpoint, for each row of a stack of densities."""
+    out = np.zeros((*densities.shape[:-1], len(bounds)))
+    np.cumsum(densities * np.diff(bounds), axis=-1, out=out[..., 1:])
     return out
 
 
 def _split_at(bounds: np.ndarray, densities: np.ndarray, z: float):
-    """Insert breakpoint z, which lies in [bounds[0], bounds[-1]]; no-op if already a node."""
+    """Insert breakpoint z, which lies in [bounds[0], bounds[-1]], under every row of a stack;
+    a no-op if already a node.  Also returns k, the number of segments ending at or below z."""
     k = int(np.searchsorted(bounds, z))
     if bounds[k] == z:
-        return bounds, densities
+        return bounds, densities, k
     return (
         np.concatenate((bounds[:k], [z], bounds[k:])),
-        np.concatenate((densities[:k], densities[k - 1:k], densities[k:])),
+        np.concatenate((densities[..., :k], densities[..., k - 1:k], densities[..., k:]), axis=-1),
+        k,
     )
 
 
@@ -187,7 +189,9 @@ def compute_pdfs(
     crossover point c_i and e^eps times the previous density above it.  The
     crossover is the point where the remaining mass balances exactly; all
     integrals are exact segment arithmetic and any tie in the crossover
-    equation is broken toward the smallest solution.
+    equation is broken toward the smallest solution.  Each row splits its
+    grid once at b and once at c, under the lower bound and the previous
+    density stacked, and sums both their masses in one cumulative pass.
 
     Every row, f_1 included, takes the same step.  The pi recurrence puts
     the crossover target target_c = pi_i - min(pi_i, delta) inside the
@@ -221,21 +225,22 @@ def compute_pdfs(
         # lower bound is zero throughout.
         target_b = max(0.0, delta - e_eps * gap)
         b = _smallest_crossing(prev.bounds, prev_cum, prev.densities, target_b)
-        grid, dens_prev = _split_at(prev.bounds, prev.densities, b)
-        dens_lower = np.where(grid[1:] <= b, 0.0, e_neg * dens_prev)
+        grid, dens_prev, k = _split_at(prev.bounds, prev.densities, b)
+        stack = np.stack((e_neg * dens_prev, dens_prev))  # (lower bound, previous)
+        stack[0, :k] = 0.0  # the k segments that end at or below b
 
         # Crossover c: mass below c follows the lower bound, mass above c is
         # e^eps times the previous density, and the total on (0, i-1] must be
         # pi_i - top_density.  The balance is non-increasing in c, so solve
         # on its negation.
         target_c = pi_i - top_density
-        cum_lower, cum_prev = _cumulative(grid, dens_lower), _cumulative(grid, dens_prev)
+        cum_lower, cum_prev = _cumulative(grid, stack)
         balance = cum_lower + e_eps * (total_prev - cum_prev)
-        c = _smallest_crossing(grid, -balance, e_eps * dens_prev - dens_lower, -target_c)
+        c = _smallest_crossing(grid, -balance, e_eps * dens_prev - stack[0], -target_c)
 
-        grid_i, dens_prev_i = _split_at(grid, dens_prev, c)
-        dens_i = np.where(grid_i[1:] <= c, _split_at(grid, dens_lower, c)[1], e_eps * dens_prev_i)
-        pdfs.append(_merged(atom, np.append(grid_i, float(i)), np.append(dens_i, top_density)))
+        grid, (dens_lower, dens_prev), k = _split_at(grid, stack, c)
+        dens_i = np.concatenate((dens_lower[:k], e_eps * dens_prev[k:], [top_density]))
+        pdfs.append(_merged(atom, np.append(grid, float(i)), dens_i))
     return PdfFamily(reporting=rv, pdfs=tuple(pdfs))
 
 

@@ -11,6 +11,7 @@ writers with the ``csv.writer`` versions kept at the end of this module.
 import csv
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from privsample import (
     DpReport,
     EstimatorCoeffs,
+    PdfFamily,
+    PiecewisePdf,
     PrivacyParams,
     SamplingScheme,
     SanitizerTable,
@@ -29,20 +32,21 @@ from privsample import (
     verify_dp,
 )
 from privsample.estimators import _g_values
+from privsample.frequencies import _merged, _smallest_crossing
 from privsample.privacy import DELTA_SLACK
 
 # ---------------------------------------------------------------- sampling
 
 
 @st.composite
-def table_laws(draw, min_epsilon=0.01, max_delta=0.5, max_m=150):
+def table_laws(draw, min_epsilon=0.01, max_delta=0.5, max_m=150, max_epsilon=10.0):
     """(params, scheme, m) over the ranges the tables are built for.
 
-    epsilon runs from ``min_epsilon`` to 10 and delta (log-uniform) from
+    epsilon runs from ``min_epsilon`` to ``max_epsilon`` and delta (log-uniform) from
     1e-12 to ``max_delta``; the scheme is none, or ppswor or pps with tau
     from 1e-4 to 1 and power 0 to 2; m runs from 1 to ``max_m``.
     """
-    epsilon = draw(st.floats(min_epsilon, 10.0))
+    epsilon = draw(st.floats(min_epsilon, max_epsilon))
     delta = 10.0 ** draw(st.floats(-12.0, math.log10(max_delta)))
     kind = draw(st.sampled_from(["none", "ppswor", "pps"]))
     if kind == "none":
@@ -346,6 +350,52 @@ def discretize_pdfs_entries(family):
     )
 
 
+def compute_pdfs_reference(params: PrivacyParams, scheme: SamplingScheme, max_frequency: int):
+    """``compute_pdfs`` with the row step it had before it stacked its densities.
+
+    Each row splits the lower bound and the previous density apart, three
+    splits in all (b once, c twice), finds the segments below b and c with
+    masks, and takes three cumulative passes.
+    """
+    def cumulative(bounds, densities):
+        out = np.zeros(len(bounds))
+        np.cumsum(densities * np.diff(bounds), out=out[1:])
+        return out
+
+    def split_at(bounds, densities, z):
+        k = int(np.searchsorted(bounds, z))
+        if bounds[k] == z:
+            return bounds, densities
+        return np.insert(bounds, k, z), np.insert(densities, k, densities[k - 1])
+
+    rv = compute_pi(params, scheme, max_frequency)
+    eps, delta = params.epsilon, params.delta
+    e_eps, e_neg = math.exp(eps), math.exp(-eps)
+    pdfs = [PiecewisePdf(atom0=float(rv.atom0[0]), bounds=np.array([0.0]), densities=np.empty(0))]
+    for i in range(1, max_frequency + 1):
+        pi_i, atom = float(rv.pi[i]), float(rv.atom0[i])
+        top_density = min(pi_i, delta)
+        prev = pdfs[-1]
+        gap = max(0.0, e_neg * prev.atom0 - atom)
+        prev_cum = cumulative(prev.bounds, prev.densities)
+        total_prev = float(prev_cum[-1])
+
+        target_b = max(0.0, delta - e_eps * gap)
+        b = _smallest_crossing(prev.bounds, prev_cum, prev.densities, target_b)
+        grid, dens_prev = split_at(prev.bounds, prev.densities, b)
+        dens_lower = np.where(grid[1:] <= b, 0.0, e_neg * dens_prev)
+
+        target_c = pi_i - top_density
+        cum_lower, cum_prev = cumulative(grid, dens_lower), cumulative(grid, dens_prev)
+        balance = cum_lower + e_eps * (total_prev - cum_prev)
+        c = _smallest_crossing(grid, -balance, e_eps * dens_prev - dens_lower, -target_c)
+
+        grid_i, dens_prev_i = split_at(grid, dens_prev, c)
+        dens_i = np.where(grid_i[1:] <= c, split_at(grid, dens_lower, c)[1], e_eps * dens_prev_i)
+        pdfs.append(_merged(atom, np.append(grid_i, float(i)), np.append(dens_i, top_density)))
+    return PdfFamily(reporting=rv, pdfs=tuple(pdfs))
+
+
 def verify_dp_dense(rows, params: PrivacyParams) -> DpReport:
     """The DP oracle over dense rows: every pair compared over all tokens."""
     mat = np.asarray(rows, dtype=float)
@@ -376,6 +426,75 @@ def verify_table(table):
 def pdf_mass(pdf) -> float:
     """Atom at 0 plus the mass of every density segment."""
     return pdf.atom0 + float((pdf.densities * np.diff(pdf.bounds)).sum())
+
+
+# ---------------------------------------------------------------- releases
+# One key released twice from one table: each release sees the key's
+# frequency in its own snapshot.  A release samples the key when its
+# sampling uniform u < q_w and then draws a token from its token uniform
+# against the thresholds ``sanitize_frequencies`` builds; the output is
+# token 0 when the key is not sampled or draws token 0.
+
+
+def release_thresholds(table, w: int):
+    """(q_w, the token thresholds t, the token before the band) of one release at frequency w.
+
+    The thresholds are ``sanitize_frequencies``' own: u < t[0] draws token 0
+    and u in [t[k-1], t[k]) the band's k-th token.  An unsampled frequency
+    (q_w = 0) gets the thresholds [1].
+    """
+    q = float(table.q[w])
+    if q == 0.0:
+        return q, [1.0], 0
+    cond = table.rows[w] / q
+    band = np.trim_zeros(cond, "b")
+    cum = np.cumsum(np.concatenate(([max(0.0, 1.0 - float(cond.sum()))], band)))
+    cum[-1] = max(cum[-1], 1.0)
+    return q, cum.tolist(), int(table.first[w]) - 1
+
+
+def release_law(table, freqs, shared: bool) -> dict:
+    """Exact law of one key's outputs over releases at frequencies ``freqs``, as {tokens: mass}.
+
+    Shared seeds: every release reads the same sampling uniform and the same
+    token uniform, so each unit interval is cut at the merged thresholds of
+    all releases, and each pair of pieces yields one output per release.
+    Fresh seeds: the product of the single-release laws.
+    """
+    if not shared:
+        law = {(): 1.0}
+        for w in freqs:
+            single = release_law(table, [w], shared=True)
+            law = {a + b: pa * pb for a, pa in law.items() for b, pb in single.items()}
+        return law
+    cuts = [release_thresholds(table, w) for w in freqs]
+    s_edges = sorted({0.0, 1.0, *(q for q, _, _ in cuts)})
+    t_edges = sorted({0.0, 1.0, *(min(t, 1.0) for _, ts, _ in cuts for t in ts)})
+    law = {}
+    for s_lo, s_hi in zip(s_edges, s_edges[1:]):
+        for t_lo, t_hi in zip(t_edges, t_edges[1:]):
+            # no threshold lies inside either piece, so its left end decides
+            out = tuple(before + k if s_lo < q and (k := bisect_right(ts, t_lo)) else 0
+                        for q, ts, before in cuts)
+            law[out] = law.get(out, 0.0) + (s_hi - s_lo) * (t_hi - t_lo)
+    return law
+
+
+def worst_release_divergence(table, epsilon: float, d: int, shared: bool, releases: int = 2):
+    """Worst divergence at ``epsilon`` between the neighbours' release laws, both directions.
+
+    With two releases the neighbours are frequencies (w, w + d) and
+    (w + 1, w + 1 + d); with one, w and w + 1.  Every w with w + 1 + d <= m
+    is compared.
+    """
+    laws = [release_law(table, [w, w + d][:releases], shared)
+            for w in range(table.max_frequency - d + 1)]
+    worst = 0.0
+    for p, q in zip(laws, laws[1:]):
+        outputs = sorted(p.keys() | q.keys())
+        p, q = ([law.get(o, 0.0) for o in outputs] for law in (p, q))
+        worst = max(worst, hockey_stick(p, q, epsilon), hockey_stick(q, p, epsilon))
+    return worst
 
 
 # ---------------------------------------------------------------- estimators

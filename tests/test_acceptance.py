@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import dense, pi_marginals, ppswor_structure
+from oracles import dense, pi_marginals, ppswor_structure, worst_release_divergence
 from scipy.optimize import linprog
 
 from privsample import (
@@ -500,3 +500,32 @@ def test_criterion_13_accuracy_at_lower_frequencies():
         for r, v in ratios.items()
     ) + " (claim x2-8)"
     assert sw.done(13, dominance, 30, detail)
+
+
+def test_criterion_14_repeated_releases_of_one_key():
+    # One key released twice from the alg4 table, at frequencies w and
+    # w + d, against the neighbours (w + 1, w + 1 + d), with both seeds
+    # shared or both fresh.  The shared-seed numbers are printed with no
+    # target.  Asserted: with d = 0 shared seeds repeat one release, so the
+    # worst divergence is the single release's; fresh seeds compose
+    # optimally, so at 2 epsilon it stays within 2 delta' - delta'^2.
+    sw = Stopwatch()
+    lines = ["worst divergence of two releases, shared at eps/2eps | fresh at eps/2eps "
+             "(single release delta'):"]
+    ok = True
+    for scheme in (SamplingScheme.none(), SamplingScheme.ppswor(0.05)):
+        for epsilon, delta, m in ((0.5, 1e-3, 60), (0.1, 0.01, 80)):
+            table = compute_pij(PrivacyParams(epsilon, delta), scheme, m)
+            single = worst_release_divergence(table, epsilon, 0, shared=True, releases=1)
+            for d in (0, 1, 5):
+                shared, fresh = (
+                    [worst_release_divergence(table, e, d, how) for e in (epsilon, 2 * epsilon)]
+                    for how in (True, False)
+                )
+                ok = ok and fresh[1] <= 2 * single - single**2 and (d > 0 or shared[0] == single)
+                label = "none" if scheme.kind == "none" else f"{scheme.kind} {scheme.tau:g}"
+                lines.append(f"{label} ({epsilon:g}, {delta:g}) m={m} d={d}: "
+                             f"{shared[0]:.4g}/{shared[1]:.4g} | {fresh[0]:.4g}/{fresh[1]:.4g} "
+                             f"({single:.4g})")
+    print("\n".join(lines))
+    assert sw.done(14, ok, 30, "d=0 shared equals one release; fresh within 2d'-d'^2 at 2eps")

@@ -149,6 +149,22 @@ class TestVerifyRoundTrip:
             assert out == ""
             assert message in err
 
+    @pytest.mark.parametrize("entries", ["1,1000000000000000,0.25\n",
+                                         "1000000000000000,0,1\n"])
+    def test_verify_dp_fails_closed_on_a_table_too_large_to_hold(self, tmp_path, capsys,
+                                                                 entries):
+        # a band to token 10**15, or row 10**15, asks for petabytes: the
+        # block cannot be allocated, which is a data error, not a crash
+        path = tmp_path / "t.csv"
+        path.write_text("i,j,pi_ij\n0,0,1\n1,0,0.5\n1,1,0.25\n" + entries)
+        code, out, err = run(
+            ["verify-dp", "--epsilon", "0.1", "--delta", "0.5", "--table", str(path)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("kind, text", [
         # every key reported with probability 1: each pair passes, row 0 does not
         ("pij", "0,0,0\n0,1,1\n1,0,0\n1,1,1\n2,0,0\n2,1,1\n"),

@@ -26,6 +26,10 @@ to compare each key's uniform with the q_w its tables condition on.
 ``concordance-sbh-kendall`` was recorded when ``--kendall`` came to accept
 ``--method sbh``, which had been a usage error; its CSV has the digest of
 ``concordance-sbh``, the same command without ``--kendall``.
+``pdfs-large-epsilon`` and ``pij-alg5-large-epsilon`` (epsilon 8.875, delta
+0.1, m = 19, where alg5 exceeds delta by 1.1e-12) were recorded at commit
+53262b9, before ``compute_pdfs`` came to split each row's grid once at b and
+once at c.
 ``concordance-kendall`` (both its CSV and its stdout) was re-recorded when
 ``concordance_matrix`` came to sum each pair as one product over the token
 span of a block of bands, in another order than the dense rows' two
@@ -49,6 +53,8 @@ from privsample.cli import main
 PRIV = ["--epsilon", "0.5", "--delta", "0.001"]
 PPSWOR = ["--scheme", "ppswor", "--tau", "0.05"]
 PPS = ["--scheme", "pps", "--tau", "0.02", "--power", "0.5"]
+# large epsilon: from row 2 on, each alg5 crossover falls in its grid's top segment
+LARGE_EPS = ["--epsilon", "8.875", "--delta", "0.1", "--max-freq", "19"]
 
 
 def _corpus(d):
@@ -144,6 +150,12 @@ def _corpus(d):
                                      "--n-keys", "500", "--freq-max", "40",
                                      "--out", str(d / "conc_sbh_kendall.csv")],
          [d / "conc_sbh_kendall.csv"]),
+        ("pdfs-large-epsilon", ["pdfs", *LARGE_EPS, "--segments-out", str(d / "seg_large_eps.csv"),
+                                "--atoms-out", str(d / "atoms_large_eps.csv")],
+         [d / "seg_large_eps.csv", d / "atoms_large_eps.csv"]),
+        ("pij-alg5-large-epsilon", ["pij", *LARGE_EPS, "--table", "alg5",
+                                    "--out", str(d / "pij5_large_eps.csv")],
+         [d / "pij5_large_eps.csv"]),
     ]
 
 
@@ -209,6 +221,9 @@ GOLDEN = {
     "baseline-sampled-sbh-ppswor:sbh_ppswor.tsv": "e0c4ffc9185be45c5790c0af8eb16aa4e9cd3638ca853a8c7680f94cd5ef2289",
     "concordance-sbh-kendall:stdout": "7dbc45700ef406890c19df8f81a9aff3d426c11f9032e8abcc555073274ae089",
     "concordance-sbh-kendall:conc_sbh_kendall.csv": "6819c52cea26a096ad4d6101f04068d475f52958617c0c80c534708290f564fe",
+    "pdfs-large-epsilon:seg_large_eps.csv": "e2f991a4c6a57d6a18e8eba3b1e68f795a9f394738a00887380e0f7005fe9f02",
+    "pdfs-large-epsilon:atoms_large_eps.csv": "abaa8194d3fcd523edc1adece44f77f749591e25cf0a0eed485354c427c25457",
+    "pij-alg5-large-epsilon:pij5_large_eps.csv": "7c549054301f63d33ff8a62602f38a6184209de893a99a7405271ba16f783572",
 }
 
 

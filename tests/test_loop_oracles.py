@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from oracles import (
     bands,
+    compute_pdfs_reference,
     dense,
     from_entries,
     table_from_dense,
+    table_laws,
     verify_dp_dense,
     write_concordance_csv_ref,
     write_key_lines_ref,
@@ -438,10 +440,28 @@ def test_split_at_matches_insert(seg, where):
     z = float(bounds[0] + where * (bounds[-1] - bounds[0]))
     if not bounds[0] < z < bounds[-1]:
         return
-    got_bounds, got_dens = _split_at(bounds, densities, z)
+    got_bounds, got_dens, k = _split_at(bounds, densities, z)
     ref_bounds, ref_dens = split_at_insert(bounds, densities, z)
     assert got_bounds.tobytes() == ref_bounds.tobytes()
     assert got_dens.tobytes() == ref_dens.tobytes()
+    assert k == np.count_nonzero(got_bounds[1:] <= z)  # the segments ending at or below z
+    # a stack of two rows is split under each row at the same k
+    stack_bounds, stack, stack_k = _split_at(bounds, np.stack((densities, 0.5 * densities)), z)
+    ref_half = split_at_insert(bounds, 0.5 * densities, z)[1]
+    assert stack_bounds.tobytes() == ref_bounds.tobytes() and stack_k == k
+    assert stack.tobytes() == np.stack((ref_dens, ref_half)).tobytes()
+
+
+@SETTINGS
+@given(table_laws(min_epsilon=0.003, max_delta=1.0, max_epsilon=40.0))
+@example((PrivacyParams(8.875, 0.1), SamplingScheme.none(), 19))
+def test_compute_pdfs_matches_three_split_step(law):
+    family, ref = compute_pdfs(*law), compute_pdfs_reference(*law)
+    assert len(family) == len(ref)
+    for got, want in zip(family, ref):
+        assert np.float64(got.atom0).tobytes() == np.float64(want.atom0).tobytes()
+        assert got.bounds.tobytes() == want.bounds.tobytes()
+        assert got.densities.tobytes() == want.densities.tobytes()
 
 
 # ---------------------------------------------------------------- per-key draws
